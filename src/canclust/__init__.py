@@ -13,7 +13,7 @@ from .hierarchy import LINKAGES, Dendrogram, agglomerate, cut_at
 from .clusim import ElementAffinity, HierarchyParams, SimilarityScore, affinity, level_weights, similarity
 from .stats import SimilaritySample, TestResult, attack_vs_benign, benign_pairs, density_export, mann_whitney
 from .synth import AttackSpec, SynthSpec, generate, inject, signal_id
-from .pipeline import RunConfig, VerdictReport, run, verdict
+from .pipeline import RunConfig, VerdictReport, prepare, run, verdict
 
 __all__ = [
     "RawSignal", "SignalCapture", "SignalMatrix", "parse_capture", "resample",
@@ -22,7 +22,7 @@ __all__ = [
     "ElementAffinity", "HierarchyParams", "SimilarityScore", "affinity", "level_weights", "similarity",
     "SimilaritySample", "TestResult", "attack_vs_benign", "benign_pairs", "density_export", "mann_whitney",
     "AttackSpec", "SynthSpec", "generate", "inject", "signal_id",
-    "RunConfig", "VerdictReport", "run", "verdict",
+    "RunConfig", "VerdictReport", "prepare", "run", "verdict",
 ]
 
 __version__ = "0.1.0"

@@ -14,11 +14,11 @@ import sys
 from pathlib import Path
 
 from .clusim import HierarchyParams, similarity
-from .correlation import dump_matrix_csv, pearson_matrix, to_dissimilarity
+from .correlation import dump_matrix_csv
 from .errors import ConfigError, DataError
 from .hierarchy import LINKAGES, agglomerate
-from .ingest import parse_capture, resample
-from .pipeline import RunConfig, run, verdict
+from .ingest import parse_capture
+from .pipeline import RunConfig, prepare, run, verdict
 from .synth import AttackSpec, SynthSpec, generate, inject, write_wide_csv
 
 DISSIMILARITY_ALIASES = {
@@ -40,11 +40,19 @@ def _expand(pattern):
     return files
 
 
+def _parse_files(pattern, format, **labels):
+    """Parse every capture file a directory or glob names."""
+    return tuple(parse_capture(path, format=format, **labels) for path in _expand(pattern))
+
+
 def _add_shared(parser):
     parser.add_argument("--freq", type=float, default=10.0, help="resampling frequency in Hz")
     parser.add_argument("--r", type=float, default=-5.0, help="hierarchy scaling parameter")
     parser.add_argument("--alpha", type=float, default=0.9, help="diffusion continuation probability")
     parser.add_argument("--format", choices=["wide_csv", "long_csv"], default="wide_csv")
+    # type= resolves the alias before argparse checks choices
+    parser.add_argument("--dissimilarity", default="abs", choices=sorted(DISSIMILARITY_ALIASES),
+                        type=lambda s: DISSIMILARITY_ALIASES.get(s, s), help="correlation-to-distance transform")
     parser.add_argument("--allow-intersection", action="store_true",
                         help="compare captures on their common signals when pruning differs")
 
@@ -55,29 +63,25 @@ def _cmd_analyze(args):
         if "=" not in spec:
             raise ConfigError(f"--attack expects <kind>=<dir|glob>, got {spec!r}")
         kind, pattern = spec.split("=", 1)
-        attack_groups.setdefault(kind, []).extend(_expand(pattern))
-    linkages = tuple(l.strip() for l in args.linkage.split(",") if l.strip())
+        caps = _parse_files(pattern, args.format, label="attack", attack_kind=kind)
+        attack_groups[kind] = attack_groups.get(kind, ()) + caps
     config = RunConfig(
-        benign_paths=tuple(_expand(args.benign)),
-        attack_path_groups={k: tuple(v) for k, v in attack_groups.items()},
-        format=args.format,
+        benign_captures=_parse_files(args.benign, args.format),
+        attack_capture_groups=attack_groups,
         frequency_hz=args.freq,
-        linkages=linkages,
+        linkages=tuple(l.strip() for l in args.linkage.split(",") if l.strip()),
         r=args.r,
         alpha=args.alpha,
         significance=args.significance,
-        dissimilarity=DISSIMILARITY_ALIASES.get(args.dissimilarity, args.dissimilarity),
+        dissimilarity=args.dissimilarity,
         allow_intersection=args.allow_intersection,
         output_dir=args.out,
     )
     report = run(config)
     if args.dump_matrices:
         out = Path(args.out)
-        for path in config.benign_paths:
-            cap = parse_capture(path, format=config.format)
-            m = resample(cap, config.frequency_hz)
-            c = pearson_matrix(m)
-            d = to_dissimilarity(c, mode=config.dissimilarity)
+        for cap in config.benign_captures:
+            _m, c, d = prepare(cap, config.frequency_hz, config.dissimilarity)
             dump_matrix_csv(c.signal_ids, c.rho, out / f"rho_{cap.capture_id}.csv")
             dump_matrix_csv(d.signal_ids, d.d, out / f"dissim_{cap.capture_id}.csv")
     summary, _tally = verdict(report)
@@ -116,9 +120,7 @@ def _cmd_simtest(args):
     params = HierarchyParams(r=args.r, alpha=args.alpha)
     dends = []
     for path in (args.a, args.b):
-        cap = parse_capture(path, format=args.format)
-        m = resample(cap, args.freq)
-        d = to_dissimilarity(pearson_matrix(m), mode=DISSIMILARITY_ALIASES.get(args.dissimilarity, args.dissimilarity))
+        _m, _c, d = prepare(parse_capture(path, format=args.format), args.freq, args.dissimilarity)
         dends.append(agglomerate(d, args.linkage_single))
     score = similarity(dends[0], dends[1], params, allow_intersection=args.allow_intersection)
     print(json.dumps({"capture_a": Path(args.a).stem, "capture_b": Path(args.b).stem,
@@ -139,8 +141,6 @@ def build_parser():
     p.add_argument("--linkage", default="single,complete,average,ward",
                    help=f"comma-separated subset of {','.join(LINKAGES)}")
     p.add_argument("--significance", type=float, default=0.05)
-    p.add_argument("--dissimilarity", default="abs", choices=sorted(DISSIMILARITY_ALIASES),
-                   help="correlation-to-distance transform")
     p.add_argument("--dump-matrices", action="store_true",
                    help="also write rho/dissimilarity CSVs for benign captures")
     p.add_argument("--out", required=True, help="output directory for report and curves")
@@ -156,7 +156,6 @@ def build_parser():
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--linkage", dest="linkage_single", default="ward", choices=LINKAGES)
-    p.add_argument("--dissimilarity", default="abs", choices=sorted(DISSIMILARITY_ALIASES))
     _add_shared(p)
     p.set_defaults(func=_cmd_simtest)
     return parser

@@ -38,9 +38,9 @@ def pearson_matrix(m):
         raise DataError(f"{m.capture_id}: need at least 2 signals to correlate, got {n}")
     if m.data.shape[1] < 2:
         raise DataError(f"{m.capture_id}: need at least 2 samples per signal")
-    norms = np.linalg.norm(m.data, axis=1)
-    # constant rows are pruned upstream; a zero-norm row here is a bug
-    assert np.all(norms > 0), "zero-variance row reached pearson_matrix"
+    flat = [sid for sid, norm in zip(m.signal_ids, np.linalg.norm(m.data, axis=1)) if not norm > 0]
+    if flat:
+        raise DataError(f"{m.capture_id}: zero-variance signals {flat} cannot be correlated")
 
     gram = m.data @ m.data.T
     rho = np.zeros_like(gram)

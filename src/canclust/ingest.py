@@ -40,6 +40,8 @@ class RawSignal:
             raise DataError(f"signal {self.signal_id}: timestamps and values must be 1-D and equal length")
         if ts.size == 0:
             raise DataError(f"signal {self.signal_id}: empty signal")
+        if not np.all(np.isfinite(ts)):
+            raise DataError(f"signal {self.signal_id}: non-finite timestamps")
         if not np.all(np.isfinite(vs)):
             raise DataError(f"signal {self.signal_id}: non-finite values")
         if ts.size > 1 and not np.all(np.diff(ts) > 0):
@@ -93,7 +95,10 @@ def _finish_signal(signal_id, samples, path):
     ts = np.array([t for t, _ in samples])
     if ts.size > 1 and np.any(np.diff(ts) <= 0):
         raise ParseError(f"duplicate timestamp in signal {signal_id!r}", path=path)
-    return RawSignal(signal_id, ts, np.array([v for _, v in samples]))
+    try:
+        return RawSignal(signal_id, ts, np.array([v for _, v in samples]))
+    except DataError as exc:
+        raise ParseError(str(exc), path=path) from None
 
 
 def parse_capture(path, format="wide_csv", capture_id=None, label="benign", attack_kind=""):

@@ -1,10 +1,12 @@
 """End-to-end orchestration: captures in, verdict report out.
 
-run() ingests (or accepts in-memory) captures, resamples them once, clusters
-each capture once per requested linkage, builds the benign-benign and
+prepare() takes one capture through resampling, correlation and the
+dissimilarity transform. run() prepares every in-memory capture once,
+clusters each once per requested linkage, builds the benign-benign and
 attack-vs-benign similarity distributions, runs the Mann-Whitney test per
-(attack kind, linkage) cell, and emits a self-contained report. verdict()
-condenses a report into the human-readable detection tally.
+(attack kind, linkage) cell, and emits a self-contained report. Loading
+capture files is the caller's job (the CLI does it with parse_capture).
+verdict() condenses a report into the human-readable detection tally.
 """
 
 import json
@@ -15,7 +17,7 @@ from .clusim import HierarchyParams
 from .correlation import pearson_matrix, to_dissimilarity
 from .errors import ConfigError, DataError
 from .hierarchy import LINKAGES, agglomerate
-from .ingest import parse_capture, resample
+from .ingest import resample
 from .stats import attack_vs_benign, benign_pairs, density_export, mann_whitney
 
 SCHEMA_VERSION = 1
@@ -23,26 +25,20 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    # file inputs (parsed with `format`) ...
-    benign_paths: tuple = ()
-    attack_path_groups: dict = field(default_factory=dict)  # kind -> tuple of paths
-    format: str = "wide_csv"
-    # ... or pre-built captures (synthetic runs, tests)
     benign_captures: tuple = ()
     attack_capture_groups: dict = field(default_factory=dict)  # kind -> tuple of captures
-
     frequency_hz: float = 10.0
     linkages: tuple = ("single", "complete", "average", "ward")
     r: float = -5.0
     alpha: float = 0.9
     significance: float = 0.05
     dissimilarity: str = "one_minus_abs_rho"
-    sided: str = "two_sided"
     allow_intersection: bool = False
     output_dir: str = ""
 
     def validate(self):
-        if len(self.benign_paths) + len(self.benign_captures) < 2:
+        """Check the configuration; return the HierarchyParams the run scores with."""
+        if len(self.benign_captures) < 2:
             raise ConfigError("need at least 2 benign captures")
         if not self.linkages:
             raise ConfigError("need at least one linkage")
@@ -51,25 +47,21 @@ class RunConfig:
             raise ConfigError(f"unknown linkages {bad}; choose from {LINKAGES}")
         if not (0.0 < self.significance < 1.0):
             raise ConfigError("significance must be in (0, 1)")
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError("alpha must be in (0, 1)")
         if self.frequency_hz <= 0:
             raise ConfigError("frequency_hz must be positive")
+        try:
+            return HierarchyParams(r=self.r, alpha=self.alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def echo(self):
         return {
-            "benign_paths": [str(p) for p in self.benign_paths],
-            "attack_path_groups": {k: [str(p) for p in v] for k, v in self.attack_path_groups.items()},
-            "format": self.format,
-            "n_benign_captures_inline": len(self.benign_captures),
-            "attack_capture_groups_inline": {k: len(v) for k, v in self.attack_capture_groups.items()},
             "frequency_hz": self.frequency_hz,
             "linkages": list(self.linkages),
             "r": self.r,
             "alpha": self.alpha,
             "significance": self.significance,
             "dissimilarity": self.dissimilarity,
-            "sided": self.sided,
             "allow_intersection": self.allow_intersection,
         }
 
@@ -78,7 +70,7 @@ class RunConfig:
 class VerdictReport:
     schema: int
     config: dict
-    diagnostics: tuple  # per-capture dicts: capture_id, label, kind, n_signals, t, dropped
+    diagnostics: tuple  # per-capture dicts: capture_id, source_path, label, kind, n_signals, t, dropped
     benign_samples: dict  # linkage -> SimilaritySample
     entries: dict  # (attack_kind, linkage) -> entry dict
 
@@ -98,23 +90,18 @@ class VerdictReport:
         }
 
 
-def _load_captures(config):
-    benign = list(config.benign_captures)
-    for p in config.benign_paths:
-        benign.append(parse_capture(p, format=config.format))
-    seen = set()
-    attack_groups = {}
-    for kind, caps in config.attack_capture_groups.items():
-        attack_groups.setdefault(kind, []).extend(caps)
-    for kind, paths in config.attack_path_groups.items():
-        group = attack_groups.setdefault(kind, [])
-        for p in paths:
-            group.append(parse_capture(p, format=config.format, label="attack", attack_kind=kind))
-    for cap in benign + [c for g in attack_groups.values() for c in g]:
-        if cap.capture_id in seen:
-            raise DataError(f"duplicate capture_id {cap.capture_id!r}")
-        seen.add(cap.capture_id)
-    return benign, attack_groups
+def prepare(capture, frequency_hz, dissimilarity):
+    """Resample, correlate and transform one capture for clustering.
+
+    Returns (SignalMatrix, CorrelationMatrix, DissimilarityMatrix). A
+    DataError is re-raised naming the capture and the file it came from.
+    """
+    try:
+        m = resample(capture, frequency_hz)
+        c = pearson_matrix(m)
+        return m, c, to_dissimilarity(c, mode=dissimilarity)
+    except DataError as exc:
+        raise DataError(f"capture {capture.capture_id!r} ({capture.source_path or 'inline'}): {exc}") from exc
 
 
 def run(config):
@@ -124,22 +111,22 @@ def run(config):
     per-sample density CSVs are written there, only after every computation
     has succeeded.
     """
-    config.validate()
-    benign_caps, attack_groups = _load_captures(config)
-    params = HierarchyParams(r=config.r, alpha=config.alpha)
+    params = config.validate()
+    attack_groups = config.attack_capture_groups
+    captures = list(config.benign_captures) + [c for g in attack_groups.values() for c in g]
+    seen = set()
+    for cap in captures:
+        if cap.capture_id in seen:
+            raise DataError(f"duplicate capture_id {cap.capture_id!r}")
+        seen.add(cap.capture_id)
 
     diagnostics = []
-    matrices = {}
     dissims = {}
-    for cap in benign_caps + [c for g in attack_groups.values() for c in g]:
-        try:
-            m = resample(cap, config.frequency_hz)
-            dissims[cap.capture_id] = to_dissimilarity(pearson_matrix(m), mode=config.dissimilarity)
-        except DataError as exc:
-            raise DataError(f"capture {cap.capture_id!r} ({cap.source_path or 'inline'}): {exc}") from exc
-        matrices[cap.capture_id] = m
+    for cap in captures:
+        m, _c, dissims[cap.capture_id] = prepare(cap, config.frequency_hz, config.dissimilarity)
         diagnostics.append({
             "capture_id": cap.capture_id,
+            "source_path": cap.source_path,
             "label": cap.label,
             "attack_kind": cap.attack_kind,
             "n_signals": len(m.signal_ids),
@@ -153,7 +140,7 @@ def run(config):
         for cap_id, dm in dissims.items():
             dendrograms[(cap_id, linkage)] = agglomerate(dm, linkage)
 
-    benign_ids = [c.capture_id for c in benign_caps]
+    benign_ids = [c.capture_id for c in config.benign_captures]
     benign_samples = {}
     entries = {}
     for linkage in config.linkages:
@@ -169,8 +156,7 @@ def run(config):
             asample = attack_vs_benign(adends, bdends, params, kind=kind,
                                        attack_ids=aids, benign_ids=benign_ids,
                                        allow_intersection=config.allow_intersection)
-            t = mann_whitney(bsample, asample, sided=config.sided,
-                             significance=config.significance)
+            t = mann_whitney(bsample, asample, significance=config.significance)
             entries[(kind, linkage)] = {
                 "u": t.u_statistic,
                 "p_value": t.p_value,

@@ -15,7 +15,8 @@ import pytest
 from canclust.clusim import HierarchyParams, affinity, similarity, transition_matrix
 from canclust.goldens import verify_goldens
 from canclust.hierarchy import agglomerate
-from canclust.pipeline import RunConfig, run
+from canclust.ingest import parse_capture
+from canclust.pipeline import RunConfig, prepare, run
 from canclust.stats import benign_pairs, exact_u_counts, mann_whitney, u_statistic
 from canclust.synth import AttackSpec, SynthSpec, generate, inject, signal_id
 
@@ -36,9 +37,7 @@ def report(capsys, n, passed, detail):
 
 
 def ward_dend(capture):
-    from canclust.correlation import pearson_matrix, to_dissimilarity
-    from canclust.ingest import resample
-    return agglomerate(to_dissimilarity(pearson_matrix(resample(capture, 10.0))), "ward")
+    return agglomerate(prepare(capture, 10.0, "one_minus_abs_rho")[2], "ward")
 
 
 def make_attack_dends(base, kind, targets, window):
@@ -191,13 +190,15 @@ def test_criterion_10_road_reproduction(capsys):
             print("\n[criterion 10] SKIP: set CANCLUST_ROAD_DIR to a directory of "
                   "signal-translated ROAD captures (see docs/walkthrough.md)")
         pytest.skip("external ROAD data not supplied")
-    benign = os.path.join(road_dir, "benign", "*.csv")
     kinds = ["correlated", "max_speedometer", "max_engine_coolant", "reverse_light_on",
              "reverse_light_off"]
-    attack_groups = {k: tuple(glob.glob(os.path.join(road_dir, k, "*.csv")))
-                     for k in kinds}
-    config = RunConfig(benign_paths=tuple(glob.glob(benign)),
-                       attack_path_groups=attack_groups,
+
+    def parse_dir(name, **labels):
+        paths = sorted(glob.glob(os.path.join(road_dir, name, "*.csv")))
+        return tuple(parse_capture(p, **labels) for p in paths)
+
+    config = RunConfig(benign_captures=parse_dir("benign"),
+                       attack_capture_groups={k: parse_dir(k, label="attack", attack_kind=k) for k in kinds},
                        linkages=("average", "ward"), allow_intersection=True)
     rep = run(config)
     ward_hits = sum(1 for k in kinds if rep.entries[(k, "ward")]["significant"])

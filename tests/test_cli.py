@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from canclust.cli import main
+from canclust.ingest import parse_capture
+from canclust.pipeline import prepare
 
 
 def synth_spec_doc(n_benign=4, attack=True):
@@ -17,6 +20,21 @@ def synth_spec_doc(n_benign=4, attack=True):
                        "start_s": 0.0, "end_s": 40.0, "seed": 41},
         })
     return {"defaults": defaults, "captures": captures}
+
+
+def read_matrix_csv(path):
+    lines = path.read_text().splitlines()
+    ids = lines[0].split(",")[1:]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ids
+    return tuple(ids), np.array([[float(v) for v in r[1:]] for r in rows])
+
+
+@pytest.fixture
+def inf_time_csv(tmp_path):
+    p = tmp_path / "inf_time.csv"
+    p.write_text("time,a,b\n0.0,1.0,2.0\n0.1,2.0,1.0\n0.2,3.0,5.0\ninf,4.0,4.0\n")
+    return p
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +104,18 @@ class TestAnalyze:
     def test_dump_matrices(self, corpus, tmp_path):
         out = tmp_path / "o"
         rc = main(["analyze", "--benign", str(corpus / "benign_*.csv"),
+                   "--attack", f"correlated_break={corpus / 'attack_0.csv'}",
                    "--dump-matrices", "--out", str(out)])
         assert rc == 0
-        assert (out / "rho_benign_0.csv").exists()
-        assert (out / "dissim_benign_0.csv").exists()
+        for i in range(4):
+            _m, c, d = prepare(parse_capture(corpus / f"benign_{i}.csv"), 10.0, "one_minus_abs_rho")
+            ids, rho = read_matrix_csv(out / f"rho_benign_{i}.csv")
+            assert ids == c.signal_ids and np.array_equal(rho, c.rho)
+            ids, dissim = read_matrix_csv(out / f"dissim_benign_{i}.csv")
+            assert ids == d.signal_ids and np.array_equal(dissim, d.d)
+        for prefix in ("rho", "dissim"):  # benign captures only, never attack_0
+            dumped = sorted(p.name for p in out.glob(f"{prefix}_*.csv"))
+            assert dumped == [f"{prefix}_benign_{i}.csv" for i in range(4)]
 
     def test_directory_input(self, corpus, tmp_path, monkeypatch):
         # a bare directory expands to its *.csv files (attack file included,
@@ -116,6 +142,12 @@ class TestAnalyze:
         rc = main(["analyze", "--benign", str(corpus / "benign_0.csv"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_non_finite_timestamp(self, corpus, inf_time_csv, tmp_path, capsys):
+        rc = main(["analyze", "--benign", str(corpus / "benign_*.csv"),
+                   "--attack", f"correlated_break={inf_time_csv}", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "inf_time.csv" in capsys.readouterr().err
 
     def test_corrupt_capture(self, tmp_path):
         (tmp_path / "a.csv").write_text("time,x\n0.0,1.0\n0.1,banana\n")
@@ -159,3 +191,24 @@ class TestSimtest:
         rc = main(["simtest", "--a", str(corpus / "benign_0.csv"),
                    "--b", str(tmp_path / "nope.csv")])
         assert rc == 3
+
+    def test_non_finite_timestamp(self, corpus, inf_time_csv, capsys):
+        rc = main(["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(inf_time_csv)])
+        assert rc == 3
+        assert "non-finite timestamps" in capsys.readouterr().err
+
+    def test_flat_capture_names_file(self, corpus, tmp_path, capsys):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("time,a,b\n" + "".join(f"{i / 10},1.0,2.0\n" for i in range(50)))
+        rc = main(["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(flat)])
+        assert rc == 3
+        assert str(flat) in capsys.readouterr().err
+
+    def test_dissimilarity_alias(self, corpus, capsys):
+        values = []
+        for mode in ("signed", "half_one_minus_rho"):
+            rc = main(["simtest", "--a", str(corpus / "benign_0.csv"),
+                       "--b", str(corpus / "attack_0.csv"), "--dissimilarity", mode])
+            assert rc == 0
+            values.append(json.loads(capsys.readouterr().out)["similarity"])
+        assert values[0] == values[1]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,13 @@ class TestPearson:
     def test_single_signal_rejected(self, rng):
         with pytest.raises(DataError):
             pearson_matrix(matrix_from_rows(rng.normal(size=(1, 50))))
+
+    def test_zero_variance_row_rejected(self, rng):
+        m = matrix_from_rows(rng.normal(size=(3, 40)))
+        data = m.data.copy()
+        data[1] = 0.0
+        with pytest.raises(DataError, match="s1"):
+            pearson_matrix(replace(m, data=data))
 
 
 class TestDissimilarity:

@@ -167,6 +167,8 @@ class TestRawSignalInvariants:
     def test_non_finite(self):
         with pytest.raises(DataError):
             RawSignal("a", [0.0, 1.0], [1.0, float("nan")])
+        with pytest.raises(DataError, match="non-finite timestamps"):
+            RawSignal("a", [0.0, float("inf")], [1.0, 2.0])
 
     def test_decreasing_timestamps(self):
         with pytest.raises(DataError):

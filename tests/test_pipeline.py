@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from canclust.cli import main
 from canclust.errors import ConfigError, DataError
+from canclust.ingest import parse_capture
 from canclust.pipeline import RunConfig, run, verdict
 from canclust.synth import AttackSpec, SynthSpec, generate, inject, signal_id, write_wide_csv
 
@@ -55,6 +57,7 @@ class TestRun:
         assert labels["attack_correlated_break_0"] == "attack"
         for d in small_report.diagnostics:
             assert d["n_signals"] == 9 and d["t"] == 400
+            assert d["source_path"] == ""  # in-memory capture
 
     def test_deterministic(self, small_report):
         config = RunConfig(benign_captures=make_benign(5),
@@ -123,6 +126,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run(RunConfig(benign_captures=make_benign(2), alpha=1.0))
 
+    def test_non_finite_r(self):
+        with pytest.raises(ConfigError, match="r must be finite"):
+            run(RunConfig(benign_captures=make_benign(2), r=float("inf")))
+
     def test_bad_frequency(self):
         with pytest.raises(ConfigError):
             run(RunConfig(benign_captures=make_benign(2), frequency_hz=0.0))
@@ -135,15 +142,26 @@ class TestConfigValidation:
 
 class TestFileInputs:
     def test_paths_and_inline_agree(self, tmp_path):
+        # the CLI parses the files; run() on the same captures in memory must
+        # give the same samples and test cells
         benign = make_benign(3)
-        paths = []
-        for cap in benign:
-            p = tmp_path / f"{cap.capture_id}.csv"
-            write_wide_csv(cap, p)
-            paths.append(str(p))
-        from_files = run(RunConfig(benign_paths=tuple(paths), linkages=("ward",)))
-        inline = run(RunConfig(benign_captures=benign, linkages=("ward",)))
-        assert from_files.benign_samples["ward"].values == inline.benign_samples["ward"].values
+        attacks = make_attacks("correlated_break", 2)
+        for cap in benign + attacks:
+            write_wide_csv(cap, tmp_path / f"{cap.capture_id}.csv")
+        out = tmp_path / "cli"
+        rc = main(["analyze", "--benign", str(tmp_path / "benign_*.csv"),
+                   "--attack", f"correlated_break={tmp_path / 'attack_*.csv'}",
+                   "--linkage", "average,ward", "--out", str(out)])
+        assert rc == 0
+        from_files = json.loads((out / "report.json").read_text())
+        inline = run(RunConfig(benign_captures=benign, attack_capture_groups={"correlated_break": attacks},
+                               linkages=("average", "ward")))
+        inline = json.loads(json.dumps(inline.to_dict()))
+        assert from_files["benign_samples"] == inline["benign_samples"]
+        assert from_files["results"] == inline["results"]
+        assert len(from_files["results"]) == 2
+        sources = {d["capture_id"]: d["source_path"] for d in from_files["diagnostics"]}
+        assert sources["attack_correlated_break_1"] == str(tmp_path / "attack_correlated_break_1.csv")
 
     def test_degenerate_capture_names_culprit(self, tmp_path):
         p = tmp_path / "flat.csv"
@@ -152,7 +170,7 @@ class TestFileInputs:
         gp = tmp_path / "good.csv"
         write_wide_csv(good, gp)
         with pytest.raises(DataError, match="flat"):
-            run(RunConfig(benign_paths=(str(gp), str(p)), linkages=("ward",)))
+            run(RunConfig(benign_captures=(parse_capture(gp), parse_capture(p)), linkages=("ward",)))
 
 
 class TestVerdict:
