@@ -11,6 +11,7 @@ import argparse
 import glob
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .clusim import HierarchyParams, similarity
@@ -58,16 +59,8 @@ def _add_shared(parser):
 
 
 def _cmd_analyze(args):
-    attack_groups = {}
-    for spec in args.attack:
-        if "=" not in spec:
-            raise ConfigError(f"--attack expects <kind>=<dir|glob>, got {spec!r}")
-        kind, pattern = spec.split("=", 1)
-        caps = _parse_files(pattern, args.format, label="attack", attack_kind=kind)
-        attack_groups[kind] = attack_groups.get(kind, ()) + caps
+    # every parameter is checked before any file is parsed
     config = RunConfig(
-        benign_captures=_parse_files(args.benign, args.format),
-        attack_capture_groups=attack_groups,
         frequency_hz=args.freq,
         linkages=tuple(l.strip() for l in args.linkage.split(",") if l.strip()),
         r=args.r,
@@ -77,6 +70,16 @@ def _cmd_analyze(args):
         allow_intersection=args.allow_intersection,
         output_dir=args.out,
     )
+    config.check_parameters()
+    attack_groups = {}
+    for spec in args.attack:
+        if "=" not in spec:
+            raise ConfigError(f"--attack expects <kind>=<dir|glob>, got {spec!r}")
+        kind, pattern = spec.split("=", 1)
+        caps = _parse_files(pattern, args.format, label="attack", attack_kind=kind)
+        attack_groups[kind] = attack_groups.get(kind, ()) + caps
+    config = replace(config, benign_captures=_parse_files(args.benign, args.format),
+                     attack_capture_groups=attack_groups)
     report = run(config)
     if args.dump_matrices:
         out = Path(args.out)

@@ -3,11 +3,12 @@
 Each element (signal) induces a weighted bipartite graph between elements and
 the clusters of its root-to-leaf path, with weights decaying exponentially in
 normalized depth (softmax of r * depth; depth 0 at the root, 1 at the leaf).
-Projecting onto elements gives a row-stochastic transition matrix: a cluster
-at weight w spreads w uniformly over its members. Personalized PageRank with
-restart probability 1 - alpha then yields one stationary distribution per
-element, and two dendrograms are compared element-wise through a rescaled l1
-distance between those distributions, averaged over elements.
+Projecting onto elements gives a row-stochastic transition matrix W: a
+cluster at weight w spreads w uniformly over its members. Personalized
+PageRank with restart probability 1 - alpha then yields one stationary
+distribution per element, the rows of P = (1 - alpha)(I - alpha W)^-1, and two
+dendrograms are compared element-wise through a rescaled l1 distance between
+those distributions, averaged over elements.
 
 Smaller (more negative) r emphasizes the top of the dendrogram (coarse
 groups); larger r emphasizes fine-grained structure near the leaves.
@@ -17,11 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError
+from .errors import DataError
 from .hierarchy import restrict
-
-PPR_TOL = 1e-12
-PPR_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -85,52 +83,55 @@ def level_weights(dend, element, r):
     return [(node, float(nu), float(wi)) for node, nu, wi in zip(path, depths, w)]
 
 
-def _member_lists(dend):
-    """Leaf index lists for every tree node, computed bottom-up."""
+def _tree_arrays(dend):
+    """Node x leaf membership matrix and hop depth below the root of every tree node.
+
+    Leaves are nodes 0..N-1 and the k-th merge is node N+k, so membership is
+    built bottom-up in merge order and depth top-down from the last merge.
+    """
     n = dend.n_leaves
-    members = [[i] for i in range(n)]
-    for left, right, _h, _s in dend.merges:
-        members.append(members[left] + members[right])
-    return members
+    merges = dend.merges
+    member = np.zeros((n + len(merges), n))
+    member[:n] = np.eye(n)
+    for k, (left, right, _h, _s) in enumerate(merges):
+        member[n + k] = member[left] + member[right]
+    depth = np.zeros(n + len(merges))
+    for k in range(len(merges) - 1, -1, -1):
+        left, right = merges[k][:2]
+        depth[left] = depth[right] = depth[n + k] + 1
+    return member, depth
 
 
 def transition_matrix(dend, r):
     """Element-to-element transition matrix W induced by the dendrogram.
 
-    W[i, j] = sum over ancestors C of i containing j of w(i, C) / |C|.
-    Rows sum to 1 by construction since each cluster spreads its full weight
-    over its members.
+    W[i, j] = sum over ancestors C of i containing j of w(i, C) / |C|, with
+    w(i, .) the level_weights of element i. Rows sum to 1 by construction
+    since each cluster spreads its full weight over its members.
     """
-    n = dend.n_leaves
-    members = _member_lists(dend)
-    w = np.zeros((n, n))
-    for i, lid in enumerate(dend.leaf_ids):
-        for node, _nu, weight in level_weights(dend, lid, r):
-            mem = members[node]
-            w[i, mem] += weight / len(mem)
-    return w
+    member, depth = _tree_arrays(dend)
+    hops = depth[:dend.n_leaves]
+    # w(i, C) = exp(r * depth[C] / hops[i]) over the ancestors C of leaf i, normalized per row
+    nu = depth[None, :] / hops[:, None]
+    weights = np.exp(np.where(member.T > 0, r * nu, -np.inf))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return (weights / member.sum(axis=1)) @ member
 
 
 def affinity(dend, params):
     """Stationary PPR distributions for every element of a dendrogram.
 
-    Solves p_i = (1 - alpha) e_i + alpha p_i W for all i simultaneously by
-    power iteration (l1 tolerance 1e-12, capped at 10000 sweeps).
+    The rows p_i = (1 - alpha) e_i + alpha p_i W, for all i at once, are
+    P = (1 - alpha)(I - alpha W)^-1, from one dense solve. I - alpha W is
+    strictly diagonally dominant (W is row-stochastic and alpha < 1), so the
+    solve is always well posed.
     """
     if dend.n_leaves < 2:
         raise DataError("affinity needs a dendrogram over at least 2 elements")
     w = transition_matrix(dend, params.r)
-    n = w.shape[0]
-    restart = (1.0 - params.alpha) * np.eye(n)
-    p = np.eye(n)
-    residual = np.inf
-    for _ in range(PPR_MAX_ITER):
-        p_next = restart + params.alpha * (p @ w)
-        residual = float(np.max(np.abs(p_next - p).sum(axis=1)))
-        p = p_next
-        if residual < PPR_TOL:
-            return ElementAffinity(element_ids=tuple(dend.leaf_ids), p=p)
-    raise ConvergenceError("personalized PageRank did not converge", residual)
+    eye = np.eye(w.shape[0])
+    p = np.linalg.solve(eye - params.alpha * w, (1.0 - params.alpha) * eye)
+    return ElementAffinity(element_ids=tuple(dend.leaf_ids), p=p)
 
 
 def _aligned_rows(dend, order, params):
@@ -166,7 +167,9 @@ def similarity(a, b, params, allow_intersection=False):
     pb = _aligned_rows(b, order, params)
 
     raw = 1.0 - np.abs(pa - pb).sum(axis=1) / (2.0 * params.alpha)
-    assert np.all(raw > -1e-9) and np.all(raw < 1.0 + 1e-9), "per-element score out of range"
+    if not np.all((raw > -1e-9) & (raw < 1.0 + 1e-9)):
+        raise RuntimeError(f"per-element score out of range [{raw.min()!r}, {raw.max()!r}]: "
+                           "affinity rows are not probability distributions")
     scores = np.clip(raw, 0.0, 1.0)
     return SimilarityScore(value=float(scores.mean()),
                            per_element=tuple(zip(order, (float(s) for s in scores))))

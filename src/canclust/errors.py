@@ -37,10 +37,3 @@ class InsufficientOverlapError(DataError):
 class DegenerateCaptureError(DataError):
     """Every signal in the capture is constant; nothing to cluster."""
 
-
-class ConvergenceError(CanclustError):
-    """Iterative solver failed to reach tolerance; carries the residual."""
-
-    def __init__(self, message, residual):
-        self.residual = residual
-        super().__init__(f"{message} (residual={residual:.3e})")

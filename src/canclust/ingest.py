@@ -22,6 +22,11 @@ from .errors import DataError, DegenerateCaptureError, InsufficientOverlapError,
 # relative float-noise tolerance for "this signal never moves"
 CONSTANT_TOL = 1e-12
 
+# most grid points one resampled capture may have: 10 million is 11.6 days at
+# 10 Hz or 27.8 hours at 100 Hz, far beyond any drive capture, and keeps a
+# corrupt timestamp from turning into a multi-GB (or impossible) allocation
+MAX_GRID_POINTS = 10_000_000
+
 
 @dataclass(frozen=True)
 class RawSignal:
@@ -169,20 +174,25 @@ def resample(capture, frequency_hz=10.0):
     series are dropped; the rest are mean-centered and scaled to unit l2
     norm.
     """
-    if frequency_hz <= 0:
-        raise ValueError("frequency_hz must be positive")
+    if not (0.0 < frequency_hz < np.inf):
+        raise ValueError("frequency_hz must be positive and finite")
     if not capture.signals:
         raise DataError(f"{capture.capture_id}: empty capture")
 
     start = max(float(s.timestamps[0]) for s in capture.signals)
     end = min(float(s.timestamps[-1]) for s in capture.signals)
     step = 1.0 / frequency_hz
-    # small slack so an exactly-fitting endpoint is not lost to float noise
-    n_points = int(np.floor((end - start) / step + 1e-9)) + 1
+    # small slack so an exactly-fitting endpoint is not lost to float noise;
+    # kept as a float until capped, since a corrupt span may not fit an int
+    n_points = np.floor((end - start) / step + 1e-9) + 1
+    if n_points > MAX_GRID_POINTS:
+        raise DataError(
+            f"{capture.capture_id}: common window [{start}, {end}] needs {n_points:.3g} grid points "
+            f"at {frequency_hz} Hz, more than the {MAX_GRID_POINTS} allowed")
     if n_points < 2:
         raise InsufficientOverlapError(
             f"{capture.capture_id}: common window [{start}, {end}] holds fewer than 2 grid points at {frequency_hz} Hz")
-    grid = start + np.arange(n_points) * step
+    grid = start + np.arange(int(n_points)) * step
 
     kept_ids, rows, dropped = [], [], []
     for sig in capture.signals:

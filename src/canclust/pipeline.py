@@ -10,6 +10,7 @@ verdict() condenses a report into the human-readable detection tally.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +41,10 @@ class RunConfig:
         """Check the configuration; return the HierarchyParams the run scores with."""
         if len(self.benign_captures) < 2:
             raise ConfigError("need at least 2 benign captures")
+        return self.check_parameters()
+
+    def check_parameters(self):
+        """Check everything but the captures; return the HierarchyParams the run scores with."""
         if not self.linkages:
             raise ConfigError("need at least one linkage")
         bad = [l for l in self.linkages if l not in LINKAGES]
@@ -47,8 +52,8 @@ class RunConfig:
             raise ConfigError(f"unknown linkages {bad}; choose from {LINKAGES}")
         if not (0.0 < self.significance < 1.0):
             raise ConfigError("significance must be in (0, 1)")
-        if self.frequency_hz <= 0:
-            raise ConfigError("frequency_hz must be positive")
+        if not (0.0 < self.frequency_hz < math.inf):
+            raise ConfigError("frequency_hz must be positive and finite")
         try:
             return HierarchyParams(r=self.r, alpha=self.alpha)
         except ValueError as exc:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .clusim import similarity
 from .errors import DataError
@@ -79,12 +78,27 @@ def attack_vs_benign(attack_dends, benign_dends, params, kind="attack",
     return SimilaritySample(group=f"attack_benign:{kind}", values=tuple(values), pair_ids=tuple(pairs))
 
 
+def average_ranks(values):
+    """1-based ranks of finite values, each tie group sharing its mean rank.
+
+    Sorted positions s..e-1 of one group of equal values all get (s + e + 1) / 2,
+    a half-integer, so the ranks are exact in floating point.
+    """
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
+    return ranks
+
+
 def u_statistic(x, y):
     """U = number of (xi, yj) pairs with xi > yj, ties counting 1/2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n1, n2 = len(x), len(y)
-    ranks = rankdata(np.concatenate([x, y]))
+    ranks = average_ranks(np.concatenate([x, y]))
     r1 = ranks[:n1].sum()
     return float(r1 - n1 * (n1 + 1) / 2.0)
 

@@ -21,6 +21,19 @@ def random_dendrogram(rng, n, linkage=None):
     return agglomerate(random_dissimilarity(rng, n), linkage)
 
 
+def power_iteration_ppr(w, alpha, tol=1e-12, max_iter=10_000):
+    """Oracle for clusim.affinity: iterate P <- (1 - alpha) I + alpha P W to an l1 fixed point."""
+    n = len(w)
+    p = np.eye(n)
+    for _ in range(max_iter):
+        p_next = (1.0 - alpha) * np.eye(n) + alpha * (p @ w)
+        residual = np.max(np.abs(p_next - p).sum(axis=1))
+        p = p_next
+        if residual < tol:
+            return p
+    raise AssertionError(f"power iteration did not converge (residual {residual:.3e})")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

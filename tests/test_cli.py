@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import canclust
 from canclust.cli import main
 from canclust.ingest import parse_capture
 from canclust.pipeline import prepare
@@ -34,6 +39,14 @@ def read_matrix_csv(path):
 def inf_time_csv(tmp_path):
     p = tmp_path / "inf_time.csv"
     p.write_text("time,a,b\n0.0,1.0,2.0\n0.1,2.0,1.0\n0.2,3.0,5.0\ninf,4.0,4.0\n")
+    return p
+
+
+@pytest.fixture
+def huge_span_csv(tmp_path):
+    # one stamp 1e15 s out: a 1e16-point grid at 10 Hz
+    p = tmp_path / "huge_span.csv"
+    p.write_text("time,a,b\n0.0,1.0,2.0\n0.1,2.0,1.0\n0.2,3.0,5.0\n1e15,4.0,4.0\n")
     return p
 
 
@@ -149,6 +162,25 @@ class TestAnalyze:
         assert rc == 3
         assert "inf_time.csv" in capsys.readouterr().err
 
+    def test_huge_span(self, corpus, huge_span_csv, tmp_path, capsys):
+        rc = main(["analyze", "--benign", str(corpus / "benign_*.csv"),
+                   "--attack", f"correlated_break={huge_span_csv}", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "huge_span.csv" in err and "grid points" in err
+
+    @pytest.mark.parametrize("flag,value", [("--linkage", "centroid"), ("--alpha", "1.5"),
+                                            ("--r", "inf"), ("--significance", "2"),
+                                            ("--freq", "0"), ("--freq", "inf")])
+    def test_parameters_checked_before_parsing(self, tmp_path, flag, value, capsys):
+        # a corrupt file must not hide a bad parameter (config error, not data error)
+        (tmp_path / "a.csv").write_text("time,x,y\n0.0,1.0,2.0\n0.1,2.0\n")
+        (tmp_path / "b.csv").write_text("time,x,y\n0.0,1.0,2.0\n0.1,2.0,1.0\n")
+        rc = main(["analyze", "--benign", str(tmp_path / "*.csv"), flag, value,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_corrupt_capture(self, tmp_path):
         (tmp_path / "a.csv").write_text("time,x\n0.0,1.0\n0.1,banana\n")
         (tmp_path / "b.csv").write_text("time,x\n0.0,1.0\n0.1,2.0\n")
@@ -197,6 +229,12 @@ class TestSimtest:
         assert rc == 3
         assert "non-finite timestamps" in capsys.readouterr().err
 
+    def test_huge_span(self, corpus, huge_span_csv, capsys):
+        rc = main(["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(huge_span_csv)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "huge_span.csv" in err and "grid points" in err
+
     def test_flat_capture_names_file(self, corpus, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         flat.write_text("time,a,b\n" + "".join(f"{i / 10},1.0,2.0\n" for i in range(50)))
@@ -212,3 +250,12 @@ class TestSimtest:
             assert rc == 0
             values.append(json.loads(capsys.readouterr().out)["similarity"])
         assert values[0] == values[1]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only; every CLI call would pay for importing it
+    src = str(Path(canclust.__file__).parent.parent)
+    code = "import sys, canclust.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from canclust.clusim import HierarchyParams, affinity, level_weights, similarity, transition_matrix
+from canclust import clusim
+from canclust.clusim import (ElementAffinity, HierarchyParams, affinity, level_weights, similarity,
+                             transition_matrix)
 from canclust.errors import DataError
-from canclust.hierarchy import Dendrogram
+from canclust.hierarchy import LINKAGES, Dendrogram
 
-from conftest import random_dendrogram
+from conftest import power_iteration_ppr, random_dendrogram
 
 
 def chain(ids, heights=None):
@@ -78,15 +80,29 @@ class TestTransitionMatrix:
         w = transition_matrix(random_dendrogram(rng, 6), 50.0)
         assert np.max(np.abs(w - np.eye(6))) < 1e-4
 
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_equals_sum_over_level_weights(self, rng, linkage):
+        # the definition, one element at a time: each ancestor spreads its weight over its leaves
+        for n in (2, 3, 5, 17, 64, 128):
+            dend = random_dendrogram(rng, n, linkage)
+            for r in (-5.0, 0.0, float(rng.uniform(-8, 8))):
+                expected = np.zeros((n, n))
+                for i, lid in enumerate(dend.leaf_ids):
+                    for node, _nu, weight in level_weights(dend, lid, r):
+                        leaves = sorted(dend.leaves_under(node))
+                        expected[i, leaves] += weight / len(leaves)
+                w = transition_matrix(dend, r)
+                assert np.max(np.abs(w - expected)) <= 1e-15
+                assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-15
+
 
 class TestAffinity:
     def test_linear_solve_oracle(self, rng):
-        # p_i (I - alpha W) = (1 - alpha) e_i  =>  P = (1-alpha)(I - alpha W)^-1
+        # the closed form P = (1-alpha)(I - alpha W)^-1 is the fixed point of p_i = (1-alpha) e_i + alpha p_i W
         for _ in range(5):
             dend = random_dendrogram(rng, int(rng.integers(3, 10)))
             params = HierarchyParams(r=float(rng.uniform(-8, 8)), alpha=float(rng.uniform(0.5, 0.95)))
-            w = transition_matrix(dend, params.r)
-            expected = (1.0 - params.alpha) * np.linalg.inv(np.eye(len(w)) - params.alpha * w)
+            expected = power_iteration_ppr(transition_matrix(dend, params.r), params.alpha)
             got = affinity(dend, params).p
             assert np.max(np.abs(got - expected)) < 1e-9
 
@@ -178,6 +194,15 @@ class TestSimilarity:
         common = set(a.leaf_ids) & set(b.leaf_ids)
         manual = similarity(restrict(a, common), restrict(b, common), params).value
         assert abs(auto - manual) < 1e-12
+
+    def test_out_of_range_score_raises(self, rng, monkeypatch):
+        # an invariant, not an assert: python -O must not let a broken affinity through
+        flips = iter((5.0, -5.0))
+        monkeypatch.setattr(clusim, "affinity", lambda dend, params: ElementAffinity(
+            tuple(dend.leaf_ids), next(flips) * np.eye(dend.n_leaves)))
+        dend = random_dendrogram(rng, 4)
+        with pytest.raises(RuntimeError, match="out of range"):
+            similarity(dend, dend, HierarchyParams())
 
     def test_overlap_too_small(self):
         a = chain(("a", "b", "c"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from canclust import ingest
 from canclust.errors import DataError, DegenerateCaptureError, InsufficientOverlapError, ParseError
 from canclust.ingest import RawSignal, SignalCapture, parse_capture, resample
 
@@ -151,6 +152,24 @@ class TestResample:
         cap = make_capture([RawSignal("a", [0.0, 1.0, 2.0], [1.0, 1.0, 1.0])])
         with pytest.raises(DegenerateCaptureError):
             resample(cap, 2.0)
+
+    def test_grid_point_cap(self, monkeypatch):
+        # a corrupt stamp 1e15 s out would otherwise ask for 1e16 grid points
+        for end in (1e15, 1e300):
+            cap = make_capture([RawSignal("a", [0.0, end], [0.0, 1.0]),
+                                RawSignal("b", [-end, end], [1.0, 0.0])])
+            with pytest.raises(DataError, match="grid points"):
+                resample(cap, 10.0)
+        # the cap itself is allowed, one point more is not
+        monkeypatch.setattr(ingest, "MAX_GRID_POINTS", 50)
+        for end, ok in ((4.9, True), (5.0, False)):
+            cap = make_capture([RawSignal("a", [0.0, end], [0.0, 1.0]),
+                                RawSignal("b", [0.0, end], [1.0, 0.0])])
+            if ok:
+                assert resample(cap, 10.0).grid.size == 50
+            else:
+                with pytest.raises(DataError, match="more than the 50 allowed"):
+                    resample(cap, 10.0)
 
     def test_grid_uniform_spacing(self, rng):
         sigs = [RawSignal(f"s{i}", np.arange(77) / 7.0, rng.normal(size=77)) for i in range(2)]

@@ -23,9 +23,12 @@ def make_attacks(kind, k, base_seed=900):
     window = (4.0, 36.0) if kind == "max_value" else (0.0, 40.0)
     caps = []
     for i in range(k):
-        # rotate the attacked group so repeated attack captures rewire the
-        # tree differently and the attack sample is not a point mass
-        atk = AttackSpec(kind, tuple(signal_id(i % SPEC.n_groups, j) for j in range(3)), *window)
+        # rotate the attacked group and alternate how many of its members are
+        # hit, so repeated attack captures rewire the tree into different
+        # shapes and the attack sample is not a point mass (rotation alone
+        # gives mirror-image trees, whose scores differ only by float noise)
+        targets = tuple(signal_id(i % SPEC.n_groups, j) for j in range(3 - i % 2))
+        atk = AttackSpec(kind, targets, *window)
         cap = generate(SynthSpec(**{**SPEC.__dict__, "seed": base_seed + i}),
                        capture_id=f"attack_{kind}_{i}")
         caps.append(inject(cap, atk, seed=base_seed + 50 + i))

@@ -3,13 +3,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.stats import mannwhitneyu
+from scipy.stats import mannwhitneyu, rankdata
 
 from canclust.clusim import HierarchyParams
 from canclust.errors import DataError
 from canclust.hierarchy import agglomerate
-from canclust.stats import (SimilaritySample, attack_vs_benign, benign_pairs, density_export,
-                            exact_u_counts, mann_whitney, scott_bandwidth, u_statistic)
+from canclust.stats import (SimilaritySample, attack_vs_benign, average_ranks, benign_pairs,
+                            density_export, exact_u_counts, mann_whitney, scott_bandwidth, u_statistic)
 
 from conftest import random_dissimilarity
 
@@ -41,6 +41,20 @@ class TestUStatistic:
     def test_extremes(self):
         assert u_statistic([10, 11], [1, 2, 3]) == 6.0
         assert u_statistic([1, 2], [10, 11, 12]) == 0.0
+
+
+class TestAverageRanks:
+    def test_equals_scipy_rankdata(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            values = rng.normal(size=n)
+            assert np.array_equal(average_ranks(values), rankdata(values))
+
+    def test_tie_heavy_equals_scipy_rankdata(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            values = rng.integers(0, int(rng.integers(1, 5)), size=n) / 3.0
+            assert np.array_equal(average_ranks(values), rankdata(values))
 
 
 class TestExactCounts:
