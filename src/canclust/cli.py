@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .clusim import HierarchyParams, similarity
+from .clusim import similarity
 from .correlation import dump_matrix_csv
 from .errors import ConfigError, DataError
 from .hierarchy import LINKAGES, agglomerate
@@ -120,7 +120,9 @@ def _cmd_synth(args):
 
 
 def _cmd_simtest(args):
-    params = HierarchyParams(r=args.r, alpha=args.alpha)
+    # every parameter is checked before either file is parsed
+    params = RunConfig(frequency_hz=args.freq, linkages=(args.linkage_single,), r=args.r,
+                       alpha=args.alpha).check_parameters()
     dends = []
     for path in (args.a, args.b):
         _m, _c, d = prepare(parse_capture(path, format=args.format), args.freq, args.dissimilarity)

@@ -3,7 +3,16 @@
 Two CSV layouts are accepted. ``wide_csv`` has a ``time`` column followed by
 one column per signal, with empty cells meaning "no sample at that time"
 (signals transmit at different rates). ``long_csv`` has one sample per row
-with columns ``time,signal,value``. Lines starting with ``#`` are ignored.
+with columns ``time,signal,value``. Empty lines and lines whose first
+non-blank character is ``#`` are skipped; a line of blanks is a data line.
+Cells are split on commas, without CSV quoting: a header or data line that
+contains ``"`` raises ParseError naming its line (comment lines may contain
+anything). Time and value cells are read with Python's ``float()``.
+
+Files are parsed in blocks of about BLOCK_CELLS cells, each checked and converted
+a whole column at a time; only a block that fails is walked line by line,
+to name the first bad line as a row-by-row reader would. Working memory
+stays a few MB above the parsed arrays whatever the file's length or width.
 
 Resampling puts every signal of a capture onto a shared uniform grid by
 linear interpolation (never extrapolation), drops constant signals, and
@@ -11,8 +20,8 @@ normalizes each remaining series to zero mean and unit l2 norm so that row
 dot products downstream are exactly Pearson correlations.
 """
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +35,13 @@ CONSTANT_TOL = 1e-12
 # 10 Hz or 27.8 hours at 100 Hz, far beyond any drive capture, and keeps a
 # corrupt timestamp from turning into a multi-GB (or impossible) allocation
 MAX_GRID_POINTS = 10_000_000
+
+# cells parsed per block (8192 lines of long_csv, fewer of a wide file): bounds
+# the parser's working memory to a few MB whatever the file's length or width,
+# while keeping per-block overhead negligible
+BLOCK_CELLS = 3 * 8192
+
+_QUOTE_ERROR = "quote character '\"': cells are split on commas, without CSV quoting"
 
 
 @dataclass(frozen=True)
@@ -78,32 +94,138 @@ class SignalMatrix:
     dropped_constant: tuple
 
 
-def _numbered_rows(path):
-    """Yield (line_number, raw_row) from a CSV file, skipping comments and blanks."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            yield lineno, row
+def _is_data(line):
+    """False for the empty and comment lines every layout skips."""
+    return line != "\n" and not line.lstrip().startswith("#")
 
 
-def _parse_float(cell, path, lineno, what):
-    try:
-        return float(cell)
-    except ValueError:
-        raise ParseError(f"non-numeric {what} {cell!r}", path=path, line=lineno) from None
+def _line_error(layout, line):
+    """What is wrong with one data line (without its newline), or None."""
+    if '"' in line:
+        return _QUOTE_ERROR
+    cells = line.split(",")
+    if len(cells) != layout.ncols:
+        return f"expected {layout.ncols} cells, got {len(cells)}"
+    for what, cell in layout.numeric_cells(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return f"non-numeric {what} {cell!r}"
+    return None
 
 
-def _finish_signal(signal_id, samples, path):
-    samples.sort(key=lambda tv: tv[0])
-    ts = np.array([t for t, _ in samples])
-    if ts.size > 1 and np.any(np.diff(ts) <= 0):
-        raise ParseError(f"duplicate timestamp in signal {signal_id!r}", path=path)
-    try:
-        return RawSignal(signal_id, ts, np.array([v for _, v in samples]))
-    except DataError as exc:
-        raise ParseError(str(exc), path=path) from None
+def _cell_counts(text):
+    """Number of comma-separated cells on each line of newline-terminated text."""
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)  # ',' and '\n' are single utf-8 bytes
+    commas_before_eol = np.searchsorted(np.flatnonzero(raw == ord(",")), np.flatnonzero(raw == ord("\n")))
+    return np.diff(commas_before_eol, prepend=0) + 1
+
+
+class _Wide:
+    """``time,<sig1>,...``: one column per signal, an empty cell is no sample."""
+
+    def __init__(self, header):
+        if len(header) < 2 or header[0] != "time":
+            raise ValueError("wide_csv header must be 'time,<signal>,...'")
+        if len(set(header[1:])) != len(header) - 1:
+            raise ValueError("duplicate signal column in header")
+        self.ncols = len(header)
+        self.signal_ids = header[1:]
+
+    def columns(self, cells, n):
+        """(times, values, signal index) of every sample in n rows of cells."""
+        present = np.fromiter(map(bool, map(str.strip, cells)), dtype=bool, count=len(cells))
+        present[::self.ncols] = True  # a time cell is never optional
+        table = np.full(len(cells), np.nan)
+        table[present] = np.array(list(compress(cells, present.tolist())), dtype=float)
+        table, present = table.reshape(n, self.ncols), present.reshape(n, self.ncols)
+        rows, sids = np.nonzero(present[:, 1:])
+        return table[rows, 0], table[:, 1:][rows, sids], sids
+
+    def numeric_cells(self, cells):
+        """(what, cell) for each cell of one row that must be a number, in row order."""
+        return [("time", cells[0])] + [("value", c.strip()) for c in cells[1:] if c.strip()]
+
+
+class _Long:
+    """``time,signal,value``: one sample per row; signals in order of first appearance."""
+
+    ncols = 3
+
+    def __init__(self, header):
+        if header != ["time", "signal", "value"]:
+            raise ValueError("long_csv header must be 'time,signal,value'")
+        self.signal_ids = {}  # signal id -> its index, in order of first appearance
+        self._index = {}  # signal cell as written -> index of its signal id
+
+    def columns(self, cells, n):
+        names = cells[1::3]
+        for name in dict.fromkeys(names):  # each distinct cell of the block, in order of appearance
+            if name not in self._index:
+                self._index[name] = self.signal_ids.setdefault(name.strip(), len(self.signal_ids))
+        sids = np.fromiter(map(self._index.__getitem__, names), dtype=np.intp, count=n)
+        return np.array(cells[0::3], dtype=float), np.array(cells[2::3], dtype=float), sids
+
+    def numeric_cells(self, cells):
+        return [("time", cells[0]), ("value", cells[2])]
+
+
+_LAYOUTS = {"wide_csv": _Wide, "long_csv": _Long}
+
+
+def _parse_block(layout, lines, first_line, path):
+    """(times, values, signal index) of the samples in one block of raw lines.
+
+    The common case, a block of well-formed data lines, is checked and
+    converted a whole column at a time; only a block that fails is walked
+    line by line to name the first bad line.
+    """
+    text = "".join(lines)
+    if "#" in text or "\n" in lines:
+        text = "".join(filter(_is_data, lines))
+    if text and not text.endswith("\n"):
+        text += "\n"  # the file's last line
+    counts = _cell_counts(text)
+    if '"' not in text and np.all(counts == layout.ncols):
+        cells = text.replace("\n", ",").split(",")
+        cells.pop()  # after the last line's newline
+        try:
+            return layout.columns(cells, counts.size)
+        except ValueError:
+            pass
+    for lineno, line in enumerate(lines, start=first_line):
+        error = _is_data(line) and _line_error(layout, line.rstrip("\n"))
+        if error:
+            raise ParseError(error, path=path, line=lineno)
+    raise RuntimeError(f"{path}: lines {first_line}-{first_line + len(lines) - 1} failed to convert "
+                       "but no line is at fault")
+
+
+def _split_signals(blocks, signal_ids, path):
+    """One RawSignal per signal index with samples, in index order, each sorted by time.
+
+    Empties the list of parsed blocks as it joins them, and gives every
+    signal arrays of its own, so no capture-sized buffer outlives the parse.
+    """
+    if not blocks:
+        return []
+    times, values, sids = (np.concatenate(column) for column in zip(*blocks))
+    blocks.clear()
+    order = np.lexsort((times, sids))
+    counts = np.bincount(sids)
+    signals = []
+    for sid, end in enumerate(np.cumsum(counts)):
+        if not counts[sid]:
+            continue
+        rows = order[end - counts[sid]:end]
+        ts, signal_id = times[rows], signal_ids[sid]
+        if ts.size > 1 and np.any(np.diff(ts) <= 0):
+            raise ParseError(f"duplicate timestamp in signal {signal_id!r}", path=path)
+        try:
+            signals.append(RawSignal(signal_id, ts, values[rows]))
+        except DataError as exc:
+            raise ParseError(str(exc), path=path) from None
+    return signals
 
 
 def parse_capture(path, format="wide_csv", capture_id=None, label="benign", attack_kind=""):
@@ -113,47 +235,28 @@ def parse_capture(path, format="wide_csv", capture_id=None, label="benign", atta
     (header ``time,signal,value``). Signals with no samples at all are
     dropped; a file yielding zero signals is an error.
     """
+    if format not in _LAYOUTS:
+        raise ValueError(f"unknown format {format!r}")
     path = str(path)
     if capture_id is None:
         capture_id = Path(path).stem
-    rows = _numbered_rows(path)
-    try:
-        header_lineno, header = next(rows)
-    except StopIteration:
-        raise ParseError("empty file", path=path) from None
-    header = [c.strip() for c in header]
-
-    if format == "wide_csv":
-        if len(header) < 2 or header[0] != "time":
-            raise ParseError("wide_csv header must be 'time,<signal>,...'", path=path, line=header_lineno)
-        sig_ids = header[1:]
-        if len(set(sig_ids)) != len(sig_ids):
-            raise ParseError("duplicate signal column in header", path=path, line=header_lineno)
-        samples = {sid: [] for sid in sig_ids}
-        for lineno, row in rows:
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} cells, got {len(row)}", path=path, line=lineno)
-            t = _parse_float(row[0], path, lineno, "time")
-            for sid, cell in zip(sig_ids, row[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    continue  # sparse transmission
-                samples[sid].append((t, _parse_float(cell, path, lineno, "value")))
-        signals = [_finish_signal(sid, s, path) for sid, s in samples.items() if s]
-    elif format == "long_csv":
-        if header != ["time", "signal", "value"]:
-            raise ParseError("long_csv header must be 'time,signal,value'", path=path, line=header_lineno)
-        samples = {}
-        for lineno, row in rows:
-            if len(row) != 3:
-                raise ParseError(f"expected 3 cells, got {len(row)}", path=path, line=lineno)
-            t = _parse_float(row[0], path, lineno, "time")
-            v = _parse_float(row[2], path, lineno, "value")
-            samples.setdefault(row[1].strip(), []).append((t, v))
-        signals = [_finish_signal(sid, s, path) for sid, s in samples.items() if s]
-    else:
-        raise ValueError(f"unknown format {format!r}")
-
+    with open(path, encoding="utf-8") as fh:  # universal newlines: '\r\n' and '\r' end lines too
+        for lineno, line in enumerate(fh, start=1):
+            if _is_data(line):
+                break
+        else:
+            raise ParseError("empty file", path=path)
+        if '"' in line:
+            raise ParseError(_QUOTE_ERROR, path=path, line=lineno)
+        try:
+            layout = _LAYOUTS[format]([c.strip() for c in line.split(",")])
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno) from None
+        blocks = []
+        while lines := list(islice(fh, max(1, BLOCK_CELLS // layout.ncols))):
+            blocks.append(_parse_block(layout, lines, lineno + 1, path))
+            lineno += len(lines)
+    signals = _split_signals(blocks, list(layout.signal_ids), path)
     if not signals:
         raise DataError(f"{path}: capture contains no signals")
     return SignalCapture(capture_id=capture_id, signals=tuple(signals), source_path=path,

@@ -8,6 +8,7 @@ approximation with continuity correction. density_export() produces Gaussian
 KDE curves for external plotting; verdicts never depend on it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -103,12 +104,15 @@ def u_statistic(x, y):
     return float(r1 - n1 * (n1 + 1) / 2.0)
 
 
+@functools.lru_cache(maxsize=64)
 def exact_u_counts(n1, n2):
     """Null distribution of U as exact integer counts over u = 0..n1*n2.
 
     Coefficients of the Gaussian binomial [n1+n2 choose n1]_q, built by
     polynomial multiplication in exact integer arithmetic (counts overflow
-    float64 well below the exact-mode size cap).
+    float64 well below the exact-mode size cap). Memoised per (n1, n2): one
+    analyze run tests every cell with the same sample sizes. The tuple keeps
+    callers from mutating the cached counts.
     """
     top = n1 * n2
     ways = [0] * (top + 1)
@@ -118,7 +122,7 @@ def exact_u_counts(n1, n2):
             ways[u] += ways[u - i]
         for u in range(top, n2 + i - 1, -1):  # multiply by (1 - q^(n2+i))
             ways[u] -= ways[u - (n2 + i)]
-    return ways
+    return tuple(ways)
 
 
 def mann_whitney(x, y, sided="two_sided", significance=0.05):

@@ -1,8 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 from canclust.correlation import DissimilarityMatrix
+from canclust.errors import DataError, ParseError
 from canclust.hierarchy import LINKAGES, agglomerate
+from canclust.ingest import RawSignal
 
 
 def random_dissimilarity(rng, n, ids=None):
@@ -32,6 +36,69 @@ def power_iteration_ppr(w, alpha, tol=1e-12, max_iter=10_000):
         if residual < tol:
             return p
     raise AssertionError(f"power iteration did not converge (residual {residual:.3e})")
+
+
+def csv_reader_signals(path, format="wide_csv"):
+    """Oracle for ingest.parse_capture: the RawSignals of a file read row by row with csv.reader.
+
+    Every cell goes through float() on its own and each signal's (t, v)
+    tuples are sorted by time; the errors are those parse_capture raises.
+    """
+    path = str(path)
+
+    def parse_float(cell, lineno, what):
+        try:
+            return float(cell)
+        except ValueError:
+            raise ParseError(f"non-numeric {what} {cell!r}", path=path, line=lineno) from None
+
+    def finish(signal_id, samples):
+        samples.sort(key=lambda tv: tv[0])
+        ts = np.array([t for t, _ in samples])
+        if ts.size > 1 and np.any(np.diff(ts) <= 0):
+            raise ParseError(f"duplicate timestamp in signal {signal_id!r}", path=path)
+        try:
+            return RawSignal(signal_id, ts, np.array([v for _, v in samples]))
+        except DataError as exc:
+            raise ParseError(str(exc), path=path) from None
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
+                if row and not row[0].lstrip().startswith("#"))
+        try:
+            header_lineno, header = next(rows)
+        except StopIteration:
+            raise ParseError("empty file", path=path) from None
+        header = [c.strip() for c in header]
+        samples = {}
+        if format == "wide_csv":
+            if len(header) < 2 or header[0] != "time":
+                raise ParseError("wide_csv header must be 'time,<signal>,...'", path=path, line=header_lineno)
+            sig_ids = header[1:]
+            if len(set(sig_ids)) != len(sig_ids):
+                raise ParseError("duplicate signal column in header", path=path, line=header_lineno)
+            samples = {sid: [] for sid in sig_ids}
+            for lineno, row in rows:
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} cells, got {len(row)}", path=path, line=lineno)
+                t = parse_float(row[0], lineno, "time")
+                for sid, cell in zip(sig_ids, row[1:]):
+                    cell = cell.strip()
+                    if cell:
+                        samples[sid].append((t, parse_float(cell, lineno, "value")))
+        else:
+            if header != ["time", "signal", "value"]:
+                raise ParseError("long_csv header must be 'time,signal,value'", path=path, line=header_lineno)
+            for lineno, row in rows:
+                if len(row) != 3:
+                    raise ParseError(f"expected 3 cells, got {len(row)}", path=path, line=lineno)
+                t = parse_float(row[0], lineno, "time")
+                v = parse_float(row[2], lineno, "value")
+                samples.setdefault(row[1].strip(), []).append((t, v))
+    signals = [finish(sid, s) for sid, s in samples.items() if s]
+    if not signals:
+        raise DataError(f"{path}: capture contains no signals")
+    return signals
 
 
 @pytest.fixture

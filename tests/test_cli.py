@@ -219,6 +219,15 @@ class TestSimtest:
                    "--b", str(corpus / "benign_1.csv"), "--alpha", "1.5"])
         assert rc == 2
 
+    @pytest.mark.parametrize("freq", ["0", "inf"])
+    def test_freq_checked_before_parsing(self, tmp_path, freq, capsys):
+        # a corrupt file must not hide a bad --freq (config error, not data error)
+        truncated = tmp_path / "truncated.csv"
+        truncated.write_text("time,x,y\n0.0,1.0,2.0\n0.1,2.0\n")
+        rc = main(["simtest", "--a", str(truncated), "--b", str(truncated), "--freq", freq])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_file(self, corpus, tmp_path):
         rc = main(["simtest", "--a", str(corpus / "benign_0.csv"),
                    "--b", str(tmp_path / "nope.csv")])

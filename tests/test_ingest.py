@@ -1,9 +1,15 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from canclust import ingest
 from canclust.errors import DataError, DegenerateCaptureError, InsufficientOverlapError, ParseError
-from canclust.ingest import RawSignal, SignalCapture, parse_capture, resample
+from canclust.ingest import BLOCK_CELLS, RawSignal, SignalCapture, parse_capture, resample
+from conftest import csv_reader_signals
+
+BLOCK_LINES = BLOCK_CELLS // 3  # lines per block of a long_csv file; more blocks of a wider one
 
 
 def write(tmp_path, text, name="cap.csv"):
@@ -67,6 +73,177 @@ class TestParseLong:
         p = write(tmp_path, "t,sig,v\n0.0,A,1\n")
         with pytest.raises(ParseError):
             parse_capture(p, format="long_csv")
+
+    def test_non_numeric_value_after_comments(self, tmp_path):
+        p = write(tmp_path, "# exported\n  # by hand\ntime,signal,value\n0.0,A,1\n0.1,A,x\n")
+        with pytest.raises(ParseError, match="non-numeric value 'x'") as exc:
+            parse_capture(p, format="long_csv")
+        assert exc.value.line == 5
+
+    def test_wrong_cell_count(self, tmp_path):
+        p = write(tmp_path, "time,signal,value\n0.0,A,1\n0.1,A\n")
+        with pytest.raises(ParseError, match="expected 3 cells, got 2") as exc:
+            parse_capture(p, format="long_csv")
+        assert exc.value.line == 3
+
+    def test_error_in_second_block(self, tmp_path):
+        rows = "".join(f"{i / 10},A,{i}\n" for i in range(BLOCK_LINES + 10))
+        p = write(tmp_path, "time,signal,value\n" + rows + "7.0,A,oops\n")
+        with pytest.raises(ParseError, match="non-numeric value 'oops'") as exc:
+            parse_capture(p, format="long_csv")
+        assert exc.value.line == BLOCK_LINES + 12
+
+    def test_whitespace_only_line_is_data(self, tmp_path):
+        p = write(tmp_path, "time,signal,value\n0.0,A,1\n   \n0.1,A,2\n")
+        with pytest.raises(ParseError, match="expected 3 cells, got 1") as exc:
+            parse_capture(p, format="long_csv")
+        assert exc.value.line == 3
+
+    def test_quotes_only_in_comments(self, tmp_path):
+        p = write(tmp_path, '# "quoted", fine\ntime,signal,value\n0.0,A,1\n0.1,"A",2\n')
+        with pytest.raises(ParseError, match="without CSV quoting") as exc:
+            parse_capture(p, format="long_csv")
+        assert exc.value.line == 4
+        p = write(tmp_path, '# "quoted", fine\ntime,signal,value\n0.0,A,1\n# a,"b",c\n0.1,A,2\n')
+        assert parse_capture(p, format="long_csv").signals[0].values.tolist() == [1.0, 2.0]
+
+    def test_memory_bounded_by_blocks(self, tmp_path):
+        # a whole-file read holds every line and cell as Python strings at once, over
+        # 20x the arrays it returns; blocks keep the peak near 3x whatever the length
+        n = 100_000
+        rows = "".join(f"{i / 100:.2f},ID_{i % 32:03d}_sig,{(i * 7919) % 1000 / 7:.6f}\n" for i in range(n))
+        p = write(tmp_path, "time,signal,value\n" + rows)
+        tracemalloc.start()
+        try:
+            cap = parse_capture(p, format="long_csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(s.timestamps.nbytes + s.values.nbytes for s in cap.signals)
+        assert output == 16 * n
+        assert peak < 6 * output
+
+
+LINE_ENDS = ("\n", "\r\n", "\r")
+COMMENTS = ("# plain comment", "   # indented", "\t# tab, indented, with commas",
+            '# a "quoted" word', '#x,"y",z', '  # ,,,"",')
+PAD = ("", "", "", " ", "\t")
+
+
+def _number(rnd, x):
+    return rnd.choice(PAD) + rnd.choice(["%r", "%.3f", "%.6g", "%e", "%.17g"]) % x + rnd.choice(PAD)
+
+
+def capture_lines(rnd, layout, n_rows):
+    """Header and data lines of a valid capture, rows unsorted, blanks around cells."""
+    times = [k / 64.0 + 3.0 for k in range(n_rows)]
+    rnd.shuffle(times)
+    if layout == "long_csv":
+        names = ("ID_100_a", "ID_101_b", "s#3", "ID_102_c")
+        return ["time,signal,value"] + [
+            f"{_number(rnd, t)},{rnd.choice(PAD)}{rnd.choice(names)}{rnd.choice(PAD)},{_number(rnd, rnd.gauss(0, 100))}"
+            for t in times]
+    # wide: dense, sparse and all-empty columns; an empty cell may hold blanks
+    keep = (1.0, 0.5, 0.05, 0.0, 0.9)
+    return [" time , a,b ,c,d, e"] + [
+        ",".join([_number(rnd, t)] + [_number(rnd, rnd.gauss(0, 1)) if rnd.random() < p else rnd.choice(("", " ", "  "))
+                                      for p in keep])
+        for t in times]
+
+
+def decorate(rnd, lines):
+    """Comment and empty lines mixed in, and each line ended by \\n, \\r\\n or \\r."""
+    out = []
+    for line in lines:
+        while rnd.random() < 0.02:
+            out.append(rnd.choice(COMMENTS + ("",)))
+        out.append(line)
+    mixed = rnd.random() < 0.5
+    end = rnd.choice(LINE_ENDS)
+    return "".join(line + (rnd.choice(LINE_ENDS) if mixed else end) for line in out)
+
+
+def write_capture(tmp_path, rnd, lines):
+    path = tmp_path / "cap.csv"
+    path.write_text(decorate(rnd, lines), newline="")
+    return path
+
+
+def outcome(parse, path, layout):
+    """Signals as (id, timestamp bytes, value bytes), or the error as (class, message, line)."""
+    try:
+        signals = parse(path, layout)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return [(s.signal_id, s.timestamps.tobytes(), s.values.tobytes()) for s in signals]
+
+
+def block_parser(path, layout):
+    return parse_capture(path, format=layout).signals
+
+
+def corrupt(rnd, lines, kind):
+    """Break one data line past the first block; return its index in lines."""
+    k = rnd.randrange(BLOCK_LINES + 100, len(lines))
+    cells = lines[k].split(",")
+    if kind == "cell_count":
+        cells.append("1.0")
+    elif kind == "time":
+        cells[0] = " 12:00 " if len(cells) == 3 else "  "  # a blank wide time cell is no empty sample
+    elif kind == "value":
+        cells[-1 if len(cells) == 3 else 1] = "n/a"  # wide column a is dense
+    elif kind == "duplicate":
+        cells = lines[k - 1].split(",")
+    lines[k] = ",".join(cells)
+    return k
+
+
+class TestParseParity:
+    """The block parser against the row-by-row csv.reader oracle (tests/conftest.py)."""
+
+    N_ROWS = 2 * BLOCK_LINES + 500
+
+    @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_signals(self, tmp_path, layout, seed):
+        rnd = random.Random(f"{layout}-{seed}")
+        path = write_capture(tmp_path, rnd, capture_lines(rnd, layout, self.N_ROWS))
+        expected = outcome(csv_reader_signals, path, layout)
+        assert isinstance(expected, list) and len(expected) == 4
+        assert outcome(block_parser, path, layout) == expected
+
+    @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
+    @pytest.mark.parametrize("kind", ["cell_count", "time", "value", "duplicate"])
+    def test_same_errors(self, tmp_path, layout, kind):
+        rnd = random.Random(f"{layout}-{kind}")
+        lines = capture_lines(rnd, layout, self.N_ROWS)
+        corrupt(rnd, lines, kind)
+        path = write_capture(tmp_path, rnd, lines)
+        expected = outcome(csv_reader_signals, path, layout)
+        assert isinstance(expected, tuple)
+        assert outcome(block_parser, path, layout) == expected
+        if kind != "duplicate":
+            assert expected[2] > BLOCK_LINES
+
+    def test_first_error_of_a_block_wins(self, tmp_path):
+        rnd = random.Random(11)
+        lines = capture_lines(rnd, "long_csv", self.N_ROWS)
+        k = corrupt(rnd, lines, "value")
+        lines[k + 3] += ",extra"
+        path = write_capture(tmp_path, rnd, lines)
+        expected = outcome(csv_reader_signals, path, "long_csv")
+        assert "non-numeric value" in expected[1]
+        assert outcome(block_parser, path, "long_csv") == expected
+
+    def test_non_finite_value(self, tmp_path):
+        rnd = random.Random(12)
+        lines = capture_lines(rnd, "long_csv", self.N_ROWS)
+        k = corrupt(rnd, lines, "value")
+        lines[k] = lines[k].replace("n/a", "nan")
+        path = write_capture(tmp_path, rnd, lines)
+        expected = outcome(csv_reader_signals, path, "long_csv")
+        assert "non-finite values" in expected[1]
+        assert outcome(block_parser, path, "long_csv") == expected
 
 
 def make_capture(signals):

@@ -21,7 +21,7 @@ def brute_counts(n1, n2):
     offset = n1 * (n1 + 1) // 2
     for ranks in combinations(range(1, n1 + n2 + 1), n1):
         counts[sum(ranks) - offset] += 1
-    return counts
+    return tuple(counts)
 
 
 class TestUStatistic:
@@ -68,6 +68,11 @@ class TestExactCounts:
     def test_symmetric_distribution(self):
         counts = exact_u_counts(4, 6)
         assert counts == counts[::-1]
+
+    def test_memoised_and_immutable(self):
+        # one build per (n1, n2); a tuple, so no caller can corrupt the cached counts
+        assert exact_u_counts(24, 66) is exact_u_counts(24, 66)
+        assert isinstance(exact_u_counts(24, 66), tuple)
 
     def test_large_counts_exceed_float64(self):
         # the DP must stay in exact integers; verify a count float64 cannot hold
