@@ -101,7 +101,10 @@ def _cmd_synth(args):
     manifest = []
     for entry in doc["captures"]:
         fields = {**defaults, **{k: v for k, v in entry.items() if k not in ("id", "attack")}}
-        spec = SynthSpec(**fields)
+        try:
+            spec = SynthSpec(**fields)
+        except TypeError as exc:  # an unknown or missing field, or a value of the wrong type
+            raise ConfigError(f"capture {entry.get('id')!r}: {exc}") from None
         cap = generate(spec, capture_id=entry.get("id"))
         attack = entry.get("attack")
         if attack:

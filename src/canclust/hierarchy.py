@@ -15,9 +15,16 @@ Ties at the minimum are broken by the lexicographically smallest pair of
 cluster representatives, where a cluster's representative is its minimum
 original leaf index. This makes results deterministic and permutation
 equivariant.
+
+The loop runs on an N x N numpy matrix: each merge is one masked argmin
+and one vectorised Lance-Williams row and column write, O(N^2) work in
+numpy per merge and no per-pair Python. Every height is the same float
+the plain pairwise loop computes, because each update uses the same
+operands in the same order.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,18 +91,6 @@ class Dendrogram:
         return out
 
 
-def _lw_update(linkage, d_ik, d_jk, d_ij, n_i, n_j, n_k):
-    if linkage == "single":
-        return min(d_ik, d_jk)
-    if linkage == "complete":
-        return max(d_ik, d_jk)
-    if linkage == "average":
-        return (n_i * d_ik + n_j * d_jk) / (n_i + n_j)
-    # ward: size-weighted variance-increase form
-    n = n_i + n_j + n_k
-    return ((n_i + n_k) * d_ik + (n_j + n_k) * d_jk - n_k * d_ij) / n
-
-
 def agglomerate(dm, linkage):
     """Cluster a DissimilarityMatrix into a Dendrogram under the given linkage."""
     if linkage not in LINKAGES:
@@ -107,49 +102,46 @@ def agglomerate(dm, linkage):
     if not np.all(np.isfinite(d)):
         raise DataError("non-finite dissimilarity")
 
-    # active clusters: node id, size, representative (min original leaf index)
+    # A cluster lives in the slot of its representative, so slot order is
+    # representative order. d holds the Lance-Williams rows, inf towards
+    # merged-away slots; search is d's strict upper triangle, inf elsewhere,
+    # so its first row-major minimum is the least (height, rep_lo, rep_hi).
+    search = d.copy()
+    search[np.tril_indices(n)] = np.inf
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=np.int64)
     nodes = list(range(n))
-    sizes = [1] * n
-    reps = list(range(n))
-    dist = d.tolist()
     merges = []
 
     for step in range(n - 1):
-        m = len(nodes)
-        best = None  # (height, rep_lo, rep_hi, a, b)
-        for a in range(m):
-            for b in range(a + 1, m):
-                lo, hi = (reps[a], reps[b]) if reps[a] < reps[b] else (reps[b], reps[a])
-                key = (dist[a][b], lo, hi)
-                if best is None or key < (best[0], best[1], best[2]):
-                    best = (key[0], lo, hi, a, b)
-        height, _, _, a, b = best
-        # left child is the cluster with the smaller representative
-        if reps[a] > reps[b]:
-            a, b = b, a
-        new_node = n + step
-        new_size = sizes[a] + sizes[b]
-        new_rep = min(reps[a], reps[b])
-        merges.append((nodes[a], nodes[b], float(height), new_size))
+        i, j = divmod(int(search.argmin()), n)
+        height = float(search[i, j])
+        if not math.isfinite(height):
+            raise DataError(f"{linkage} linkage update overflowed at merge {step + 1}")
+        n_i, n_j = int(sizes[i]), int(sizes[j])
+        # left child is i, the cluster with the smaller representative
+        merges.append((nodes[i], nodes[j], height, n_i + n_j))
 
-        new_row = []
-        for k in range(m):
-            if k in (a, b):
-                continue
-            new_row.append(_lw_update(linkage, dist[a][k], dist[b][k], dist[a][b],
-                                      sizes[a], sizes[b], sizes[k]))
-        # drop b first so a's index stays valid
-        for idx in sorted((a, b), reverse=True):
-            del nodes[idx], sizes[idx], reps[idx]
-            del dist[idx]
-            for row in dist:
-                del row[idx]
-        nodes.append(new_node)
-        sizes.append(new_size)
-        reps.append(new_rep)
-        for row, v in zip(dist, new_row):
-            row.append(v)
-        dist.append(new_row + [0.0])
+        d_ik, d_jk, d_ij = d[i], d[j], d[i, j]
+        # single and complete pick as min(d_ik, d_jk) and max(d_ik, d_jk) do:
+        # d_ik on ties, so the sign of a zero height is kept too
+        if linkage == "single":
+            new = np.where(d_jk < d_ik, d_jk, d_ik)
+        elif linkage == "complete":
+            new = np.where(d_jk > d_ik, d_jk, d_ik)
+        elif linkage == "average":
+            new = (n_i * d_ik + n_j * d_jk) / (n_i + n_j)
+        else:  # ward: size-weighted variance-increase form
+            new = ((n_i + sizes) * d_ik + (n_j + sizes) * d_jk - sizes * d_ij) / (n_i + n_j + sizes)
+        active[i] = active[j] = False
+        new = np.where(active, new, np.inf)  # inf towards merged-away slots and i itself
+        active[i] = True
+        d[i] = d[:, i] = new
+        search[i, i + 1:] = new[i + 1:]
+        search[:i, i] = new[:i]
+        search[j] = search[:, j] = np.inf
+        sizes[i] = n_i + n_j
+        nodes[i] = n + step
 
     return Dendrogram(leaf_ids=tuple(dm.signal_ids), merges=tuple(merges), linkage=linkage)
 

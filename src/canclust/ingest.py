@@ -228,6 +228,22 @@ def _split_signals(blocks, signal_ids, path):
     return signals
 
 
+def _undecodable_line(path):
+    """Line of the first byte of a file that is not UTF-8, as text mode numbers lines."""
+    def line_ends(raw):  # '\n', '\r\n' and a lone '\r' each end one line
+        return raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+
+    lineno = 1
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return lineno + line_ends(raw[:exc.start])
+            lineno += line_ends(raw)
+    return None
+
+
 def parse_capture(path, format="wide_csv", capture_id=None, label="benign", attack_kind=""):
     """Parse a capture file into a SignalCapture.
 
@@ -240,22 +256,25 @@ def parse_capture(path, format="wide_csv", capture_id=None, label="benign", atta
     path = str(path)
     if capture_id is None:
         capture_id = Path(path).stem
-    with open(path, encoding="utf-8") as fh:  # universal newlines: '\r\n' and '\r' end lines too
-        for lineno, line in enumerate(fh, start=1):
-            if _is_data(line):
-                break
-        else:
-            raise ParseError("empty file", path=path)
-        if '"' in line:
-            raise ParseError(_QUOTE_ERROR, path=path, line=lineno)
-        try:
-            layout = _LAYOUTS[format]([c.strip() for c in line.split(",")])
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=lineno) from None
-        blocks = []
-        while lines := list(islice(fh, max(1, BLOCK_CELLS // layout.ncols))):
-            blocks.append(_parse_block(layout, lines, lineno + 1, path))
-            lineno += len(lines)
+    try:
+        with open(path, encoding="utf-8") as fh:  # universal newlines: '\r\n' and '\r' end lines too
+            for lineno, line in enumerate(fh, start=1):
+                if _is_data(line):
+                    break
+            else:
+                raise ParseError("empty file", path=path)
+            if '"' in line:
+                raise ParseError(_QUOTE_ERROR, path=path, line=lineno)
+            try:
+                layout = _LAYOUTS[format]([c.strip() for c in line.split(",")])
+            except ValueError as exc:
+                raise ParseError(str(exc), path=path, line=lineno) from None
+            blocks = []
+            while lines := list(islice(fh, max(1, BLOCK_CELLS // layout.ncols))):
+                blocks.append(_parse_block(layout, lines, lineno + 1, path))
+                lineno += len(lines)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path, line=_undecodable_line(path)) from None
     signals = _split_signals(blocks, list(layout.signal_ids), path)
     if not signals:
         raise DataError(f"{path}: capture contains no signals")

@@ -38,6 +38,58 @@ def power_iteration_ppr(w, alpha, tol=1e-12, max_iter=10_000):
     raise AssertionError(f"power iteration did not converge (residual {residual:.3e})")
 
 
+def list_agglomerate(dm, linkage):
+    """Oracle for hierarchy.agglomerate: the O(N^3) pure-Python loop over nested lists.
+
+    Every step scans all active pairs for the least (height, rep_lo, rep_hi)
+    tuple, then deletes the two merged rows and columns and appends the
+    Lance-Williams row of the new cluster.
+    """
+    def lw_update(d_ik, d_jk, d_ij, n_i, n_j, n_k):
+        if linkage == "single":
+            return min(d_ik, d_jk)
+        if linkage == "complete":
+            return max(d_ik, d_jk)
+        if linkage == "average":
+            return (n_i * d_ik + n_j * d_jk) / (n_i + n_j)
+        n = n_i + n_j + n_k
+        return ((n_i + n_k) * d_ik + (n_j + n_k) * d_jk - n_k * d_ij) / n
+
+    dist = np.array(dm.d, dtype=float).tolist()
+    n = len(dist)
+    nodes, sizes, reps = list(range(n)), [1] * n, list(range(n))
+    merges = []
+    for step in range(n - 1):
+        m = len(nodes)
+        best = None  # (height, rep_lo, rep_hi, a, b)
+        for a in range(m):
+            for b in range(a + 1, m):
+                lo, hi = (reps[a], reps[b]) if reps[a] < reps[b] else (reps[b], reps[a])
+                key = (dist[a][b], lo, hi)
+                if best is None or key < (best[0], best[1], best[2]):
+                    best = (key[0], lo, hi, a, b)
+        height, _, _, a, b = best
+        if reps[a] > reps[b]:
+            a, b = b, a
+        new_size = sizes[a] + sizes[b]
+        new_rep = min(reps[a], reps[b])
+        merges.append((nodes[a], nodes[b], float(height), new_size))
+        new_row = [lw_update(dist[a][k], dist[b][k], dist[a][b], sizes[a], sizes[b], sizes[k])
+                   for k in range(m) if k not in (a, b)]
+        for idx in sorted((a, b), reverse=True):
+            del nodes[idx], sizes[idx], reps[idx]
+            del dist[idx]
+            for row in dist:
+                del row[idx]
+        nodes.append(n + step)
+        sizes.append(new_size)
+        reps.append(new_rep)
+        for row, v in zip(dist, new_row):
+            row.append(v)
+        dist.append(new_row + [0.0])
+    return tuple(merges)
+
+
 def csv_reader_signals(path, format="wide_csv"):
     """Oracle for ingest.parse_capture: the RawSignals of a file read row by row with csv.reader.
 

@@ -50,6 +50,14 @@ def huge_span_csv(tmp_path):
     return p
 
 
+@pytest.fixture
+def latin1_csv(tmp_path):
+    # 0xff (a Latin-1 'ÿ') is never valid UTF-8; it sits on line 3
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"time,a,b\n0.0,1.0,2.0\n0.1,2.0,1.0 \xff\n0.2,3.0,5.0\n")
+    return p
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
@@ -90,6 +98,24 @@ class TestSynth:
         p = tmp_path / "bad_rho.json"
         p.write_text(json.dumps(doc))
         assert main(["synth", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
+
+    def test_unknown_field(self, tmp_path, capsys):
+        doc = synth_spec_doc(n_benign=1, attack=False)
+        doc["captures"][0]["bogus"] = 1
+        p = tmp_path / "unknown_field.json"
+        p.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "bogus" in err and "benign_0" in err
+
+    def test_missing_required_field(self, tmp_path, capsys):
+        doc = synth_spec_doc(n_benign=1, attack=False)
+        del doc["defaults"]["rate_hz"]
+        p = tmp_path / "missing_field.json"
+        p.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "rate_hz" in err
 
 
 class TestAnalyze:
@@ -188,6 +214,12 @@ class TestAnalyze:
                    "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_not_utf8_capture(self, corpus, latin1_csv, tmp_path, capsys):
+        rc = main(["analyze", "--benign", str(corpus / "benign_*.csv"),
+                   "--attack", f"correlated_break={latin1_csv}", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert f"{latin1_csv}:3: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestSimtest:
     def test_pair_similarity(self, corpus, capsys):
@@ -243,6 +275,11 @@ class TestSimtest:
         assert rc == 3
         err = capsys.readouterr().err
         assert "huge_span.csv" in err and "grid points" in err
+
+    def test_not_utf8_capture(self, corpus, latin1_csv, capsys):
+        rc = main(["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(latin1_csv)])
+        assert rc == 3
+        assert f"{latin1_csv}:3: not UTF-8 text" in capsys.readouterr().err
 
     def test_flat_capture_names_file(self, corpus, tmp_path, capsys):
         flat = tmp_path / "flat.csv"

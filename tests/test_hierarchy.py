@@ -9,7 +9,7 @@ from canclust.correlation import DissimilarityMatrix
 from canclust.errors import DataError
 from canclust.hierarchy import LINKAGES, Dendrogram, agglomerate, cut_at, restrict
 
-from conftest import random_dissimilarity
+from conftest import list_agglomerate, random_dissimilarity
 
 
 def cophenetic(dend):
@@ -96,6 +96,70 @@ class TestOracles:
                     assert abs(fn(cross) - h) < 1e-10
 
 
+def symmetric(upper):
+    """Symmetric matrix with zero diagonal from the strict upper triangle of a square array."""
+    d = np.triu(upper, 1)
+    return d + d.T
+
+
+# matrix generators for the oracle parity test; all but "random" are tie-heavy
+MATRIX_KINDS = {
+    "random": lambda rng, n: symmetric(rng.uniform(0.0, 1.0, (n, n))),
+    "quantised": lambda rng, n: symmetric(rng.integers(0, 4, (n, n)) / 4.0),
+    "all_equal": lambda rng, n: symmetric(np.full((n, n), 0.5)),
+    "all_zero": lambda rng, n: np.zeros((n, n)),
+}
+
+
+class TestOracleParity:
+    """agglomerate gives exactly the merges of the pure-Python list loop it replaced."""
+
+    @staticmethod
+    def assert_same_merges(d, link):
+        dm = DissimilarityMatrix(tuple(f"s{i}" for i in range(len(d))), d)
+        # repr compares heights bit for bit (signed zeros included) and ints as Python ints
+        assert repr(agglomerate(dm, link).merges) == repr(list_agglomerate(dm, link))
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    @pytest.mark.parametrize("link", LINKAGES)
+    def test_same_merges(self, link, kind):
+        rng = np.random.default_rng([LINKAGES.index(link), list(MATRIX_KINDS).index(kind)])
+        for n in (2, 3, 4, 5, 8, 13, 21, 34):
+            d = MATRIX_KINDS[kind](rng, n)
+            perm = rng.permutation(n)
+            self.assert_same_merges(d, link)
+            self.assert_same_merges(d[np.ix_(perm, perm)], link)
+
+    @pytest.mark.parametrize("kind", ["random", "quantised"])
+    @pytest.mark.parametrize("link", LINKAGES)
+    def test_same_merges_past_n128(self, link, kind):
+        # simtest's N=128 trees and a little beyond; the oracle takes 0.1 s a tree here
+        rng = np.random.default_rng([LINKAGES.index(link), list(MATRIX_KINDS).index(kind), 130])
+        self.assert_same_merges(MATRIX_KINDS[kind](rng, 130), link)
+
+    @pytest.mark.parametrize("link", LINKAGES)
+    def test_merged_representative_ties_a_leaf(self, link):
+        # after (1, 2) merge at 0.125, leaf 0 is as far from the new cluster
+        # (representative 1) as from leaf 3: the pair (0, 1) wins the tie, and
+        # leaf 0, the smaller representative, is the left child of node 4.
+        # Ward's update puts the cluster at (2 * 0.5 + 2 * 0.5 - 0.125) / 3.
+        tie = 0.625 if link == "ward" else 0.5
+        d = np.full((4, 4), 0.9)
+        d[1, 2] = d[2, 1] = 0.125
+        d[0, 1] = d[1, 0] = d[0, 2] = d[2, 0] = 0.5
+        d[0, 3] = d[3, 0] = tie
+        np.fill_diagonal(d, 0.0)
+        self.assert_same_merges(d, link)
+        merges = agglomerate(DissimilarityMatrix(("a", "b", "c", "d"), d), link).merges
+        assert merges[:2] == ((1, 2, 0.125, 2), (0, 4, tie, 3))
+
+    def test_signed_zero_heights(self):
+        d = np.zeros((3, 3))
+        d[0, 2] = d[2, 0] = -0.0
+        for link in LINKAGES:
+            self.assert_same_merges(d, link)
+
+
 class TestStructure:
     @pytest.mark.parametrize("link", LINKAGES)
     def test_shape_and_sizes(self, rng, link):
@@ -153,11 +217,27 @@ class TestStructure:
     def test_rejects_tiny_and_nonfinite(self):
         with pytest.raises(DataError):
             agglomerate(DissimilarityMatrix(("a",), np.zeros((1, 1))), "single")
-        d = np.array([[0.0, np.inf], [np.inf, 0.0]])
         with pytest.raises(DataError):
-            agglomerate(DissimilarityMatrix(("a", "b"), d), "single")
+            agglomerate(DissimilarityMatrix((), np.zeros((0, 0))), "single")
+        for bad in (np.inf, np.nan):
+            d = np.array([[0.0, bad], [bad, 0.0]])
+            with pytest.raises(DataError, match="non-finite"):
+                agglomerate(DissimilarityMatrix(("a", "b"), d), "single")
         with pytest.raises(ValueError):
             agglomerate(DissimilarityMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]])), "median")
+
+    def test_rejects_overflowing_update(self):
+        d = np.full((3, 3), 1e308)
+        np.fill_diagonal(d, 0.0)
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="overflowed at merge 2"):
+            agglomerate(DissimilarityMatrix(("a", "b", "c"), d), "average")
+
+    @pytest.mark.parametrize("link", LINKAGES)
+    def test_input_not_mutated(self, rng, link):
+        dm = random_dissimilarity(rng, 9)
+        before = dm.d.copy()
+        agglomerate(dm, link)
+        assert np.array_equal(dm.d, before) and dm.d.flags.writeable
 
 
 class TestCut:

@@ -93,6 +93,16 @@ class TestParseLong:
             parse_capture(p, format="long_csv")
         assert exc.value.line == BLOCK_LINES + 12
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_not_utf8_names_line(self, tmp_path, eol):
+        # the bad byte is past the first block and the decoder's first chunk
+        rows = "".join(f"{i / 10},A,{i}{eol}" for i in range(BLOCK_LINES + 10))
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(f"time,signal,value{eol}{rows}".encode() + "7.0,\xe9,1\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="not UTF-8 text") as exc:
+            parse_capture(p, format="long_csv")
+        assert exc.value.line == BLOCK_LINES + 12
+
     def test_whitespace_only_line_is_data(self, tmp_path):
         p = write(tmp_path, "time,signal,value\n0.0,A,1\n   \n0.1,A,2\n")
         with pytest.raises(ParseError, match="expected 3 cells, got 1") as exc:
