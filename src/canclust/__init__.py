@@ -9,8 +9,8 @@ Mann-Whitney U test on the similarity distributions.
 
 from .ingest import RawSignal, SignalCapture, SignalMatrix, parse_capture, resample
 from .correlation import CorrelationMatrix, DissimilarityMatrix, pearson_matrix, to_dissimilarity
-from .hierarchy import LINKAGES, Dendrogram, agglomerate, cut_at
-from .clusim import ElementAffinity, HierarchyParams, SimilarityScore, affinity, level_weights, similarity
+from .hierarchy import LINKAGES, Dendrogram, agglomerate
+from .clusim import HierarchyParams, SimilarityScore, affinity, similarity
 from .stats import SimilaritySample, TestResult, attack_vs_benign, benign_pairs, density_export, mann_whitney
 from .synth import AttackSpec, SynthSpec, generate, inject, signal_id
 from .pipeline import RunConfig, VerdictReport, prepare, run, verdict
@@ -18,8 +18,8 @@ from .pipeline import RunConfig, VerdictReport, prepare, run, verdict
 __all__ = [
     "RawSignal", "SignalCapture", "SignalMatrix", "parse_capture", "resample",
     "CorrelationMatrix", "DissimilarityMatrix", "pearson_matrix", "to_dissimilarity",
-    "LINKAGES", "Dendrogram", "agglomerate", "cut_at",
-    "ElementAffinity", "HierarchyParams", "SimilarityScore", "affinity", "level_weights", "similarity",
+    "LINKAGES", "Dendrogram", "agglomerate",
+    "HierarchyParams", "SimilarityScore", "affinity", "similarity",
     "SimilaritySample", "TestResult", "attack_vs_benign", "benign_pairs", "density_export", "mann_whitney",
     "AttackSpec", "SynthSpec", "generate", "inject", "signal_id",
     "RunConfig", "VerdictReport", "prepare", "run", "verdict",

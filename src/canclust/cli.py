@@ -15,7 +15,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .clusim import similarity
-from .correlation import dump_matrix_csv
 from .errors import ConfigError, DataError
 from .hierarchy import LINKAGES, agglomerate
 from .ingest import parse_capture
@@ -80,37 +79,44 @@ def _cmd_analyze(args):
         attack_groups[kind] = attack_groups.get(kind, ()) + caps
     config = replace(config, benign_captures=_parse_files(args.benign, args.format),
                      attack_capture_groups=attack_groups)
-    report = run(config)
-    if args.dump_matrices:
-        out = Path(args.out)
-        for cap in config.benign_captures:
-            _m, c, d = prepare(cap, config.frequency_hz, config.dissimilarity)
-            dump_matrix_csv(c.signal_ids, c.rho, out / f"rho_{cap.capture_id}.csv")
-            dump_matrix_csv(d.signal_ids, d.d, out / f"dissim_{cap.capture_id}.csv")
-    summary, _tally = verdict(report)
+    summary, _tally = verdict(run(config))
     print(summary)
     return 0
 
 
-def _cmd_synth(args):
-    with open(args.spec, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    defaults = doc.get("defaults", {})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    for entry in doc["captures"]:
+def _synth_capture(entry, defaults):
+    """The capture one synth spec entry describes, attack applied; a spec mistake is a ConfigError."""
+    name = f"capture {entry.get('id')!r}"
+    attack = entry.get("attack")
+    try:  # an unknown, missing, mistyped or out-of-range field is all that raises TypeError/ValueError
         fields = {**defaults, **{k: v for k, v in entry.items() if k not in ("id", "attack")}}
-        try:
-            spec = SynthSpec(**fields)
-        except TypeError as exc:  # an unknown or missing field, or a value of the wrong type
-            raise ConfigError(f"capture {entry.get('id')!r}: {exc}") from None
-        cap = generate(spec, capture_id=entry.get("id"))
-        attack = entry.get("attack")
+        cap = generate(SynthSpec(**fields), capture_id=entry.get("id"))
         if attack:
             aspec = AttackSpec(kind=attack["kind"], target_signals=attack["targets"],
                                start_s=attack["start_s"], end_s=attack["end_s"])
             cap = inject(cap, aspec, seed=attack.get("seed", 0))
+    except KeyError as exc:  # attack[...] is the only key lookup
+        raise ConfigError(f"{name}: attack has no {exc} key") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    return cap
+
+
+def _cmd_synth(args):
+    try:
+        with open(args.spec, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise DataError(f"{args.spec}: not a JSON document ({exc})") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("captures"), list)):
+        raise DataError(f"{args.spec}: a spec is a JSON object with a 'captures' list")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = []
+    for k, entry in enumerate(doc["captures"]):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"captures[{k}] must be a JSON object, got {entry!r}")
+        cap = _synth_capture(entry, doc.get("defaults", {}))
         filename = f"{cap.capture_id}.csv"
         write_wide_csv(cap, out / filename)
         manifest.append({"path": filename, "capture_id": cap.capture_id,
@@ -149,8 +155,6 @@ def build_parser():
     p.add_argument("--linkage", default="single,complete,average,ward",
                    help=f"comma-separated subset of {','.join(LINKAGES)}")
     p.add_argument("--significance", type=float, default=0.05)
-    p.add_argument("--dump-matrices", action="store_true",
-                   help="also write rho/dissimilarity CSVs for benign captures")
     p.add_argument("--out", required=True, help="output directory for report and curves")
     _add_shared(p)
     p.set_defaults(func=_cmd_analyze)
@@ -174,10 +178,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,50 +37,9 @@ class HierarchyParams:
 
 
 @dataclass(frozen=True)
-class ElementAffinity:
-    """Row i = stationary distribution of the diffusion personalized to element i."""
-
-    element_ids: tuple
-    p: np.ndarray  # N x N, row-stochastic
-
-
-@dataclass(frozen=True)
 class SimilarityScore:
     value: float
     per_element: tuple  # of (element_id, score)
-
-
-def _parents(dend):
-    n = dend.n_leaves
-    parent = [None] * (n + len(dend.merges))
-    for k, (left, right, _h, _s) in enumerate(dend.merges):
-        parent[left] = n + k
-        parent[right] = n + k
-    return parent
-
-
-def level_weights(dend, element, r):
-    """Softmax weights over an element's ancestor clusters.
-
-    Returns a list of (node, depth, weight) from root to leaf, where node is
-    a tree node index (leaf < N, merge >= N), depth runs linearly from 0 at
-    the root to 1 at the leaf, and the weights exp(r * depth) are normalized
-    to sum to 1 over the path.
-    """
-    try:
-        leaf = dend.leaf_ids.index(element)
-    except ValueError:
-        raise DataError(f"element {element!r} is not a leaf of the dendrogram") from None
-    parent = _parents(dend)
-    path = [leaf]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()  # root first
-    hops = len(path) - 1
-    depths = np.arange(len(path)) / hops
-    w = np.exp(r * depths)
-    w /= w.sum()
-    return [(node, float(nu), float(wi)) for node, nu, wi in zip(path, depths, w)]
 
 
 def _tree_arrays(dend):
@@ -106,8 +65,8 @@ def transition_matrix(dend, r):
     """Element-to-element transition matrix W induced by the dendrogram.
 
     W[i, j] = sum over ancestors C of i containing j of w(i, C) / |C|, with
-    w(i, .) the level_weights of element i. Rows sum to 1 by construction
-    since each cluster spreads its full weight over its members.
+    w(i, .) the softmax level weights of element i. Rows sum to 1 by
+    construction since each cluster spreads its full weight over its members.
     """
     member, depth = _tree_arrays(dend)
     hops = depth[:dend.n_leaves]
@@ -121,7 +80,9 @@ def transition_matrix(dend, r):
 def affinity(dend, params):
     """Stationary PPR distributions for every element of a dendrogram.
 
-    The rows p_i = (1 - alpha) e_i + alpha p_i W, for all i at once, are
+    Returns the N x N row-stochastic matrix P in dend.leaf_ids order: row i
+    is the distribution personalized to element i. The rows
+    p_i = (1 - alpha) e_i + alpha p_i W, for all i at once, are
     P = (1 - alpha)(I - alpha W)^-1, from one dense solve. I - alpha W is
     strictly diagonally dominant (W is row-stochastic and alpha < 1), so the
     solve is always well posed.
@@ -130,15 +91,13 @@ def affinity(dend, params):
         raise DataError("affinity needs a dendrogram over at least 2 elements")
     w = transition_matrix(dend, params.r)
     eye = np.eye(w.shape[0])
-    p = np.linalg.solve(eye - params.alpha * w, (1.0 - params.alpha) * eye)
-    return ElementAffinity(element_ids=tuple(dend.leaf_ids), p=p)
+    return np.linalg.solve(eye - params.alpha * w, (1.0 - params.alpha) * eye)
 
 
 def _aligned_rows(dend, order, params):
     """Affinity matrix with rows and columns permuted to the given id order."""
-    aff = affinity(dend, params)
-    idx = [aff.element_ids.index(e) for e in order]
-    return aff.p[np.ix_(idx, idx)]
+    idx = [dend.leaf_ids.index(e) for e in order]
+    return affinity(dend, params)[np.ix_(idx, idx)]
 
 
 def similarity(a, b, params, allow_intersection=False):

@@ -67,10 +67,3 @@ def to_dissimilarity(c, mode="one_minus_abs_rho"):
     np.fill_diagonal(d, 0.0)
     return DissimilarityMatrix(signal_ids=tuple(c.signal_ids), d=d)
 
-
-def dump_matrix_csv(signal_ids, matrix, path):
-    """Write a labeled square matrix as CSV (debug aid for rho / d)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("," + ",".join(signal_ids) + "\n")
-        for sid, row in zip(signal_ids, matrix):
-            fh.write(sid + "," + ",".join(repr(float(v)) for v in row) + "\n")

@@ -4,8 +4,7 @@ agglomerate() repeatedly merges the pair of active clusters at minimum
 dissimilarity and updates the remaining dissimilarities with the recurrence
 for the chosen linkage (single / complete / average / Ward). Node indexing
 follows the usual convention: leaves are 0..N-1 and the k-th merge creates
-node N+k. Cutting the tree at any height yields a partition, and cuts at
-increasing heights are nested.
+node N+k.
 
 Ward's update is applied to the supplied dissimilarities directly (treating
 them as squared-Euclidean surrogates) and heights are recorded raw; the
@@ -23,7 +22,6 @@ the plain pairwise loop computes, because each update uses the same
 operands in the same order.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,10 +44,6 @@ class Dendrogram:
     def n_leaves(self):
         return len(self.leaf_ids)
 
-    @property
-    def heights(self):
-        return [m[2] for m in self.merges]
-
     def to_dict(self):
         return {
             "leaf_ids": list(self.leaf_ids),
@@ -57,38 +51,10 @@ class Dendrogram:
             "merges": [[int(l), int(r), float(h), int(s)] for l, r, h, s in self.merges],
         }
 
-    def to_json(self, path=None):
-        doc = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(doc + "\n")
-        return doc
-
     @classmethod
     def from_dict(cls, doc):
         merges = tuple((int(l), int(r), float(h), int(s)) for l, r, h, s in doc["merges"])
         return cls(leaf_ids=tuple(doc["leaf_ids"]), merges=merges, linkage=doc["linkage"])
-
-    @classmethod
-    def from_json(cls, text_or_path):
-        text = str(text_or_path)
-        if not text.lstrip().startswith("{"):
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
-        return cls.from_dict(json.loads(text))
-
-    def leaves_under(self, node):
-        """Set of leaf indices contained in a node (leaf or merge index)."""
-        n = self.n_leaves
-        stack, out = [node], set()
-        while stack:
-            k = stack.pop()
-            if k < n:
-                out.add(k)
-            else:
-                left, right, _, _ = self.merges[k - n]
-                stack.extend((left, right))
-        return out
 
 
 def agglomerate(dm, linkage):
@@ -144,43 +110,6 @@ def agglomerate(dm, linkage):
         nodes[i] = n + step
 
     return Dendrogram(leaf_ids=tuple(dm.signal_ids), merges=tuple(merges), linkage=linkage)
-
-
-def cut_at(dend, height):
-    """Partition the leaves by keeping merges with height <= the cut height.
-
-    Returns a list of leaf-id sets, ordered by each cluster's smallest leaf
-    index; the sets are disjoint and cover all leaves.
-    """
-    if height < 0:
-        raise ValueError("cut height must be >= 0")
-    n = dend.n_leaves
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    node_root = list(range(n))  # union-find root representing each tree node
-    node_root += [None] * (n - 1)
-    for k, (left, right, h, _size) in enumerate(dend.merges):
-        ra, rb = node_root[left], node_root[right]
-        if h <= height:
-            ra, rb = find(ra), find(rb)
-            parent[rb] = ra
-            node_root[n + k] = ra
-        else:
-            # above the cut: the merge node still needs a root for ancestors,
-            # but its children stay in separate clusters
-            node_root[n + k] = find(ra)
-
-    groups = {}
-    for leaf in range(n):
-        groups.setdefault(find(leaf), []).append(leaf)
-    clusters = sorted(groups.values(), key=lambda g: g[0])
-    return [set(dend.leaf_ids[i] for i in g) for g in clusters]
 
 
 def restrict(dend, keep_ids):

@@ -79,9 +79,6 @@ class SignalCapture:
     label: str = "benign"  # "benign" or "attack"
     attack_kind: str = ""  # set when label == "attack"
 
-    def signal_ids(self):
-        return [s.signal_id for s in self.signals]
-
 
 @dataclass(frozen=True)
 class SignalMatrix:

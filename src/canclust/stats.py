@@ -2,10 +2,11 @@
 
 benign_pairs() scores every unordered pair of benign dendrograms;
 attack_vs_benign() scores the attack x benign cross product. mann_whitney()
-compares the two samples: exact enumeration of the null distribution when
-n1*n2 <= 10000 and there are no ties, otherwise a tie-corrected normal
-approximation with continuity correction. density_export() produces Gaussian
-KDE curves for external plotting; verdicts never depend on it.
+compares the two samples with a two-sided test: exact enumeration of the
+null distribution when n1*n2 <= 10000 and there are no ties, otherwise a
+tie-corrected normal approximation with continuity correction.
+density_export() produces Gaussian KDE curves for external plotting;
+verdicts never depend on it.
 """
 
 import functools
@@ -125,16 +126,14 @@ def exact_u_counts(n1, n2):
     return tuple(ways)
 
 
-def mann_whitney(x, y, sided="two_sided", significance=0.05):
-    """Mann-Whitney U test between two similarity samples.
+def mann_whitney(x, y, significance=0.05):
+    """Two-sided Mann-Whitney U test between two similarity samples.
 
     Accepts SimilaritySamples or plain sequences. Exact enumeration is used
     when n1*n2 <= 10000 and the pooled sample is tie-free; otherwise a
     normal approximation with tie-corrected variance and 0.5 continuity
     correction. Two samples with all values identical degenerate to p = 1.
     """
-    if sided not in ("two_sided", "less", "greater"):
-        raise ValueError(f"unknown sidedness {sided!r}")
     xv = np.asarray(x.values if isinstance(x, SimilaritySample) else x, dtype=float)
     yv = np.asarray(y.values if isinstance(y, SimilaritySample) else y, dtype=float)
     n1, n2 = len(xv), len(yv)
@@ -152,17 +151,9 @@ def mann_whitney(x, y, sided="two_sided", significance=0.05):
 
     if not has_ties and n1 * n2 <= EXACT_LIMIT:
         counts = exact_u_counts(n1, n2)
-        total = sum(counts)
         mu2 = n1 * n2  # 2 * mean, kept integral
-        u_int = int(round(u))
-        dev = abs(2 * u_int - mu2)
-        if sided == "two_sided":
-            mass = sum(c for uu, c in enumerate(counts) if abs(2 * uu - mu2) >= dev)
-        elif sided == "greater":
-            mass = sum(c for uu, c in enumerate(counts) if uu >= u_int)
-        else:
-            mass = sum(c for uu, c in enumerate(counts) if uu <= u_int)
-        p = mass / total
+        dev = abs(2 * int(round(u)) - mu2)
+        p = sum(c for uu, c in enumerate(counts) if abs(2 * uu - mu2) >= dev) / sum(counts)
         method = "exact"
     else:
         n = n1 + n2
@@ -173,16 +164,8 @@ def mann_whitney(x, y, sided="two_sided", significance=0.05):
         if var <= 0:
             return TestResult(u_statistic=u, p_value=1.0, n1=n1, n2=n2,
                               method="normal_approx", significant=False)
-        sd = math.sqrt(var)
-        if sided == "two_sided":
-            z = max(0.0, abs(u - mu) - 0.5) / sd
-            p = math.erfc(z / math.sqrt(2.0))
-        elif sided == "greater":
-            z = (u - mu - 0.5) / sd
-            p = 0.5 * math.erfc(z / math.sqrt(2.0))
-        else:
-            z = (u - mu + 0.5) / sd
-            p = 1.0 - 0.5 * math.erfc(z / math.sqrt(2.0))
+        z = max(0.0, abs(u - mu) - 0.5) / math.sqrt(var)
+        p = math.erfc(z / math.sqrt(2.0))
         method = "normal_approx"
     p = min(1.0, max(0.0, p))
     return TestResult(u_statistic=u, p_value=p, n1=n1, n2=n2,
@@ -194,24 +177,18 @@ def scott_bandwidth(values):
     return float(np.std(values, ddof=1) * len(values) ** (-0.2))
 
 
-def density_export(sample, bandwidth="scott", n_points=256):
-    """Gaussian KDE curve for a similarity sample.
+def density_export(sample, n_points=256):
+    """Gaussian KDE curve for a similarity sample, bandwidth h = sigma_hat * n^(-1/5) (Scott's rule).
 
-    bandwidth is "scott" (sigma_hat * n^(-1/5)) or a fixed positive float.
     Returns an (n_points, 2) array of (x, density) over [min - 3h, max + 3h];
     the trapezoid integral of the curve is 1 within ~1e-3.
     """
     values = np.asarray(sample.values if isinstance(sample, SimilaritySample) else sample, dtype=float)
     if len(values) < 2:
         raise DataError("density_export needs at least 2 values")
-    if bandwidth == "scott":
-        h = scott_bandwidth(values)
-        if h <= 0:
-            raise DataError("zero-variance sample; use a fixed bandwidth")
-    else:
-        h = float(bandwidth)
-        if h <= 0:
-            raise ValueError("fixed bandwidth must be positive")
+    h = scott_bandwidth(values)
+    if h <= 0:
+        raise DataError("zero-variance sample has no density curve")
     xs = np.linspace(values.min() - 3 * h, values.max() + 3 * h, n_points)
     z = (xs[:, None] - values[None, :]) / h
     dens = np.exp(-0.5 * z ** 2).sum(axis=1) / (len(values) * h * math.sqrt(2 * math.pi))

@@ -25,6 +25,51 @@ def random_dendrogram(rng, n, linkage=None):
     return agglomerate(random_dissimilarity(rng, n), linkage)
 
 
+def heights(dend):
+    """Merge heights of a dendrogram, in merge order."""
+    return [h for _l, _r, h, _s in dend.merges]
+
+
+def leaves_under(dend, node):
+    """Set of leaf indices contained in a node (leaf or merge index)."""
+    n = dend.n_leaves
+    stack, out = [node], set()
+    while stack:
+        k = stack.pop()
+        if k < n:
+            out.add(k)
+        else:
+            left, right, _, _ = dend.merges[k - n]
+            stack.extend((left, right))
+    return out
+
+
+def level_weights(dend, element, r):
+    """Oracle for clusim.transition_matrix: softmax weights over one element's ancestor clusters.
+
+    Returns a list of (node, depth, weight) from root to leaf, where node is
+    a tree node index (leaf < N, merge >= N), depth runs linearly from 0 at
+    the root to 1 at the leaf, and the weights exp(r * depth) are normalized
+    to sum to 1 over the path.
+    """
+    try:
+        leaf = dend.leaf_ids.index(element)
+    except ValueError:
+        raise DataError(f"element {element!r} is not a leaf of the dendrogram") from None
+    n = dend.n_leaves
+    parent = [None] * (n + len(dend.merges))
+    for k, (left, right, _h, _s) in enumerate(dend.merges):
+        parent[left] = parent[right] = n + k
+    path = [leaf]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()  # root first
+    depths = np.arange(len(path)) / (len(path) - 1)
+    w = np.exp(r * depths)
+    w /= w.sum()
+    return [(node, float(nu), float(wi)) for node, nu, wi in zip(path, depths, w)]
+
+
 def power_iteration_ppr(w, alpha, tol=1e-12, max_iter=10_000):
     """Oracle for clusim.affinity: iterate P <- (1 - alpha) I + alpha P W to an l1 fixed point."""
     n = len(w)

@@ -2,9 +2,9 @@
 
 Every fixture under fixtures/v1/ is a JSON document holding a case's inputs,
 its expected output, and a tolerance. verify_goldens() recomputes each case
-from the stored inputs and compares; `python3 -m canclust.goldens --regen`
-rewrites the expected blocks from the current implementation (idempotent, so
-any change to a canonical rule shows up as a fixture diff).
+from the stored inputs and compares; `PYTHONPATH=src python3 tests/goldens.py
+--regen` rewrites the expected blocks from the current implementation
+(idempotent, so any change to a canonical rule shows up as a fixture diff).
 
 The dendrogram-similarity case pins the two reference scores (0.82 / 0.76 at
 r=5.0, alpha=0.9) for three 4-leaf trees transcribed from the method's
@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .clusim import HierarchyParams, affinity, similarity, transition_matrix
-from .correlation import DissimilarityMatrix
-from .hierarchy import Dendrogram, agglomerate
-from .stats import mann_whitney
+from canclust.clusim import HierarchyParams, affinity, similarity, transition_matrix
+from canclust.correlation import DissimilarityMatrix
+from canclust.hierarchy import Dendrogram, agglomerate
+from canclust.stats import mann_whitney
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures" / "v1"
 
@@ -66,7 +66,7 @@ def _compute_projection(inputs):
     dend = Dendrogram.from_dict(inputs["dendrogram"])
     params = HierarchyParams(r=inputs["r"], alpha=inputs["alpha"])
     w = transition_matrix(dend, params.r)
-    p = affinity(dend, params).p
+    p = affinity(dend, params)
     return {"transition": w.tolist(), "stationary": p.tolist()}
 
 

@@ -4,13 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import canclust
+from canclust import pipeline
 from canclust.cli import main
-from canclust.ingest import parse_capture
-from canclust.pipeline import prepare
 
 
 def synth_spec_doc(n_benign=4, attack=True):
@@ -25,14 +23,6 @@ def synth_spec_doc(n_benign=4, attack=True):
                        "start_s": 0.0, "end_s": 40.0, "seed": 41},
         })
     return {"defaults": defaults, "captures": captures}
-
-
-def read_matrix_csv(path):
-    lines = path.read_text().splitlines()
-    ids = lines[0].split(",")[1:]
-    rows = [line.split(",") for line in lines[1:]]
-    assert [r[0] for r in rows] == ids
-    return tuple(ids), np.array([[float(v) for v in r[1:]] for r in rows])
 
 
 @pytest.fixture
@@ -118,6 +108,32 @@ class TestSynth:
         assert "config error" in err and "rate_hz" in err
 
 
+    def test_attack_without_targets(self, tmp_path, capsys):
+        doc = synth_spec_doc(n_benign=1)
+        del doc["captures"][1]["attack"]["targets"]
+        p = tmp_path / "no_targets.json"
+        p.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'attack_0'" in err and "'targets'" in err
+
+    @pytest.mark.parametrize("entry", [1, "benign_0", ["seed", 1], None])
+    def test_capture_entry_not_an_object(self, tmp_path, capsys, entry):
+        doc = synth_spec_doc(n_benign=1, attack=False)
+        doc["captures"].append(entry)
+        p = tmp_path / "not_object.json"
+        p.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"captures[1] must be a JSON object, got {entry!r}" in err
+
+    @pytest.mark.parametrize("doc", [[], {"captures": {}}, {"captures": 1}])
+    def test_spec_not_a_captures_list(self, tmp_path, doc):
+        p = tmp_path / "shape.json"
+        p.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(p), "--out", str(tmp_path / "o")]) == 3
+
+
 class TestAnalyze:
     def test_end_to_end(self, corpus, tmp_path, capsys):
         out = tmp_path / "report"
@@ -139,22 +155,6 @@ class TestAnalyze:
                    "--out", str(tmp_path / "o")])
         assert rc == 0
         assert "benign diagnostics only" in capsys.readouterr().out
-
-    def test_dump_matrices(self, corpus, tmp_path):
-        out = tmp_path / "o"
-        rc = main(["analyze", "--benign", str(corpus / "benign_*.csv"),
-                   "--attack", f"correlated_break={corpus / 'attack_0.csv'}",
-                   "--dump-matrices", "--out", str(out)])
-        assert rc == 0
-        for i in range(4):
-            _m, c, d = prepare(parse_capture(corpus / f"benign_{i}.csv"), 10.0, "one_minus_abs_rho")
-            ids, rho = read_matrix_csv(out / f"rho_benign_{i}.csv")
-            assert ids == c.signal_ids and np.array_equal(rho, c.rho)
-            ids, dissim = read_matrix_csv(out / f"dissim_benign_{i}.csv")
-            assert ids == d.signal_ids and np.array_equal(dissim, d.d)
-        for prefix in ("rho", "dissim"):  # benign captures only, never attack_0
-            dumped = sorted(p.name for p in out.glob(f"{prefix}_*.csv"))
-            assert dumped == [f"{prefix}_benign_{i}.csv" for i in range(4)]
 
     def test_directory_input(self, corpus, tmp_path, monkeypatch):
         # a bare directory expands to its *.csv files (attack file included,
@@ -219,6 +219,17 @@ class TestAnalyze:
                    "--attack", f"correlated_break={latin1_csv}", "--out", str(tmp_path / "o")])
         assert rc == 3
         assert f"{latin1_csv}:3: not UTF-8 text" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_internal_error_is_not_a_user_error(self, corpus, tmp_path, monkeypatch, error):
+        # a bug inside run() must surface as itself, not as exit 2 or 3
+        def broken(*args, **kwargs):
+            raise error("internal bug")
+        monkeypatch.setattr(pipeline, "mann_whitney", broken)
+        with pytest.raises(error, match="internal bug"):
+            main(["analyze", "--benign", str(corpus / "benign_*.csv"),
+                  "--attack", f"correlated_break={corpus / 'attack_0.csv'}", "--out", str(tmp_path / "o")])
 
 
 class TestSimtest:

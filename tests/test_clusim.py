@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from canclust import clusim
-from canclust.clusim import (ElementAffinity, HierarchyParams, affinity, level_weights, similarity,
-                             transition_matrix)
+from canclust.clusim import HierarchyParams, affinity, similarity, transition_matrix
 from canclust.errors import DataError
 from canclust.hierarchy import LINKAGES, Dendrogram
 
-from conftest import power_iteration_ppr, random_dendrogram
+from conftest import leaves_under, level_weights, power_iteration_ppr, random_dendrogram
 
 
 def chain(ids, heights=None):
@@ -31,6 +30,8 @@ def balanced4(ids):
 
 
 class TestLevelWeights:
+    """The per-leaf oracle behind TestTransitionMatrix::test_equals_sum_over_level_weights."""
+
     def test_softmax_two_leaf(self):
         dend = chain(("a", "b"))
         lw = level_weights(dend, "a", 5.0)
@@ -89,7 +90,7 @@ class TestTransitionMatrix:
                 expected = np.zeros((n, n))
                 for i, lid in enumerate(dend.leaf_ids):
                     for node, _nu, weight in level_weights(dend, lid, r):
-                        leaves = sorted(dend.leaves_under(node))
+                        leaves = sorted(leaves_under(dend, node))
                         expected[i, leaves] += weight / len(leaves)
                 w = transition_matrix(dend, r)
                 assert np.max(np.abs(w - expected)) <= 1e-15
@@ -103,11 +104,22 @@ class TestAffinity:
             dend = random_dendrogram(rng, int(rng.integers(3, 10)))
             params = HierarchyParams(r=float(rng.uniform(-8, 8)), alpha=float(rng.uniform(0.5, 0.95)))
             expected = power_iteration_ppr(transition_matrix(dend, params.r), params.alpha)
-            got = affinity(dend, params).p
+            got = affinity(dend, params)
             assert np.max(np.abs(got - expected)) < 1e-9
 
+    def test_rows_follow_leaf_order(self, rng):
+        # the same tree with its leaf array permuted: row and column i belong to leaf_ids[i]
+        a = random_dendrogram(rng, 7)
+        perm = list(rng.permutation(7))
+        inv = {old: new for new, old in enumerate(perm)}
+        remap = lambda n: inv[n] if n < 7 else n
+        b = Dendrogram(tuple(a.leaf_ids[i] for i in perm),
+                       tuple((remap(l), remap(r), h, s) for l, r, h, s in a.merges), a.linkage)
+        params = HierarchyParams()
+        assert np.max(np.abs(affinity(b, params) - affinity(a, params)[np.ix_(perm, perm)])) < 1e-12
+
     def test_rows_are_distributions(self, rng):
-        p = affinity(random_dendrogram(rng, 7), HierarchyParams()).p
+        p = affinity(random_dendrogram(rng, 7), HierarchyParams())
         assert np.all(p >= 0)
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-10)
 
@@ -198,8 +210,7 @@ class TestSimilarity:
     def test_out_of_range_score_raises(self, rng, monkeypatch):
         # an invariant, not an assert: python -O must not let a broken affinity through
         flips = iter((5.0, -5.0))
-        monkeypatch.setattr(clusim, "affinity", lambda dend, params: ElementAffinity(
-            tuple(dend.leaf_ids), next(flips) * np.eye(dend.n_leaves)))
+        monkeypatch.setattr(clusim, "affinity", lambda dend, params: next(flips) * np.eye(dend.n_leaves))
         dend = random_dendrogram(rng, 4)
         with pytest.raises(RuntimeError, match="out of range"):
             similarity(dend, dend, HierarchyParams())

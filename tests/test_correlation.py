@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from canclust.correlation import dump_matrix_csv, pearson_matrix, to_dissimilarity
+from canclust.correlation import pearson_matrix, to_dissimilarity
 from canclust.errors import DataError
 from canclust.ingest import SignalMatrix
 
@@ -82,12 +82,3 @@ class TestDissimilarity:
         with pytest.raises(ValueError):
             to_dissimilarity(c, "nope")
 
-
-def test_dump_matrix_csv_round_trip(tmp_path, rng):
-    c = pearson_matrix(matrix_from_rows(rng.normal(size=(4, 30))))
-    out = tmp_path / "rho.csv"
-    dump_matrix_csv(c.signal_ids, c.rho, out)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "," + ",".join(c.signal_ids)
-    parsed = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
-    assert np.array_equal(parsed, c.rho)

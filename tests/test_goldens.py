@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from canclust.goldens import CASES, FIXTURES_DIR, main, regenerate, verify_goldens
+from goldens import CASES, FIXTURES_DIR, main, regenerate, verify_goldens
 
 
 def test_all_goldens_pass():

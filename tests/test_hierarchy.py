@@ -2,14 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
+from scipy.cluster.hierarchy import cophenet, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
 from canclust.correlation import DissimilarityMatrix
 from canclust.errors import DataError
-from canclust.hierarchy import LINKAGES, Dendrogram, agglomerate, cut_at, restrict
+from canclust.hierarchy import LINKAGES, Dendrogram, agglomerate, restrict
 
-from conftest import list_agglomerate, random_dissimilarity
+from conftest import heights, leaves_under, list_agglomerate, random_dissimilarity
 
 
 def cophenetic(dend):
@@ -17,8 +17,8 @@ def cophenetic(dend):
     n = dend.n_leaves
     out = {}
     for k, (left, right, h, _s) in enumerate(dend.merges):
-        for i in dend.leaves_under(left):
-            for j in dend.leaves_under(right):
+        for i in leaves_under(dend, left):
+            for j in leaves_under(dend, right):
                 a, b = dend.leaf_ids[i], dend.leaf_ids[j]
                 out[(a, b)] = out[(b, a)] = h
     return out
@@ -50,7 +50,7 @@ class TestOracles:
         for _ in range(10):
             dm = random_dissimilarity(rng, int(rng.integers(3, 12)))
             dend = agglomerate(dm, "single")
-            assert np.allclose(sorted(dend.heights), mst_heights(dm.d), atol=1e-12)
+            assert np.allclose(sorted(heights(dend)), mst_heights(dm.d), atol=1e-12)
 
     @pytest.mark.parametrize("link", ["single", "complete", "average"])
     def test_matches_scipy(self, rng, link):
@@ -59,16 +59,12 @@ class TestOracles:
             dm = random_dissimilarity(rng, n)
             dend = agglomerate(dm, link)
             z = scipy_linkage(squareform(dm.d), method=link)
-            assert np.allclose(sorted(dend.heights), sorted(z[:, 2]), atol=1e-10)
-            # partitions at every cut level must also agree
-            for h in sorted(dend.heights)[:-1]:
-                cut = h + 1e-12
-                ours = {frozenset(c) for c in cut_at(dend, cut)}
-                labels = fcluster(z, t=cut, criterion="distance")
-                theirs = {}
-                for i, lab in enumerate(labels):
-                    theirs.setdefault(lab, set()).add(dm.signal_ids[i])
-                assert ours == {frozenset(c) for c in theirs.values()}
+            assert np.allclose(sorted(heights(dend)), sorted(z[:, 2]), atol=1e-10)
+            # the tree shape must agree too: every leaf pair joins at the same height
+            ours = cophenetic(dend)
+            ids = dm.signal_ids
+            condensed = [ours[(ids[i], ids[j])] for i in range(n) for j in range(i + 1, n)]
+            assert np.max(np.abs(np.array(condensed) - cophenet(z))) <= 1e-10
 
     def test_ward_matches_scipy_on_squared_distances(self, rng):
         # scipy's ward on sqrt(d) obeys the same recurrence on d with
@@ -78,7 +74,7 @@ class TestOracles:
             dm = random_dissimilarity(rng, n)
             dend = agglomerate(dm, "ward")
             z = scipy_linkage(squareform(np.sqrt(dm.d)), method="ward")
-            assert np.allclose(sorted(dend.heights), sorted(z[:, 2] ** 2), atol=1e-10)
+            assert np.allclose(sorted(heights(dend)), sorted(z[:, 2] ** 2), atol=1e-10)
 
     def test_recompute_oracle(self, rng):
         # re-derive each merge height from the original matrix: single is the
@@ -90,8 +86,8 @@ class TestOracles:
                 dm = random_dissimilarity(rng, n)
                 dend = agglomerate(dm, link)
                 for left, right, h, _s in dend.merges:
-                    li = sorted(dend.leaves_under(left))
-                    ri = sorted(dend.leaves_under(right))
+                    li = sorted(leaves_under(dend, left))
+                    ri = sorted(leaves_under(dend, right))
                     cross = dm.d[np.ix_(li, ri)]
                     assert abs(fn(cross) - h) < 1e-10
 
@@ -170,13 +166,13 @@ class TestStructure:
         assert dend.merges[-1][3] == n
         for k, (left, right, _h, size) in enumerate(dend.merges):
             assert left < n + k and right < n + k and left != right
-            assert size == len(dend.leaves_under(n + k))
+            assert size == len(leaves_under(dend, n + k))
 
     @pytest.mark.parametrize("link", LINKAGES)
     def test_heights_monotone(self, rng, link):
         for _ in range(10):
             dend = agglomerate(random_dissimilarity(rng, int(rng.integers(3, 15))), link)
-            hs = dend.heights
+            hs = heights(dend)
             assert all(hs[i] <= hs[i + 1] + 1e-12 for i in range(len(hs) - 1))
 
     @pytest.mark.parametrize("link", LINKAGES)
@@ -240,40 +236,14 @@ class TestStructure:
         assert np.array_equal(dm.d, before) and dm.d.flags.writeable
 
 
-class TestCut:
-    def test_extremes(self, rng):
-        dend = agglomerate(random_dissimilarity(rng, 7), "average")
-        assert cut_at(dend, 0.0) == [{lid} for lid in dend.leaf_ids]
-        assert cut_at(dend, max(dend.heights) + 1.0) == [set(dend.leaf_ids)]
-
-    def test_nested_and_partition(self, rng):
-        for _ in range(5):
-            dend = agglomerate(random_dissimilarity(rng, int(rng.integers(4, 12))), "complete")
-            prev = None
-            for h in [0.0] + sorted(dend.heights):
-                clusters = cut_at(dend, h + 1e-12)
-                flat = [lid for c in clusters for lid in c]
-                assert sorted(flat) == sorted(dend.leaf_ids)  # disjoint cover
-                if prev is not None:
-                    for small in prev:
-                        assert any(small <= big for big in clusters)  # nested
-                prev = clusters
-
-    def test_negative_height_rejected(self, rng):
-        dend = agglomerate(random_dissimilarity(rng, 4), "single")
-        with pytest.raises(ValueError):
-            cut_at(dend, -0.1)
-
-
 class TestSerialization:
     @pytest.mark.parametrize("link", LINKAGES)
     def test_json_round_trip(self, rng, tmp_path, link):
+        # through a file written as the golden fixtures are
         dend = agglomerate(random_dissimilarity(rng, 8), link)
         path = tmp_path / "dend.json"
-        dend.to_json(path)
-        back = Dendrogram.from_json(path)
-        assert back == dend
-        assert Dendrogram.from_json(dend.to_json()) == dend
+        path.write_text(json.dumps(dend.to_dict(), indent=2, sort_keys=True) + "\n")
+        assert Dendrogram.from_dict(json.loads(path.read_text())) == dend
 
     def test_dict_round_trip_is_plain_json(self, rng):
         dend = agglomerate(random_dissimilarity(rng, 5), "ward")

@@ -100,13 +100,13 @@ class TestMannWhitney:
         assert res.u_statistic == 0.0
         assert abs(res.p_value - 0.1) < 1e-12
 
-    @pytest.mark.parametrize("sided,alt", [("two_sided", "two-sided"), ("greater", "greater"), ("less", "less")])
-    def test_matches_scipy_exact(self, rng, sided, alt):
-        for _ in range(5):
+    def test_matches_scipy_exact(self, rng):
+        for _ in range(15):
             x = rng.normal(size=int(rng.integers(3, 10)))
             y = rng.normal(size=int(rng.integers(3, 10)))
-            res = mann_whitney(x, y, sided=sided)
-            ref = mannwhitneyu(x, y, alternative=alt, method="exact")
+            res = mann_whitney(x, y)
+            assert res.method == "exact"
+            ref = mannwhitneyu(x, y, alternative="two-sided", method="exact")
             assert abs(res.p_value - ref.pvalue) < 1e-10
 
     def test_monotone_transform_invariance(self, rng):
@@ -164,8 +164,6 @@ class TestMannWhitney:
     def test_errors(self):
         with pytest.raises(DataError):
             mann_whitney([], [1.0])
-        with pytest.raises(ValueError):
-            mann_whitney([1.0], [2.0], sided="both")
 
     def test_accepts_similarity_samples(self):
         a = SimilaritySample("benign_benign", (0.9, 0.95, 0.92), (("c0", "c1"), ("c0", "c2"), ("c1", "c2")))
@@ -203,10 +201,10 @@ class TestSampleBuilders:
 
 class TestDensity:
     def test_single_gaussian_closed_form(self):
-        # two points, fixed h: density is the average of two known gaussians
+        # two points, Scott's h: density is the average of two known gaussians
         vals = [0.0, 1.0]
-        h = 0.5
-        curve = density_export(SimilaritySample("g", tuple(vals), (("a", "b"), ("a", "c"))), bandwidth=h)
+        h = math.sqrt(0.5) * 2 ** -0.2
+        curve = density_export(SimilaritySample("g", tuple(vals), (("a", "b"), ("a", "c"))))
         for x, dens in curve[::17]:
             expected = sum(math.exp(-0.5 * ((x - v) / h) ** 2) for v in vals) / (2 * h * math.sqrt(2 * math.pi))
             assert abs(dens - expected) < 1e-12
@@ -234,5 +232,3 @@ class TestDensity:
             density_export([0.5])
         with pytest.raises(DataError):
             density_export([0.5, 0.5, 0.5])  # zero variance under scott
-        with pytest.raises(ValueError):
-            density_export([0.1, 0.9], bandwidth=-1.0)

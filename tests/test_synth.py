@@ -198,7 +198,7 @@ def test_write_wide_csv_round_trip(tmp_path):
     path = tmp_path / "cap.csv"
     write_wide_csv(cap, path)
     back = parse_capture(path, capture_id=cap.capture_id)
-    assert back.signal_ids() == cap.signal_ids()
+    assert [s.signal_id for s in back.signals] == [s.signal_id for s in cap.signals]
     for orig, new in zip(cap.signals, back.signals):
         assert np.array_equal(orig.timestamps, new.timestamps)
         assert np.array_equal(orig.values, new.values)
