@@ -88,7 +88,9 @@ def _synth_capture(entry, defaults):
     """The capture one synth spec entry describes, attack applied; a spec mistake is a ConfigError."""
     name = f"capture {entry.get('id')!r}"
     attack = entry.get("attack")
-    try:  # an unknown, missing, mistyped or out-of-range field is all that raises TypeError/ValueError
+    # TypeError/ValueError: an unknown, missing, mistyped or out-of-range field; DataError: an
+    # attack that does not fit the generated capture (unknown target, late window, non-binary flip)
+    try:
         fields = {**defaults, **{k: v for k, v in entry.items() if k not in ("id", "attack")}}
         cap = generate(SynthSpec(**fields), capture_id=entry.get("id"))
         if attack:
@@ -97,7 +99,7 @@ def _synth_capture(entry, defaults):
             cap = inject(cap, aspec, seed=attack.get("seed", 0))
     except KeyError as exc:  # attack[...] is the only key lookup
         raise ConfigError(f"{name}: attack has no {exc} key") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DataError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
     return cap
 

@@ -12,6 +12,10 @@ those distributions, averaged over elements.
 
 Smaller (more negative) r emphasizes the top of the dendrogram (coarse
 groups); larger r emphasizes fine-grained structure near the leaves.
+
+similarities() scores a batch of pairs. A pair over differing element sets
+compares both trees restricted to their common elements, and each distinct
+(dendrogram, common elements) tree is solved by affinity() once per call.
 """
 
 from dataclasses import dataclass
@@ -42,23 +46,23 @@ class SimilarityScore:
     per_element: tuple  # of (element_id, score)
 
 
-def _tree_arrays(dend):
-    """Node x leaf membership matrix and hop depth below the root of every tree node.
+def _layout(dend):
+    """First position, leaf count and hop depth below the root of every tree node.
 
-    Leaves are nodes 0..N-1 and the k-th merge is node N+k, so membership is
-    built bottom-up in merge order and depth top-down from the last merge.
+    Positions are those of a depth-first leaf order, so the leaves under a
+    node are the positions start..start+size-1. Leaves are nodes 0..N-1 and
+    the k-th merge is node N+k: sizes are summed bottom-up in merge order,
+    then positions and depths are handed down from the last merge.
     """
-    n = dend.n_leaves
-    merges = dend.merges
-    member = np.zeros((n + len(merges), n))
-    member[:n] = np.eye(n)
-    for k, (left, right, _h, _s) in enumerate(merges):
-        member[n + k] = member[left] + member[right]
-    depth = np.zeros(n + len(merges))
-    for k in range(len(merges) - 1, -1, -1):
-        left, right = merges[k][:2]
-        depth[left] = depth[right] = depth[n + k] + 1
-    return member, depth
+    n, merges = dend.n_leaves, dend.merges
+    size = [1] * n
+    for left, right, _h, _s in merges:
+        size.append(size[left] + size[right])
+    start, depth = [0] * len(size), [0] * len(size)
+    for v, (left, right, _h, _s) in zip(range(len(size) - 1, n - 1, -1), reversed(merges)):
+        start[left], start[right] = start[v], start[v] + size[left]
+        depth[left] = depth[right] = depth[v] + 1
+    return np.array((start, size, depth), dtype=float)  # exact: every entry is a small integer
 
 
 def transition_matrix(dend, r):
@@ -68,13 +72,17 @@ def transition_matrix(dend, r):
     w(i, .) the softmax level weights of element i. Rows sum to 1 by
     construction since each cluster spreads its full weight over its members.
     """
-    member, depth = _tree_arrays(dend)
-    hops = depth[:dend.n_leaves]
+    start, size, depth = _layout(dend)
+    pos = start[:dend.n_leaves]
+    under = (start <= pos[:, None]) & (pos[:, None] < start + size)  # leaf x node: node holds the leaf
     # w(i, C) = exp(r * depth[C] / hops[i]) over the ancestors C of leaf i, normalized per row
-    nu = depth[None, :] / hops[:, None]
-    weights = np.exp(np.where(member.T > 0, r * nu, -np.inf))
+    nu = depth / depth[:dend.n_leaves, None]
+    nu *= r
+    weights = np.where(under, nu, -np.inf)
+    np.exp(weights, out=weights)
     weights /= weights.sum(axis=1, keepdims=True)
-    return (weights / member.sum(axis=1)) @ member
+    weights /= size
+    return weights @ under.T.astype(float, order="C")
 
 
 def affinity(dend, params):
@@ -94,20 +102,10 @@ def affinity(dend, params):
     return np.linalg.solve(eye - params.alpha * w, (1.0 - params.alpha) * eye)
 
 
-def _aligned_rows(dend, order, params):
-    """Affinity matrix with rows and columns permuted to the given id order."""
-    idx = [dend.leaf_ids.index(e) for e in order]
-    return affinity(dend, params)[np.ix_(idx, idx)]
-
-
-def similarity(a, b, params, allow_intersection=False):
-    """Element-centric similarity between two dendrograms in [0, 1].
-
-    Both dendrograms must cover the same element set; with
-    allow_intersection=True they are first pruned to their common elements
-    (constant-signal dropping upstream makes small mismatches routine).
-    """
+def _common(a, b, allow_intersection):
+    """Sorted ids both dendrograms cover, or DataError when the pair cannot be compared."""
     set_a, set_b = set(a.leaf_ids), set(b.leaf_ids)
+    common = set_a & set_b
     if set_a != set_b:
         if not allow_intersection:
             only_a = sorted(set_a - set_b)
@@ -115,20 +113,44 @@ def similarity(a, b, params, allow_intersection=False):
             raise DataError(
                 f"element sets differ (only in a: {only_a}, only in b: {only_b}); "
                 "pass allow_intersection=True to compare the overlap")
-        common = set_a & set_b
         if len(common) < 2:
             raise DataError(f"element overlap too small to compare ({len(common)} elements)")
-        a = restrict(a, common)
-        b = restrict(b, common)
+    return tuple(sorted(common))
 
-    order = sorted(set(a.leaf_ids))
-    pa = _aligned_rows(a, order, params)
-    pb = _aligned_rows(b, order, params)
 
-    raw = 1.0 - np.abs(pa - pb).sum(axis=1) / (2.0 * params.alpha)
-    if not np.all((raw > -1e-9) & (raw < 1.0 + 1e-9)):
-        raise RuntimeError(f"per-element score out of range [{raw.min()!r}, {raw.max()!r}]: "
-                           "affinity rows are not probability distributions")
-    scores = np.clip(raw, 0.0, 1.0)
-    return SimilarityScore(value=float(scores.mean()),
-                           per_element=tuple(zip(order, (float(s) for s in scores))))
+def similarities(pairs, params, allow_intersection=False):
+    """Element-centric similarity in [0, 1] of each (a, b) dendrogram pair, in order.
+
+    Both dendrograms of a pair must cover the same element set; with
+    allow_intersection=True they are first restricted to their common
+    elements (constant-signal dropping upstream makes small mismatches
+    routine). Within one call each distinct (dendrogram, common elements)
+    tree is restricted and solved once.
+    """
+    pairs = list(pairs)  # holds every dendrogram for the call, so its id stays a valid key
+    solved, out = {}, []
+    for a, b in pairs:
+        order = _common(a, b, allow_intersection)
+        rows = []
+        for dend in (a, b):
+            key = (id(dend), None if len(order) == dend.n_leaves else order)
+            if key not in solved:
+                tree = dend if key[1] is None else restrict(dend, order)
+                # rows and columns in id order; take keeps the matrix C-ordered, and the row
+                # sums below depend on that layout down to the last bit
+                idx = np.array(sorted(range(len(order)), key=tree.leaf_ids.__getitem__))
+                solved[key] = affinity(tree, params).take(idx, 0).take(idx, 1)
+            rows.append(solved[key])
+        dist = rows[0] - rows[1]
+        raw = 1.0 - np.abs(dist, out=dist).sum(axis=1) / (2.0 * params.alpha)
+        if not (raw.min() > -1e-9 and raw.max() < 1.0 + 1e-9):
+            raise RuntimeError(f"per-element score out of range [{raw.min()!r}, {raw.max()!r}]: "
+                               "affinity rows are not probability distributions")
+        scores = raw.clip(0.0, 1.0)
+        out.append(SimilarityScore(value=float(scores.mean()), per_element=tuple(zip(order, scores.tolist()))))
+    return out
+
+
+def similarity(a, b, params, allow_intersection=False):
+    """Element-centric similarity of one dendrogram pair: similarities() of a one-pair batch."""
+    return similarities([(a, b)], params, allow_intersection)[0]

@@ -1,9 +1,10 @@
 """Similarity distributions and the Mann-Whitney U verdict machinery.
 
 benign_pairs() scores every unordered pair of benign dendrograms;
-attack_vs_benign() scores the attack x benign cross product. mann_whitney()
-compares the two samples with a two-sided test: exact enumeration of the
-null distribution when n1*n2 <= 10000 and there are no ties, otherwise a
+attack_vs_benign() scores the attack x benign cross product; each scores
+its pairs in one clusim.similarities() batch. mann_whitney() compares the
+two samples with a two-sided test: exact enumeration of the null
+distribution when n1*n2 <= 10000 and there are no ties, otherwise a
 tie-corrected normal approximation with continuity correction.
 density_export() produces Gaussian KDE curves for external plotting;
 verdicts never depend on it.
@@ -16,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .clusim import similarity
+from .clusim import similarities
 from .errors import DataError
 
 EXACT_LIMIT = 10_000
@@ -47,37 +48,28 @@ class TestResult:
     significant: bool
 
 
-def benign_pairs(dendrograms, params, capture_ids=None, allow_intersection=False):
-    """Similarity over all C(k, 2) unordered pairs of benign dendrograms."""
+def benign_pairs(dendrograms, params, capture_ids, allow_intersection=False):
+    """Similarity over all C(k, 2) unordered pairs of benign dendrograms, scored in one batch."""
     k = len(dendrograms)
     if k < 2:
         raise DataError(f"need at least 2 benign dendrograms, got {k}")
-    if capture_ids is None:
-        capture_ids = [f"benign_{i}" for i in range(k)]
-    values, pairs = [], []
-    for i, j in combinations(range(k), 2):
-        s = similarity(dendrograms[i], dendrograms[j], params, allow_intersection=allow_intersection)
-        values.append(s.value)
-        pairs.append((capture_ids[i], capture_ids[j]))
-    return SimilaritySample(group="benign_benign", values=tuple(values), pair_ids=tuple(pairs))
+    pairs = list(combinations(range(k), 2))
+    scores = similarities([(dendrograms[i], dendrograms[j]) for i, j in pairs], params,
+                          allow_intersection=allow_intersection)
+    return SimilaritySample(group="benign_benign", values=tuple(s.value for s in scores),
+                            pair_ids=tuple((capture_ids[i], capture_ids[j]) for i, j in pairs))
 
 
-def attack_vs_benign(attack_dends, benign_dends, params, kind="attack",
-                     attack_ids=None, benign_ids=None, allow_intersection=False):
-    """Similarity over the attack x benign cross product."""
+def attack_vs_benign(attack_dends, benign_dends, params, kind, attack_ids, benign_ids,
+                     allow_intersection=False):
+    """Similarity over the attack x benign cross product, scored in one batch."""
     if not attack_dends or not benign_dends:
         raise DataError("both attack and benign dendrogram lists must be non-empty")
-    if attack_ids is None:
-        attack_ids = [f"attack_{i}" for i in range(len(attack_dends))]
-    if benign_ids is None:
-        benign_ids = [f"benign_{i}" for i in range(len(benign_dends))]
-    values, pairs = [], []
-    for i, da in enumerate(attack_dends):
-        for j, db in enumerate(benign_dends):
-            s = similarity(da, db, params, allow_intersection=allow_intersection)
-            values.append(s.value)
-            pairs.append((attack_ids[i], benign_ids[j]))
-    return SimilaritySample(group=f"attack_benign:{kind}", values=tuple(values), pair_ids=tuple(pairs))
+    pairs = [(i, j) for i in range(len(attack_dends)) for j in range(len(benign_dends))]
+    scores = similarities([(attack_dends[i], benign_dends[j]) for i, j in pairs], params,
+                          allow_intersection=allow_intersection)
+    return SimilaritySample(group=f"attack_benign:{kind}", values=tuple(s.value for s in scores),
+                            pair_ids=tuple((attack_ids[i], benign_ids[j]) for i, j in pairs))
 
 
 def average_ranks(values):

@@ -62,9 +62,26 @@ class Xoshiro256StarStar:
         return result
 
     def uniforms(self, n):
-        """n doubles in the open interval (0, 1)."""
-        nxt = self.next_u64
-        return np.array([((nxt() >> 11) + 0.5) * (2.0 ** -53) for _ in range(n)])
+        """n doubles in the open interval (0, 1).
+
+        next_u64's arithmetic inlined on local state, written back once.
+        """
+        mask, scale = _MASK, 2.0 ** -53
+        s0, s1, s2, s3 = self._s
+        out = []
+        append = out.append
+        for _ in range(n):
+            x = (s1 * 5) & mask
+            append(((((((x << 7) | (x >> 57)) & mask) * 9 & mask) >> 11) + 0.5) * scale)
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask
+        self._s = [s0, s1, s2, s3]
+        return np.array(out)
 
     def normals(self, n, sigma=1.0):
         """n standard-normal draws (Box-Muller), scaled by sigma."""

@@ -70,6 +70,28 @@ def level_weights(dend, element, r):
     return [(node, float(nu), float(wi)) for node, nu, wi in zip(path, depths, w)]
 
 
+def membership_transition(dend, r):
+    """Oracle for clusim.transition_matrix, bit for bit: W from a node x leaf membership matrix.
+
+    Membership is built bottom-up and depth top-down by looping over the
+    merges; W is the same float expression clusim evaluates on its
+    depth-first layout.
+    """
+    n = dend.n_leaves
+    member = np.zeros((n + len(dend.merges), n))
+    member[:n] = np.eye(n)
+    for k, (left, right, _h, _s) in enumerate(dend.merges):
+        member[n + k] = member[left] + member[right]
+    depth = np.zeros(n + len(dend.merges))
+    for k in range(len(dend.merges) - 1, -1, -1):
+        left, right = dend.merges[k][:2]
+        depth[left] = depth[right] = depth[n + k] + 1
+    nu = depth[None, :] / depth[:n, None]
+    weights = np.exp(np.where(member.T > 0, r * nu, -np.inf))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return (weights / member.sum(axis=1)) @ member
+
+
 def power_iteration_ppr(w, alpha, tol=1e-12, max_iter=10_000):
     """Oracle for clusim.affinity: iterate P <- (1 - alpha) I + alpha P W to an l1 fixed point."""
     n = len(w)

@@ -17,7 +17,7 @@ from goldens import verify_goldens
 from canclust.hierarchy import agglomerate
 from canclust.ingest import parse_capture
 from canclust.pipeline import RunConfig, prepare, run
-from canclust.stats import benign_pairs, exact_u_counts, mann_whitney, u_statistic
+from canclust.stats import attack_vs_benign, benign_pairs, exact_u_counts, mann_whitney, u_statistic
 from canclust.synth import AttackSpec, SynthSpec, generate, inject, signal_id
 
 from conftest import heights, power_iteration_ppr, random_dendrogram, random_dissimilarity
@@ -40,32 +40,34 @@ def ward_dend(capture):
     return agglomerate(prepare(capture, 10.0, "one_minus_abs_rho")[2], "ward")
 
 
-def make_attack_dends(base, kind, targets, window):
-    dends = []
+def attack_sample(base, kind, targets, window, benign, benign_ids):
+    """Attack x benign similarities of 3 attacked captures against the given benign dendrograms."""
+    dends, ids = [], []
     for i in range(3):
         cap = generate(SynthSpec(seed=base + 100 + i, **BASE_SPEC))
         atk = AttackSpec(kind, targets, *window)
         dends.append(ward_dend(inject(cap, atk, seed=base + 200 + i)))
-    return dends
+        ids.append(cap.capture_id)
+    return attack_vs_benign(dends, benign, PARAMS, kind, ids, benign_ids)
 
 
 @pytest.fixture(scope="module")
 def replicates():
-    """Per-replicate Ward dendrograms for 15 benign captures, reused by 2-4."""
+    """Per-replicate Ward dendrograms and capture ids of 15 benign captures, reused by 2-4."""
     out = []
     for rep in range(N_REPS):
         base = rep * 1000
-        dends = [ward_dend(generate(SynthSpec(seed=base + i, **BASE_SPEC),
-                                    capture_id=f"b{rep}_{i}"))
-                 for i in range(15)]
-        out.append((base, dends))
+        ids = [f"b{rep}_{i}" for i in range(15)]
+        dends = [ward_dend(generate(SynthSpec(seed=base + i, **BASE_SPEC), capture_id=cid))
+                 for i, cid in enumerate(ids)]
+        out.append((base, dends, ids))
     return out
 
 
 def test_criterion_01_benign_pair_count(rng, capsys):
     ids = tuple(f"s{i}" for i in range(6))
     dends = [agglomerate(random_dissimilarity(rng, 6, ids), "ward") for _ in range(12)]
-    sample = benign_pairs(dends, PARAMS)
+    sample = benign_pairs(dends, PARAMS, [f"capture_{i}" for i in range(12)])
     passed = len(sample.values) == 66 and len(set(sample.pair_ids)) == 66
     report(capsys, 1, passed, f"12 benign captures give {len(sample.values)} benign-benign pairs (want 66)")
 
@@ -73,11 +75,10 @@ def test_criterion_01_benign_pair_count(rng, capsys):
 def test_criterion_02_correlated_break_detection(replicates, capsys):
     targets = tuple(signal_id(0, j) for j in range(4))
     rejections, pvals = 0, []
-    for base, benign in replicates:
-        bsample = benign_pairs(benign[:12], PARAMS)
-        attack = make_attack_dends(base, "correlated_break", targets, (0.0, 60.0))
-        avals = [similarity(a, b, PARAMS).value for a in attack for b in benign[:12]]
-        res = mann_whitney(bsample.values, avals)
+    for base, benign, ids in replicates:
+        bsample = benign_pairs(benign[:12], PARAMS, ids[:12])
+        asample = attack_sample(base, "correlated_break", targets, (0.0, 60.0), benign[:12], ids[:12])
+        res = mann_whitney(bsample, asample)
         pvals.append(res.p_value)
         rejections += res.p_value < 0.05
     passed = rejections >= 18
@@ -88,10 +89,10 @@ def test_criterion_02_correlated_break_detection(replicates, capsys):
 
 def test_criterion_03_type_one_calibration(replicates, capsys):
     false_alarms = 0
-    for _base, benign in replicates:
-        bsample = benign_pairs(benign[:12], PARAMS)
-        pseudo = [similarity(a, b, PARAMS).value for a in benign[12:15] for b in benign[:12]]
-        res = mann_whitney(bsample.values, pseudo)
+    for _base, benign, ids in replicates:
+        bsample = benign_pairs(benign[:12], PARAMS, ids[:12])
+        pseudo = attack_vs_benign(benign[12:15], benign[:12], PARAMS, "benign_split", ids[12:15], ids[:12])
+        res = mann_whitney(bsample, pseudo)
         false_alarms += res.p_value < 0.05
     passed = false_alarms <= 3
     report(capsys, 3, passed,
@@ -102,11 +103,10 @@ def test_criterion_04_max_value_detection(replicates, capsys):
     # a whole-window pin would be pruned as constant; leave the window edges benign
     targets = (signal_id(0, 0),)
     rejections, pvals = 0, []
-    for base, benign in replicates:
-        bsample = benign_pairs(benign[:12], PARAMS)
-        attack = make_attack_dends(base, "max_value", targets, (6.0, 54.0))
-        avals = [similarity(a, b, PARAMS).value for a in attack for b in benign[:12]]
-        res = mann_whitney(bsample.values, avals)
+    for base, benign, ids in replicates:
+        bsample = benign_pairs(benign[:12], PARAMS, ids[:12])
+        asample = attack_sample(base, "max_value", targets, (6.0, 54.0), benign[:12], ids[:12])
+        res = mann_whitney(bsample, asample)
         pvals.append(res.p_value)
         rejections += res.p_value < 0.05
     passed = rejections >= 15

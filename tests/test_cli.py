@@ -117,6 +117,20 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "config error" in err and "'attack_0'" in err and "'targets'" in err
 
+    @pytest.mark.parametrize("attack, message", [
+        ({"targets": ["nope"]}, "attack targets not in capture: ['nope']"),
+        ({"start_s": 50.0, "end_s": 60.0}, "attack window starts after capture ends"),
+        ({"kind": "binary_flip"}, "binary_flip target 'ID_100_sig_0' has"),
+    ], ids=["unknown_target", "window_after_end", "binary_flip_non_binary"])
+    def test_attack_that_does_not_fit_the_capture(self, tmp_path, capsys, attack, message):
+        doc = synth_spec_doc(n_benign=1)
+        doc["captures"][1]["attack"].update(attack)
+        p = tmp_path / "misfit.json"
+        p.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "capture 'attack_0'" in err and message in err
+
     @pytest.mark.parametrize("entry", [1, "benign_0", ["seed", 1], None])
     def test_capture_entry_not_an_object(self, tmp_path, capsys, entry):
         doc = synth_spec_doc(n_benign=1, attack=False)

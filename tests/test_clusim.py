@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from canclust import clusim
-from canclust.clusim import HierarchyParams, affinity, similarity, transition_matrix
+from canclust.clusim import HierarchyParams, affinity, similarities, similarity, transition_matrix
 from canclust.errors import DataError
-from canclust.hierarchy import LINKAGES, Dendrogram
+from canclust.hierarchy import LINKAGES, Dendrogram, agglomerate, restrict
 
-from conftest import leaves_under, level_weights, power_iteration_ppr, random_dendrogram
+from conftest import (leaves_under, level_weights, membership_transition, power_iteration_ppr,
+                      random_dendrogram, random_dissimilarity)
 
 
 def chain(ids, heights=None):
@@ -95,6 +96,14 @@ class TestTransitionMatrix:
                 w = transition_matrix(dend, r)
                 assert np.max(np.abs(w - expected)) <= 1e-15
                 assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_bit_identical_to_membership_form(self, rng, linkage):
+        # the depth-first layout must give the same floats as the membership-matrix form
+        for n in (2, 3, 5, 17, 40, 70):
+            dend = random_dendrogram(rng, n, linkage)
+            r = float(rng.uniform(-8, 8))
+            assert np.array_equal(transition_matrix(dend, r), membership_transition(dend, r))
 
 
 class TestAffinity:
@@ -196,7 +205,6 @@ class TestSimilarity:
         assert set(e for e, _ in s.per_element) == {"a", "b", "c"}
 
     def test_intersection_matches_manual_restrict(self, rng):
-        from canclust.hierarchy import restrict
         a = random_dendrogram(rng, 8)
         ids = list(a.leaf_ids)
         b_full = random_dendrogram(rng, 8)
@@ -211,15 +219,112 @@ class TestSimilarity:
         # an invariant, not an assert: python -O must not let a broken affinity through
         flips = iter((5.0, -5.0))
         monkeypatch.setattr(clusim, "affinity", lambda dend, params: next(flips) * np.eye(dend.n_leaves))
-        dend = random_dendrogram(rng, 4)
+        a = random_dendrogram(rng, 4)
+        b = Dendrogram(a.leaf_ids, a.merges, a.linkage)  # an equal tree, solved on its own
         with pytest.raises(RuntimeError, match="out of range"):
-            similarity(dend, dend, HierarchyParams())
+            similarity(a, b, HierarchyParams())
 
     def test_overlap_too_small(self):
         a = chain(("a", "b", "c"))
         b = chain(("a", "x", "y"))
         with pytest.raises(DataError, match="overlap too small"):
             similarity(a, b, HierarchyParams(), allow_intersection=True)
+
+
+def oracle_similarity(a, b, params):
+    """The per-pair chain: restrict both trees, solve each alone, align rows by id."""
+    common = set(a.leaf_ids) & set(b.leaf_ids)
+    if set(a.leaf_ids) != set(b.leaf_ids):
+        a, b = restrict(a, common), restrict(b, common)
+    order = sorted(common)
+    rows = []
+    for dend in (a, b):
+        idx = [dend.leaf_ids.index(e) for e in order]
+        rows.append(affinity(dend, params)[np.ix_(idx, idx)])
+    raw = 1.0 - np.abs(rows[0] - rows[1]).sum(axis=1) / (2.0 * params.alpha)
+    scores = np.clip(raw, 0.0, 1.0)
+    return float(scores.mean()), tuple(zip(order, (float(x) for x in scores)))
+
+
+def random_tree(rng, ids, linkage):
+    """A dendrogram over the given ids in a random leaf order."""
+    ids = [ids[i] for i in rng.permutation(len(ids))]
+    return agglomerate(random_dissimilarity(rng, len(ids), ids), linkage)
+
+
+def graft(dend, new_id, sibling):
+    """dend with a leaf new_id merged onto leaf `sibling` first; restricting new_id away gives dend back."""
+    n = dend.n_leaves
+    node = lambda v: n + 1 if v == sibling else (v if v < n else v + 2)
+    merges = ((sibling, n, 0.0, 2),) + tuple((node(l), node(r), h, s) for l, r, h, s in dend.merges)
+    return Dendrogram(dend.leaf_ids + (new_id,), merges, dend.linkage)
+
+
+class TestSimilarities:
+    """A batch against the per-pair chain, bit for bit."""
+
+    def assert_matches_oracle(self, pairs, params, got):
+        assert len(got) == len(pairs)
+        for (a, b), score in zip(pairs, got):
+            value, per_element = oracle_similarity(a, b, params)
+            assert score.value == value
+            assert score.per_element == per_element
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_matches_per_pair_oracle(self, rng, linkage):
+        # random trees of 3-20 leaves over overlapping id sets, some pairs on equal sets
+        pool = [f"s{i}" for i in range(24)]
+        dends = []
+        for _ in range(14):
+            n = int(rng.integers(3, 21))
+            dends.append(random_tree(rng, [pool[i] for i in sorted(rng.choice(24, n, replace=False))], linkage))
+        base = pool[:9]
+        dends += [random_tree(rng, base, linkage) for _ in range(3)]
+        pairs = [(a, b) for i, a in enumerate(dends) for b in dends[i:]
+                 if len(set(a.leaf_ids) & set(b.leaf_ids)) >= 2]
+        assert any(a is not b and set(a.leaf_ids) == set(b.leaf_ids) for a, b in pairs)
+        params = HierarchyParams(r=float(rng.uniform(-8, 8)), alpha=float(rng.uniform(0.5, 0.95)))
+        self.assert_matches_oracle(pairs, params, similarities(pairs, params, allow_intersection=True))
+
+    def test_each_distinct_tree_solved_once(self, rng, monkeypatch):
+        # keys are (dendrogram, common ids): a tree whose ids are the common set is solved
+        # unrestricted whether its peer has the same ids or more, and a dendrogram restricted
+        # to two different sets is solved once for each
+        solved = []
+        real = clusim.affinity
+        monkeypatch.setattr(clusim, "affinity", lambda dend, params: solved.append(dend) or real(dend, params))
+        ids = tuple(f"s{i}" for i in range(8))
+        d, e = random_tree(rng, ids, "average"), random_tree(rng, ids, "ward")
+        f = random_tree(rng, ids + ("x",), "single")
+        g = random_tree(rng, ids[1:] + ("x", "y"), "complete")
+        pairs = [(d, e), (d, f), (e, f), (f, g), (d, e), (f, d)]
+        params = HierarchyParams()
+        self.assert_matches_oracle(pairs, params, similarities(pairs, params, allow_intersection=True))
+        common_fg = set(f.leaf_ids) & set(g.leaf_ids)
+        assert solved[:3] == [d, e, restrict(f, ids)]
+        assert solved[3:] == [restrict(f, common_fg), restrict(g, common_fg)]
+
+    def test_equal_restricted_trees_score_equal(self, rng):
+        # three pairs that restrict to the same two trees, from different dendrograms in one
+        # batch: float noise must not split this tie
+        ids = tuple(f"s{i}" for i in range(10))
+        d = agglomerate(random_dissimilarity(rng, 10, ids), "average")
+        e = agglomerate(random_dissimilarity(rng, 10, ids), "single")
+        tied = [(graft(d, "x", 2), graft(e, "y", 5)), (graft(d, "z", 7), e), (d, e)]
+        assert restrict(tied[0][0], ids) == restrict(tied[1][0], ids) == d
+        assert restrict(tied[0][1], ids) == e
+        filler = [(random_tree(rng, ids, "ward"), random_tree(rng, ids[1:] + ("w",), "complete"))
+                  for _ in range(10)]
+        batch = [tied[0]] + filler[:5] + [tied[1]] + filler[5:] + [tied[2]]
+        scores = similarities(batch, HierarchyParams(), allow_intersection=True)
+        got = [scores[0], scores[6], scores[-1]]
+        assert got[0] == got[1] == got[2] == similarity(d, e, HierarchyParams())
+
+    def test_first_bad_pair_raises(self, rng):
+        a, b = chain(("a", "b", "c")), chain(("a", "b", "d"))
+        with pytest.raises(DataError, match="element sets differ"):
+            similarities([(a, a), (a, b), (b, b)], HierarchyParams())
+        assert similarities([], HierarchyParams()) == []
 
 
 class TestParams:

@@ -180,7 +180,8 @@ class TestSampleBuilders:
 
     def test_benign_pair_count(self, rng):
         dends = self.make_dends(rng, 12)
-        sample = benign_pairs(dends, HierarchyParams())
+        ids = [f"b{i}" for i in range(12)]
+        sample = benign_pairs(dends, HierarchyParams(), ids)
         assert len(sample.values) == 66
         assert sample.group == "benign_benign"
         assert len(set(sample.pair_ids)) == 66
@@ -188,15 +189,17 @@ class TestSampleBuilders:
     def test_cross_product_count(self, rng):
         attack = self.make_dends(rng, 3)
         benign = self.make_dends(rng, 12)
-        sample = attack_vs_benign(attack, benign, HierarchyParams(), kind="max_value")
+        sample = attack_vs_benign(attack, benign, HierarchyParams(), "max_value",
+                                  [f"a{i}" for i in range(3)], [f"b{i}" for i in range(12)])
         assert len(sample.values) == 36
+        assert sample.pair_ids[0] == ("a0", "b0") and sample.pair_ids[-1] == ("a2", "b11")
         assert sample.group == "attack_benign:max_value"
 
     def test_needs_two_benign(self, rng):
         with pytest.raises(DataError):
-            benign_pairs(self.make_dends(rng, 1), HierarchyParams())
+            benign_pairs(self.make_dends(rng, 1), HierarchyParams(), ["b0"])
         with pytest.raises(DataError):
-            attack_vs_benign([], self.make_dends(rng, 2), HierarchyParams())
+            attack_vs_benign([], self.make_dends(rng, 2), HierarchyParams(), "max_value", [], ["b0", "b1"])
 
 
 class TestDensity:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from canclust.errors import DataError
 from canclust.ingest import parse_capture
 from canclust.synth import (AttackSpec, SynthSpec, Xoshiro256StarStar, generate, inject,
                             pair_coupling, signal_id, write_wide_csv)
+
+BASE_SPEC = dict(n_groups=4, signals_per_group=4, duration_s=60.0, rate_hz=10.0)
 
 
 def small_spec(**overrides):
@@ -36,6 +40,56 @@ class TestPrng:
     def test_outputs_fit_64_bits(self):
         g = Xoshiro256StarStar(42)
         assert all(0 <= g.next_u64() < 2 ** 64 for _ in range(100))
+
+
+def capture_digest(cap):
+    """SHA-256 over every signal's id, timestamps and values, in capture order."""
+    h = hashlib.sha256()
+    for s in cap.signals:
+        h.update(s.signal_id.encode())
+        h.update(np.ascontiguousarray(s.timestamps, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(s.values, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestStreamDigests:
+    """Captures are pinned bit for bit: a faster draw loop must reproduce these digests."""
+
+    CASES = {
+        "small_seed7": (lambda: generate(small_spec()),
+                        "50064375de7845201da9ccca5f0e6de05266063cf39b00ea8cd4036cec93761b"),
+        "base_seed1000": (lambda: generate(SynthSpec(seed=1000, **BASE_SPEC)),
+                          "530fdee48bcd9788a4d3e620343989f56b125b87a529793e53951c8aa60fbeff"),
+        # odd length: Box-Muller's last pair is half discarded; the largest seed
+        "odd_length": (lambda: generate(SynthSpec(n_groups=5, signals_per_group=2, duration_s=2.5, rate_hz=10.0,
+                                                  intra_group_rho=0.8, seed=2 ** 64 - 1)),
+                       "903b1dc6c1d825097b79536408135b959546f7f064881dbef8e64ddd6c317f4a"),
+        "noise_free": (lambda: generate(SynthSpec(n_groups=3, signals_per_group=2, duration_s=10.0, rate_hz=5.0,
+                                                  noise_sigma=0.0, seed=3)),
+                       "fc2abf2480a94812eccb5e6d9c3621d9ce17cbef6741c23ada15627ecce7d458"),
+        "correlated_break": (lambda: inject(generate(SynthSpec(seed=100, **BASE_SPEC)),
+                                            AttackSpec("correlated_break", tuple(signal_id(0, j) for j in range(4)),
+                                                       10.0, 50.0), seed=200),
+                             "ba9248134d791665c5ba3270b499a1ef487a503ee7d4abd27fa034363ac57e9e"),
+        "max_value": (lambda: inject(generate(SynthSpec(seed=101, **BASE_SPEC)),
+                                     AttackSpec("max_value", (signal_id(0, 0),), 6.0, 54.0), seed=201),
+                      "2f12b3794c86cd62512a39b4a07242806a1eac3a69e784f2335bd30079b7868f"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_capture_digest(self, case):
+        make, digest = self.CASES[case]
+        assert capture_digest(make()) == digest
+
+    def test_uniforms_then_next_u64(self):
+        # a block of uniforms leaves the state where one draw at a time would
+        g = Xoshiro256StarStar(123)
+        u = g.uniforms(1001)
+        assert hashlib.sha256(u.tobytes()).hexdigest() == (
+            "b93921b235fa5695cd6a7b303fe148baf54078eea472b505681f5df02906ab28")
+        assert [g.next_u64() for _ in range(3)] == [15697011380563813994, 9059344732895504762,
+                                                    16161488132614639985]
+        assert Xoshiro256StarStar(5).uniforms(0).shape == (0,)
 
 
 class TestGenerate:
