@@ -11,18 +11,18 @@ from .ingest import RawSignal, SignalCapture, SignalMatrix, parse_capture, resam
 from .correlation import CorrelationMatrix, DissimilarityMatrix, pearson_matrix, to_dissimilarity
 from .hierarchy import LINKAGES, Dendrogram, agglomerate
 from .clusim import HierarchyParams, SimilarityScore, affinity, similarity
-from .stats import SimilaritySample, TestResult, attack_vs_benign, benign_pairs, density_export, mann_whitney
+from .stats import TestResult, density_export, mann_whitney
 from .synth import AttackSpec, SynthSpec, generate, inject, signal_id
-from .pipeline import RunConfig, VerdictReport, prepare, run, verdict
+from .pipeline import RunConfig, SimilaritySample, VerdictReport, prepare, run, verdict
 
 __all__ = [
     "RawSignal", "SignalCapture", "SignalMatrix", "parse_capture", "resample",
     "CorrelationMatrix", "DissimilarityMatrix", "pearson_matrix", "to_dissimilarity",
     "LINKAGES", "Dendrogram", "agglomerate",
     "HierarchyParams", "SimilarityScore", "affinity", "similarity",
-    "SimilaritySample", "TestResult", "attack_vs_benign", "benign_pairs", "density_export", "mann_whitney",
+    "TestResult", "density_export", "mann_whitney",
     "AttackSpec", "SynthSpec", "generate", "inject", "signal_id",
-    "RunConfig", "VerdictReport", "prepare", "run", "verdict",
+    "RunConfig", "SimilaritySample", "VerdictReport", "prepare", "run", "verdict",
 ]
 
 __version__ = "0.1.0"

@@ -58,8 +58,15 @@ def _add_shared(parser):
 
 
 def _cmd_analyze(args):
-    # every parameter is checked before any file is parsed
+    # every parameter, attack kinds included, is checked before any file is parsed
+    patterns = {}  # kind -> its patterns, in command-line order
+    for spec in args.attack:
+        if "=" not in spec:
+            raise ConfigError(f"--attack expects <kind>=<dir|glob>, got {spec!r}")
+        kind, pattern = spec.split("=", 1)
+        patterns.setdefault(kind, []).append(pattern)
     config = RunConfig(
+        attack_capture_groups=dict.fromkeys(patterns, ()),
         frequency_hz=args.freq,
         linkages=tuple(l.strip() for l in args.linkage.split(",") if l.strip()),
         r=args.r,
@@ -70,13 +77,9 @@ def _cmd_analyze(args):
         output_dir=args.out,
     )
     config.check_parameters()
-    attack_groups = {}
-    for spec in args.attack:
-        if "=" not in spec:
-            raise ConfigError(f"--attack expects <kind>=<dir|glob>, got {spec!r}")
-        kind, pattern = spec.split("=", 1)
-        caps = _parse_files(pattern, args.format, label="attack", attack_kind=kind)
-        attack_groups[kind] = attack_groups.get(kind, ()) + caps
+    attack_groups = {kind: tuple(cap for p in pats
+                                 for cap in _parse_files(p, args.format, label="attack", attack_kind=kind))
+                     for kind, pats in patterns.items()}
     config = replace(config, benign_captures=_parse_files(args.benign, args.format),
                      attack_capture_groups=attack_groups)
     summary, _tally = verdict(run(config))

@@ -18,7 +18,8 @@ compares both trees restricted to their common elements, and each distinct
 (dendrogram, common elements) tree is solved by affinity() once per call.
 """
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,8 +43,22 @@ class HierarchyParams:
 
 @dataclass(frozen=True)
 class SimilarityScore:
+    """A pair's similarity and each compared element's score.
+
+    The scores are one read-only array per pair, not a tuple of (id, score)
+    pairs, because a batch holds every score it returns and that many small
+    Python objects show in the peak memory of an analyze run. == compares
+    value and elements only; compare per_element for the scores.
+    """
+
     value: float
-    per_element: tuple  # of (element_id, score)
+    elements: tuple  # the compared element ids, sorted
+    scores: np.ndarray = field(compare=False)  # in elements order
+
+    @property
+    def per_element(self):
+        """(element_id, score) for every compared element."""
+        return tuple(zip(self.elements, self.scores.tolist()))
 
 
 def _layout(dend):
@@ -125,15 +140,19 @@ def similarities(pairs, params, allow_intersection=False):
     allow_intersection=True they are first restricted to their common
     elements (constant-signal dropping upstream makes small mismatches
     routine). Within one call each distinct (dendrogram, common elements)
-    tree is restricted and solved once.
+    tree is restricted and solved once, and its matrix is kept only until
+    the last pair that uses it. Every pair's element sets are checked
+    before any tree is solved.
     """
     pairs = list(pairs)  # holds every dendrogram for the call, so its id stays a valid key
+    orders = [_common(a, b, allow_intersection) for a, b in pairs]
+    keys = [[(id(dend), None if len(order) == dend.n_leaves else order) for dend in pair]
+            for pair, order in zip(pairs, orders)]
+    uses = Counter(key for pair_keys in keys for key in pair_keys)
     solved, out = {}, []
-    for a, b in pairs:
-        order = _common(a, b, allow_intersection)
+    for pair, order, pair_keys in zip(pairs, orders, keys):
         rows = []
-        for dend in (a, b):
-            key = (id(dend), None if len(order) == dend.n_leaves else order)
+        for dend, key in zip(pair, pair_keys):
             if key not in solved:
                 tree = dend if key[1] is None else restrict(dend, order)
                 # rows and columns in id order; take keeps the matrix C-ordered, and the row
@@ -141,13 +160,17 @@ def similarities(pairs, params, allow_intersection=False):
                 idx = np.array(sorted(range(len(order)), key=tree.leaf_ids.__getitem__))
                 solved[key] = affinity(tree, params).take(idx, 0).take(idx, 1)
             rows.append(solved[key])
+            uses[key] -= 1
+            if not uses[key]:  # its last pair: drop the matrix, so a batch holds only live trees
+                del solved[key]
         dist = rows[0] - rows[1]
         raw = 1.0 - np.abs(dist, out=dist).sum(axis=1) / (2.0 * params.alpha)
         if not (raw.min() > -1e-9 and raw.max() < 1.0 + 1e-9):
             raise RuntimeError(f"per-element score out of range [{raw.min()!r}, {raw.max()!r}]: "
                                "affinity rows are not probability distributions")
         scores = raw.clip(0.0, 1.0)
-        out.append(SimilarityScore(value=float(scores.mean()), per_element=tuple(zip(order, scores.tolist()))))
+        scores.flags.writeable = False
+        out.append(SimilarityScore(value=float(scores.mean()), elements=order, scores=scores))
     return out
 
 

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import DataError
 
+DISSIMILARITIES = ("one_minus_abs_rho", "half_one_minus_rho")
+
 
 @dataclass(frozen=True)
 class CorrelationMatrix:

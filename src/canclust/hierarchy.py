@@ -44,18 +44,6 @@ class Dendrogram:
     def n_leaves(self):
         return len(self.leaf_ids)
 
-    def to_dict(self):
-        return {
-            "leaf_ids": list(self.leaf_ids),
-            "linkage": self.linkage,
-            "merges": [[int(l), int(r), float(h), int(s)] for l, r, h, s in self.merges],
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        merges = tuple((int(l), int(r), float(h), int(s)) for l, r, h, s in doc["merges"])
-        return cls(leaf_ids=tuple(doc["leaf_ids"]), merges=merges, linkage=doc["linkage"])
-
 
 def agglomerate(dm, linkage):
     """Cluster a DissimilarityMatrix into a Dendrogram under the given linkage."""

@@ -1,25 +1,30 @@
 """End-to-end orchestration: captures in, verdict report out.
 
 prepare() takes one capture through resampling, correlation and the
-dissimilarity transform. run() prepares every in-memory capture once,
-clusters each once per requested linkage, builds the benign-benign and
-attack-vs-benign similarity distributions, runs the Mann-Whitney test per
-(attack kind, linkage) cell, and emits a self-contained report. Loading
-capture files is the caller's job (the CLI does it with parse_capture).
-verdict() condenses a report into the human-readable detection tally.
+dissimilarity transform. run() prepares every in-memory capture once and
+clusters each once per requested linkage. Per linkage it scores, in one
+clusim.similarities() batch, the C(k, 2) benign pairs and then the attack x
+benign pairs of each non-empty attack kind, so a tree shared by benign and
+attack pairs is solved once; it slices the scores into the benign sample and
+the attack samples, runs the Mann-Whitney test per (attack kind, linkage)
+cell, and emits a self-contained report. Loading capture files is the
+caller's job (the CLI does it with parse_capture). verdict() condenses a
+report into the human-readable detection tally.
 """
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 
-from .clusim import HierarchyParams
-from .correlation import pearson_matrix, to_dissimilarity
+from .clusim import HierarchyParams, similarities
+from .correlation import DISSIMILARITIES, pearson_matrix, to_dissimilarity
 from .errors import ConfigError, DataError
 from .hierarchy import LINKAGES, agglomerate
 from .ingest import resample
-from .stats import attack_vs_benign, benign_pairs, density_export, mann_whitney
+from .stats import density_export, mann_whitney
 
 SCHEMA_VERSION = 1
 
@@ -50,6 +55,15 @@ class RunConfig:
         bad = [l for l in self.linkages if l not in LINKAGES]
         if bad:
             raise ConfigError(f"unknown linkages {bad}; choose from {LINKAGES}")
+        if len(set(self.linkages)) < len(self.linkages):
+            raise ConfigError(f"duplicate linkages in {list(self.linkages)}")
+        if self.dissimilarity not in DISSIMILARITIES:
+            raise ConfigError(f"unknown dissimilarity {self.dissimilarity!r}; choose from {DISSIMILARITIES}")
+        # a kind names output files (density_<kind>_<linkage>.csv)
+        bad = [k for k in self.attack_capture_groups
+               if not (isinstance(k, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", k))]
+        if bad:
+            raise ConfigError(f"attack kinds {bad} are not non-empty names of letters, digits, '_', '-' and '.'")
         if not (0.0 < self.significance < 1.0):
             raise ConfigError("significance must be in (0, 1)")
         if not (0.0 < self.frequency_hz < math.inf):
@@ -69,6 +83,14 @@ class RunConfig:
             "dissimilarity": self.dissimilarity,
             "allow_intersection": self.allow_intersection,
         }
+
+
+@dataclass(frozen=True)
+class SimilaritySample:
+    """Similarities of one comparison group, one per (capture_id, capture_id) pair."""
+
+    values: tuple
+    pair_ids: tuple
 
 
 @dataclass(frozen=True)
@@ -145,23 +167,27 @@ def run(config):
         for cap_id, dm in dissims.items():
             dendrograms[(cap_id, linkage)] = agglomerate(dm, linkage)
 
+    # one batch per linkage: the C(k, 2) benign pairs first, then attack x benign for
+    # each non-empty kind, whose pairs are pair_ids[lo:hi] for its (kind, lo, hi)
     benign_ids = [c.capture_id for c in config.benign_captures]
+    pair_ids = list(combinations(benign_ids, 2))
+    n_benign = len(pair_ids)
+    groups = []
+    for kind, caps in attack_groups.items():
+        if caps:
+            lo = len(pair_ids)
+            pair_ids += [(c.capture_id, b) for c in caps for b in benign_ids]
+            groups.append((kind, lo, len(pair_ids)))
     benign_samples = {}
     entries = {}
     for linkage in config.linkages:
-        bdends = [dendrograms[(cid, linkage)] for cid in benign_ids]
-        bsample = benign_pairs(bdends, params, capture_ids=benign_ids,
-                               allow_intersection=config.allow_intersection)
-        benign_samples[linkage] = bsample
-        for kind, caps in attack_groups.items():
-            if not caps:
-                continue
-            aids = [c.capture_id for c in caps]
-            adends = [dendrograms[(cid, linkage)] for cid in aids]
-            asample = attack_vs_benign(adends, bdends, params, kind=kind,
-                                       attack_ids=aids, benign_ids=benign_ids,
-                                       allow_intersection=config.allow_intersection)
-            t = mann_whitney(bsample, asample, significance=config.significance)
+        scores = similarities([(dendrograms[(a, linkage)], dendrograms[(b, linkage)]) for a, b in pair_ids],
+                              params, allow_intersection=config.allow_intersection)
+        values = tuple(s.value for s in scores)
+        benign_samples[linkage] = bsample = SimilaritySample(values=values[:n_benign],
+                                                             pair_ids=tuple(pair_ids[:n_benign]))
+        for kind, lo, hi in groups:
+            t = mann_whitney(bsample.values, values[lo:hi], significance=config.significance)
             entries[(kind, linkage)] = {
                 "u": t.u_statistic,
                 "p_value": t.p_value,
@@ -169,8 +195,8 @@ def run(config):
                 "significant": t.significant,
                 "n_benign_pairs": t.n1,
                 "n_attack_pairs": t.n2,
-                "attack_values": list(asample.values),
-                "attack_pair_ids": [list(p) for p in asample.pair_ids],
+                "attack_values": list(values[lo:hi]),
+                "attack_pair_ids": [list(p) for p in pair_ids[lo:hi]],
             }
 
     report = VerdictReport(schema=SCHEMA_VERSION, config=config.echo(),

@@ -1,41 +1,21 @@
-"""Similarity distributions and the Mann-Whitney U verdict machinery.
+"""Mann-Whitney U verdict machinery and KDE export, on plain sequences of similarities.
 
-benign_pairs() scores every unordered pair of benign dendrograms;
-attack_vs_benign() scores the attack x benign cross product; each scores
-its pairs in one clusim.similarities() batch. mann_whitney() compares the
-two samples with a two-sided test: exact enumeration of the null
-distribution when n1*n2 <= 10000 and there are no ties, otherwise a
-tie-corrected normal approximation with continuity correction.
-density_export() produces Gaussian KDE curves for external plotting;
-verdicts never depend on it.
+mann_whitney() compares two samples with a two-sided test: exact
+enumeration of the null distribution when n1*n2 <= 10000 and there are no
+ties, otherwise a tie-corrected normal approximation with continuity
+correction. density_export() produces Gaussian KDE curves for external
+plotting; verdicts never depend on it.
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .clusim import similarities
 from .errors import DataError
 
 EXACT_LIMIT = 10_000
-
-
-@dataclass(frozen=True)
-class SimilaritySample:
-    """Empirical similarity distribution for one comparison group."""
-
-    group: str  # "benign_benign" or "attack_benign:<kind>"
-    values: tuple
-    pair_ids: tuple  # of (capture_id, capture_id)
-
-    def __post_init__(self):
-        if len(self.values) != len(self.pair_ids):
-            raise ValueError("values and pair_ids must align")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError("non-finite similarity value")
 
 
 @dataclass(frozen=True)
@@ -46,30 +26,6 @@ class TestResult:
     n2: int
     method: str  # "exact" or "normal_approx"
     significant: bool
-
-
-def benign_pairs(dendrograms, params, capture_ids, allow_intersection=False):
-    """Similarity over all C(k, 2) unordered pairs of benign dendrograms, scored in one batch."""
-    k = len(dendrograms)
-    if k < 2:
-        raise DataError(f"need at least 2 benign dendrograms, got {k}")
-    pairs = list(combinations(range(k), 2))
-    scores = similarities([(dendrograms[i], dendrograms[j]) for i, j in pairs], params,
-                          allow_intersection=allow_intersection)
-    return SimilaritySample(group="benign_benign", values=tuple(s.value for s in scores),
-                            pair_ids=tuple((capture_ids[i], capture_ids[j]) for i, j in pairs))
-
-
-def attack_vs_benign(attack_dends, benign_dends, params, kind, attack_ids, benign_ids,
-                     allow_intersection=False):
-    """Similarity over the attack x benign cross product, scored in one batch."""
-    if not attack_dends or not benign_dends:
-        raise DataError("both attack and benign dendrogram lists must be non-empty")
-    pairs = [(i, j) for i in range(len(attack_dends)) for j in range(len(benign_dends))]
-    scores = similarities([(attack_dends[i], benign_dends[j]) for i, j in pairs], params,
-                          allow_intersection=allow_intersection)
-    return SimilaritySample(group=f"attack_benign:{kind}", values=tuple(s.value for s in scores),
-                            pair_ids=tuple((attack_ids[i], benign_ids[j]) for i, j in pairs))
 
 
 def average_ranks(values):
@@ -119,15 +75,15 @@ def exact_u_counts(n1, n2):
 
 
 def mann_whitney(x, y, significance=0.05):
-    """Two-sided Mann-Whitney U test between two similarity samples.
+    """Two-sided Mann-Whitney U test between two sequences of similarities.
 
-    Accepts SimilaritySamples or plain sequences. Exact enumeration is used
+    Exact enumeration is used
     when n1*n2 <= 10000 and the pooled sample is tie-free; otherwise a
     normal approximation with tie-corrected variance and 0.5 continuity
     correction. Two samples with all values identical degenerate to p = 1.
     """
-    xv = np.asarray(x.values if isinstance(x, SimilaritySample) else x, dtype=float)
-    yv = np.asarray(y.values if isinstance(y, SimilaritySample) else y, dtype=float)
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
     n1, n2 = len(xv), len(yv)
     if n1 == 0 or n2 == 0:
         raise DataError("mann_whitney requires two non-empty samples")
@@ -169,13 +125,13 @@ def scott_bandwidth(values):
     return float(np.std(values, ddof=1) * len(values) ** (-0.2))
 
 
-def density_export(sample, n_points=256):
-    """Gaussian KDE curve for a similarity sample, bandwidth h = sigma_hat * n^(-1/5) (Scott's rule).
+def density_export(values, n_points=256):
+    """Gaussian KDE curve for a sequence of similarities, bandwidth h = sigma_hat * n^(-1/5) (Scott's rule).
 
     Returns an (n_points, 2) array of (x, density) over [min - 3h, max + 3h];
     the trapezoid integral of the curve is 1 within ~1e-3.
     """
-    values = np.asarray(sample.values if isinstance(sample, SimilaritySample) else sample, dtype=float)
+    values = np.asarray(values, dtype=float)
     if len(values) < 2:
         raise DataError("density_export needs at least 2 values")
     h = scott_bandwidth(values)

@@ -3,7 +3,8 @@
 One test per criterion; each prints a single PASS/FAIL line on the real
 terminal (bypassing capture) before asserting, so a full run reads as a
 checklist. Criteria 2-4 run 20 seeded replicates of the synthetic pipeline
-and share the generated benign captures through a module-scoped fixture.
+through run() and share the generated benign captures through a
+module-scoped fixture.
 """
 
 import glob
@@ -16,8 +17,8 @@ from canclust.clusim import HierarchyParams, affinity, similarity, transition_ma
 from goldens import verify_goldens
 from canclust.hierarchy import agglomerate
 from canclust.ingest import parse_capture
-from canclust.pipeline import RunConfig, prepare, run
-from canclust.stats import attack_vs_benign, benign_pairs, exact_u_counts, mann_whitney, u_statistic
+from canclust.pipeline import RunConfig, run
+from canclust.stats import exact_u_counts, mann_whitney, u_statistic
 from canclust.synth import AttackSpec, SynthSpec, generate, inject, signal_id
 
 from conftest import heights, power_iteration_ppr, random_dendrogram, random_dissimilarity
@@ -36,38 +37,36 @@ def report(capsys, n, passed, detail):
     assert passed, f"criterion {n}: {detail}"
 
 
-def ward_dend(capture):
-    return agglomerate(prepare(capture, 10.0, "one_minus_abs_rho")[2], "ward")
-
-
-def attack_sample(base, kind, targets, window, benign, benign_ids):
-    """Attack x benign similarities of 3 attacked captures against the given benign dendrograms."""
-    dends, ids = [], []
+def attack_captures(base, kind, targets, window):
+    """3 generated captures with the given attack injected."""
+    caps = []
     for i in range(3):
         cap = generate(SynthSpec(seed=base + 100 + i, **BASE_SPEC))
-        atk = AttackSpec(kind, targets, *window)
-        dends.append(ward_dend(inject(cap, atk, seed=base + 200 + i)))
-        ids.append(cap.capture_id)
-    return attack_vs_benign(dends, benign, PARAMS, kind, ids, benign_ids)
+        caps.append(inject(cap, AttackSpec(kind, targets, *window), seed=base + 200 + i))
+    return tuple(caps)
+
+
+def ward_cell(benign, kind, attacks):
+    """The (kind, Ward) test cell run() reports for one attack group against the benign captures."""
+    config = RunConfig(benign_captures=benign, attack_capture_groups={kind: attacks}, linkages=("ward",))
+    return run(config).entries[(kind, "ward")]
 
 
 @pytest.fixture(scope="module")
 def replicates():
-    """Per-replicate Ward dendrograms and capture ids of 15 benign captures, reused by 2-4."""
+    """Per-replicate seed base and 15 generated benign captures, reused by 1-4."""
     out = []
     for rep in range(N_REPS):
         base = rep * 1000
-        ids = [f"b{rep}_{i}" for i in range(15)]
-        dends = [ward_dend(generate(SynthSpec(seed=base + i, **BASE_SPEC), capture_id=cid))
-                 for i, cid in enumerate(ids)]
-        out.append((base, dends, ids))
+        caps = tuple(generate(SynthSpec(seed=base + i, **BASE_SPEC), capture_id=f"b{rep}_{i}")
+                     for i in range(15))
+        out.append((base, caps))
     return out
 
 
-def test_criterion_01_benign_pair_count(rng, capsys):
-    ids = tuple(f"s{i}" for i in range(6))
-    dends = [agglomerate(random_dissimilarity(rng, 6, ids), "ward") for _ in range(12)]
-    sample = benign_pairs(dends, PARAMS, [f"capture_{i}" for i in range(12)])
+def test_criterion_01_benign_pair_count(replicates, capsys):
+    _base, caps = replicates[0]
+    sample = run(RunConfig(benign_captures=caps[:12], linkages=("ward",))).benign_samples["ward"]
     passed = len(sample.values) == 66 and len(set(sample.pair_ids)) == 66
     report(capsys, 1, passed, f"12 benign captures give {len(sample.values)} benign-benign pairs (want 66)")
 
@@ -75,12 +74,11 @@ def test_criterion_01_benign_pair_count(rng, capsys):
 def test_criterion_02_correlated_break_detection(replicates, capsys):
     targets = tuple(signal_id(0, j) for j in range(4))
     rejections, pvals = 0, []
-    for base, benign, ids in replicates:
-        bsample = benign_pairs(benign[:12], PARAMS, ids[:12])
-        asample = attack_sample(base, "correlated_break", targets, (0.0, 60.0), benign[:12], ids[:12])
-        res = mann_whitney(bsample, asample)
-        pvals.append(res.p_value)
-        rejections += res.p_value < 0.05
+    for base, benign in replicates:
+        cell = ward_cell(benign[:12], "correlated_break",
+                         attack_captures(base, "correlated_break", targets, (0.0, 60.0)))
+        pvals.append(cell["p_value"])
+        rejections += cell["p_value"] < 0.05
     passed = rejections >= 18
     report(capsys, 2, passed,
            f"correlated_break flagged in {rejections}/{N_REPS} replicates "
@@ -89,11 +87,9 @@ def test_criterion_02_correlated_break_detection(replicates, capsys):
 
 def test_criterion_03_type_one_calibration(replicates, capsys):
     false_alarms = 0
-    for _base, benign, ids in replicates:
-        bsample = benign_pairs(benign[:12], PARAMS, ids[:12])
-        pseudo = attack_vs_benign(benign[12:15], benign[:12], PARAMS, "benign_split", ids[12:15], ids[:12])
-        res = mann_whitney(bsample, pseudo)
-        false_alarms += res.p_value < 0.05
+    for _base, benign in replicates:
+        cell = ward_cell(benign[:12], "benign_split", benign[12:15])
+        false_alarms += cell["p_value"] < 0.05
     passed = false_alarms <= 3
     report(capsys, 3, passed,
            f"benign 12+3 split rejects in {false_alarms}/{N_REPS} replicates (allow <= 3)")
@@ -103,12 +99,10 @@ def test_criterion_04_max_value_detection(replicates, capsys):
     # a whole-window pin would be pruned as constant; leave the window edges benign
     targets = (signal_id(0, 0),)
     rejections, pvals = 0, []
-    for base, benign, ids in replicates:
-        bsample = benign_pairs(benign[:12], PARAMS, ids[:12])
-        asample = attack_sample(base, "max_value", targets, (6.0, 54.0), benign[:12], ids[:12])
-        res = mann_whitney(bsample, asample)
-        pvals.append(res.p_value)
-        rejections += res.p_value < 0.05
+    for base, benign in replicates:
+        cell = ward_cell(benign[:12], "max_value", attack_captures(base, "max_value", targets, (6.0, 54.0)))
+        pvals.append(cell["p_value"])
+        rejections += cell["p_value"] < 0.05
     passed = rejections >= 15
     report(capsys, 4, passed,
            f"max_value flagged in {rejections}/{N_REPS} replicates "

@@ -191,6 +191,23 @@ class TestAnalyze:
                    "--linkage", "centroid", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_duplicate_linkage(self, corpus, tmp_path, capsys):
+        rc = main(["analyze", "--benign", str(corpus / "benign_*.csv"),
+                   "--attack", f"correlated_break={corpus / 'attack_0.csv'}",
+                   "--linkage", "ward,ward", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "duplicate linkages" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["x/y", ""])
+    def test_bad_attack_kind(self, tmp_path, kind, capsys):
+        # rejected before parsing: the corrupt capture would otherwise exit 3
+        (tmp_path / "a.csv").write_text("time,x,y\n0.0,1.0,2.0\n0.1,2.0\n")
+        rc = main(["analyze", "--benign", str(tmp_path / "*.csv"), "--attack", f"{kind}={tmp_path / 'a.csv'}",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "attack kinds" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_too_few_benign(self, corpus, tmp_path):
         rc = main(["analyze", "--benign", str(corpus / "benign_0.csv"),
                    "--out", str(tmp_path / "o")])

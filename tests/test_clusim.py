@@ -317,13 +317,18 @@ class TestSimilarities:
                   for _ in range(10)]
         batch = [tied[0]] + filler[:5] + [tied[1]] + filler[5:] + [tied[2]]
         scores = similarities(batch, HierarchyParams(), allow_intersection=True)
-        got = [scores[0], scores[6], scores[-1]]
-        assert got[0] == got[1] == got[2] == similarity(d, e, HierarchyParams())
+        ref = similarity(d, e, HierarchyParams())
+        for got in (scores[0], scores[6], scores[-1]):
+            assert got.value == ref.value and got.per_element == ref.per_element
 
-    def test_first_bad_pair_raises(self, rng):
+    def test_first_bad_pair_raises(self, rng, monkeypatch):
+        # before any tree of the batch is solved
+        solved = []
+        monkeypatch.setattr(clusim, "affinity", lambda dend, params: solved.append(dend))
         a, b = chain(("a", "b", "c")), chain(("a", "b", "d"))
         with pytest.raises(DataError, match="element sets differ"):
             similarities([(a, a), (a, b), (b, b)], HierarchyParams())
+        assert solved == []
         assert similarities([], HierarchyParams()) == []
 
 

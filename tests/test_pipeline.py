@@ -1,11 +1,14 @@
 import json
+from itertools import combinations
 
 import pytest
 
+from canclust import clusim
 from canclust.cli import main
 from canclust.errors import ConfigError, DataError
+from canclust.hierarchy import agglomerate
 from canclust.ingest import parse_capture
-from canclust.pipeline import RunConfig, run, verdict
+from canclust.pipeline import RunConfig, prepare, run, verdict
 from canclust.synth import AttackSpec, SynthSpec, generate, inject, signal_id, write_wide_csv
 
 SPEC = SynthSpec(n_groups=3, signals_per_group=3, duration_s=40.0, rate_hz=10.0,
@@ -33,6 +36,11 @@ def make_attacks(kind, k, base_seed=900):
                        capture_id=f"attack_{kind}_{i}")
         caps.append(inject(cap, atk, seed=base_seed + 50 + i))
     return tuple(caps)
+
+
+def pin(capture, sid):
+    """The capture with signal sid held at its maximum throughout, so resampling drops it as constant."""
+    return inject(capture, AttackSpec("max_value", (sid,), 0.0, SPEC.duration_s))
 
 
 @pytest.fixture(scope="module")
@@ -137,10 +145,96 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run(RunConfig(benign_captures=make_benign(2), frequency_hz=0.0))
 
+    def test_duplicate_linkages(self):
+        with pytest.raises(ConfigError, match="duplicate linkages"):
+            run(RunConfig(benign_captures=make_benign(2), linkages=("ward", "ward")))
+
+    @pytest.mark.parametrize("kind", ["x/y", "", "a b", "../up", None])
+    def test_bad_attack_kind(self, kind, monkeypatch):
+        # rejected before any capture is prepared
+        monkeypatch.setattr("canclust.pipeline.prepare", None)
+        with pytest.raises(ConfigError, match="attack kinds"):
+            run(RunConfig(benign_captures=make_benign(2), attack_capture_groups={kind: make_attacks("max_value", 1)}))
+
+    def test_bad_dissimilarity(self, monkeypatch):
+        monkeypatch.setattr("canclust.pipeline.prepare", None)
+        with pytest.raises(ConfigError, match="unknown dissimilarity 'bogus'"):
+            run(RunConfig(benign_captures=make_benign(2), dissimilarity="bogus"))
+
     def test_duplicate_capture_ids(self):
         caps = make_benign(2)
         with pytest.raises(DataError, match="duplicate capture_id"):
             run(RunConfig(benign_captures=(caps[0], caps[0])))
+
+
+class TestPairSamples:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return make_benign(12), make_attacks("correlated_break", 3)
+
+    @pytest.fixture(scope="class")
+    def report(self, corpus):
+        benign, attacks = corpus
+        return run(RunConfig(benign_captures=benign, attack_capture_groups={"correlated_break": attacks},
+                             linkages=("ward",)))
+
+    def test_benign_pair_count(self, report):
+        sample = report.benign_samples["ward"]
+        assert len(sample.values) == 66
+        assert sample.pair_ids == tuple(combinations([f"benign_{i}" for i in range(12)], 2))
+
+    def test_cross_product_count(self, corpus, report):
+        # each attack x benign pair scores as it does on its own
+        benign, attacks = corpus
+        entry = report.entries[("correlated_break", "ward")]
+        assert entry["n_attack_pairs"] == len(entry["attack_values"]) == 36
+        assert entry["attack_pair_ids"][0] == ["attack_correlated_break_0", "benign_0"]
+        assert entry["attack_pair_ids"][-1] == ["attack_correlated_break_2", "benign_11"]
+        dends = {c.capture_id: agglomerate(prepare(c, 10.0, "one_minus_abs_rho")[2], "ward")
+                 for c in benign + attacks}
+        alone = [clusim.similarity(dends[a], dends[b], clusim.HierarchyParams()).value
+                 for a, b in entry["attack_pair_ids"]]
+        assert entry["attack_values"] == alone
+
+
+class TestBatchScoring:
+    def test_one_solve_per_distinct_tree_per_linkage(self, monkeypatch):
+        # captures that drop different constant signals pair up over differing common sets
+        drops = {"benign_1": signal_id(0, 0), "benign_2": signal_id(1, 1),
+                 "attack_correlated_break_1": signal_id(2, 2)}
+        benign, attacks = (tuple(pin(c, drops[c.capture_id]) if c.capture_id in drops else c for c in caps)
+                           for caps in (make_benign(4), make_attacks("correlated_break", 2)))
+        kept = {c.capture_id: frozenset(s.signal_id for s in c.signals) - {drops.get(c.capture_id)}
+                for c in benign + attacks}
+
+        def trees(pairs):
+            """The distinct (capture, common ids) trees a batch of capture pairs compares."""
+            out = set()
+            for a, b in pairs:
+                common = kept[a] & kept[b]
+                out |= {(a, common), (b, common)}
+            return out
+
+        bids = [c.capture_id for c in benign]
+        benign_trees = trees(combinations(bids, 2))
+        attack_trees = trees((c.capture_id, b) for c in attacks for b in bids)
+        restricted = {(cid, common) for cid, common in benign_trees | attack_trees if common != kept[cid]}
+        # the benign and attack pairs share trees, so one batch solves fewer than two would
+        assert len(benign_trees | attack_trees) < len(benign_trees) + len(attack_trees)
+
+        solved, restricts = [], []
+        real_affinity, real_restrict = clusim.affinity, clusim.restrict
+        monkeypatch.setattr(clusim, "affinity", lambda dend, params: solved.append(dend) or real_affinity(dend, params))
+        monkeypatch.setattr(clusim, "restrict", lambda dend, ids: restricts.append(ids) or real_restrict(dend, ids))
+        linkages = ("average", "ward")
+        report = run(RunConfig(benign_captures=benign,
+                               attack_capture_groups={"correlated_break": attacks, "empty": ()},
+                               linkages=linkages, allow_intersection=True))
+        assert len(solved) == len(linkages) * len(benign_trees | attack_trees)
+        assert len(restricts) == len(linkages) * len(restricted)
+        assert sorted(report.entries) == [("correlated_break", l) for l in linkages]
+        assert {d["capture_id"]: d["dropped_constant"] for d in report.diagnostics
+                if d["dropped_constant"]} == {cid: [sid] for cid, sid in drops.items()}
 
 
 class TestFileInputs:

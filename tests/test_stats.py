@@ -5,13 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu, rankdata
 
-from canclust.clusim import HierarchyParams
 from canclust.errors import DataError
-from canclust.hierarchy import agglomerate
-from canclust.stats import (SimilaritySample, attack_vs_benign, average_ranks, benign_pairs,
-                            density_export, exact_u_counts, mann_whitney, scott_bandwidth, u_statistic)
-
-from conftest import random_dissimilarity
+from canclust.stats import (average_ranks, density_export, exact_u_counts, mann_whitney, scott_bandwidth,
+                            u_statistic)
 
 
 def brute_counts(n1, n2):
@@ -165,49 +161,13 @@ class TestMannWhitney:
         with pytest.raises(DataError):
             mann_whitney([], [1.0])
 
-    def test_accepts_similarity_samples(self):
-        a = SimilaritySample("benign_benign", (0.9, 0.95, 0.92), (("c0", "c1"), ("c0", "c2"), ("c1", "c2")))
-        b = SimilaritySample("attack_benign:max_value", (0.1, 0.2), (("a0", "c0"), ("a0", "c1")))
-        res = mann_whitney(a, b)
-        assert res.n1 == 3 and res.n2 == 2
-        assert res.u_statistic == 6.0
-
-
-class TestSampleBuilders:
-    def make_dends(self, rng, k, n=6):
-        ids = tuple(f"s{i}" for i in range(n))
-        return [agglomerate(random_dissimilarity(rng, n, ids), "average") for _ in range(k)]
-
-    def test_benign_pair_count(self, rng):
-        dends = self.make_dends(rng, 12)
-        ids = [f"b{i}" for i in range(12)]
-        sample = benign_pairs(dends, HierarchyParams(), ids)
-        assert len(sample.values) == 66
-        assert sample.group == "benign_benign"
-        assert len(set(sample.pair_ids)) == 66
-
-    def test_cross_product_count(self, rng):
-        attack = self.make_dends(rng, 3)
-        benign = self.make_dends(rng, 12)
-        sample = attack_vs_benign(attack, benign, HierarchyParams(), "max_value",
-                                  [f"a{i}" for i in range(3)], [f"b{i}" for i in range(12)])
-        assert len(sample.values) == 36
-        assert sample.pair_ids[0] == ("a0", "b0") and sample.pair_ids[-1] == ("a2", "b11")
-        assert sample.group == "attack_benign:max_value"
-
-    def test_needs_two_benign(self, rng):
-        with pytest.raises(DataError):
-            benign_pairs(self.make_dends(rng, 1), HierarchyParams(), ["b0"])
-        with pytest.raises(DataError):
-            attack_vs_benign([], self.make_dends(rng, 2), HierarchyParams(), "max_value", [], ["b0", "b1"])
-
 
 class TestDensity:
     def test_single_gaussian_closed_form(self):
         # two points, Scott's h: density is the average of two known gaussians
         vals = [0.0, 1.0]
         h = math.sqrt(0.5) * 2 ** -0.2
-        curve = density_export(SimilaritySample("g", tuple(vals), (("a", "b"), ("a", "c"))))
+        curve = density_export(vals)
         for x, dens in curve[::17]:
             expected = sum(math.exp(-0.5 * ((x - v) / h) ** 2) for v in vals) / (2 * h * math.sqrt(2 * math.pi))
             assert abs(dens - expected) < 1e-12
