@@ -10,6 +10,8 @@ Exit codes: 0 = ran, 2 = configuration error, 3 = data error.
 import argparse
 import glob
 import json
+import os
+import pickle
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -40,9 +42,82 @@ def _expand(pattern):
     return files
 
 
-def _parse_files(pattern, format, **labels):
-    """Parse every capture file a directory or glob names."""
-    return tuple(parse_capture(path, format=format, **labels) for path in _expand(pattern))
+def _parse_share(jobs, format):
+    """Each job's capture, in order, up to and including the first failure, which is kept as its exception."""
+    outcomes = []
+    for path, labels in jobs:
+        try:
+            outcomes.append(parse_capture(path, format=format, **labels))
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
+def _fork_share(jobs, format, siblings):
+    """Start a child that parses jobs and pickles their outcomes to a pipe; (its pid, the pipe's read end)."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns: os._exit skips the parent's cleanup and atexit handlers
+        status = 1
+        try:
+            os.close(r)
+            for _pid, fd in siblings:  # so that a sibling's pipe breaks when the parent closes it
+                os.close(fd)
+            with open(w, "wb") as pipe:
+                pickle.dump(_parse_share(jobs, format), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _receive_share(pid, fd):
+    """The outcomes a child sends; the child is reaped either way."""
+    try:
+        with open(fd, "rb") as pipe:
+            outcomes = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # the child died before it wrote all of them
+        outcomes = None
+    finally:
+        _pid, status = os.waitpid(pid, 0)
+    if outcomes is None:
+        raise RuntimeError(f"capture parser process {pid} exited with status "
+                           f"{os.waitstatus_to_exitcode(status)} before sending its captures")
+    return outcomes
+
+
+def _load_captures(jobs, format):
+    """Parse (path, labels) jobs on every available CPU: their captures in input order.
+
+    With n processes, this one parses jobs[0::n] and forked children parse
+    jobs[k::n]. The first failure in input order is raised, so the error is
+    the one that parsing the files one after another gives.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    n = min(len(jobs), cpus) if hasattr(os, "fork") else 1
+    children = []  # (pid, pipe read end) of shares 1..n-1, until received
+    try:
+        for k in range(1, n):
+            children.append(_fork_share(jobs[k::n], format, children))
+        shares = [_parse_share(jobs[0::n], format)]
+        while children:
+            shares.append(_receive_share(*children.pop(0)))
+    finally:  # after a failure: unread children see a broken pipe and exit
+        for pid, fd in children:
+            os.close(fd)
+            os.waitpid(pid, 0)
+    captures = []
+    for i in range(len(jobs)):
+        outcome = shares[i % n][i // n]  # present: a share stops only after an earlier index's failure
+        if isinstance(outcome, Exception):
+            raise outcome
+        captures.append(outcome)
+    return captures
 
 
 def _add_shared(parser):
@@ -77,11 +152,13 @@ def _cmd_analyze(args):
         output_dir=args.out,
     )
     config.check_parameters()
-    attack_groups = {kind: tuple(cap for p in pats
-                                 for cap in _parse_files(p, args.format, label="attack", attack_kind=kind))
-                     for kind, pats in patterns.items()}
-    config = replace(config, benign_captures=_parse_files(args.benign, args.format),
-                     attack_capture_groups=attack_groups)
+    # benign files, then each kind's, in the order run() takes the captures
+    benign = [(path, {}) for path in _expand(args.benign)]
+    attacks = [(path, {"label": "attack", "attack_kind": kind})
+               for kind, pats in patterns.items() for p in pats for path in _expand(p)]
+    captures = _load_captures(benign + attacks, args.format)
+    attack_groups = {kind: tuple(c for c in captures[len(benign):] if c.attack_kind == kind) for kind in patterns}
+    config = replace(config, benign_captures=tuple(captures[:len(benign)]), attack_capture_groups=attack_groups)
     summary, _tally = verdict(run(config))
     print(summary)
     return 0
@@ -138,8 +215,8 @@ def _cmd_simtest(args):
     params = RunConfig(frequency_hz=args.freq, linkages=(args.linkage_single,), r=args.r,
                        alpha=args.alpha).check_parameters()
     dends = []
-    for path in (args.a, args.b):
-        _m, _c, d = prepare(parse_capture(path, format=args.format), args.freq, args.dissimilarity)
+    for cap in _load_captures([(args.a, {}), (args.b, {})], args.format):
+        _m, _c, d = prepare(cap, args.freq, args.dissimilarity)
         dends.append(agglomerate(d, args.linkage_single))
     score = similarity(dends[0], dends[1], params, allow_intersection=args.allow_intersection)
     print(json.dumps({"capture_a": Path(args.a).stem, "capture_b": Path(args.b).stem,

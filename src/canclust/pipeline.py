@@ -141,11 +141,12 @@ def run(config):
     params = config.validate()
     attack_groups = config.attack_capture_groups
     captures = list(config.benign_captures) + [c for g in attack_groups.values() for c in g]
-    seen = set()
+    seen = {}  # capture_id -> its first source
     for cap in captures:
+        source = cap.source_path or "inline"
         if cap.capture_id in seen:
-            raise DataError(f"duplicate capture_id {cap.capture_id!r}")
-        seen.add(cap.capture_id)
+            raise DataError(f"duplicate capture_id {cap.capture_id!r} ({seen[cap.capture_id]} and {source})")
+        seen[cap.capture_id] = source
 
     diagnostics = []
     dissims = {}

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import canclust
-from canclust import pipeline
+from canclust import cli, pipeline
 from canclust.cli import main
+from canclust.errors import ParseError
+from canclust.ingest import parse_capture
 
 
 def synth_spec_doc(n_benign=4, attack=True):
@@ -252,6 +255,33 @@ class TestAnalyze:
         assert f"{latin1_csv}:3: not UTF-8 text" in capsys.readouterr().err
 
 
+    def test_first_bad_file_in_run_order(self, corpus, tmp_path, capsys):
+        # benign files come first, then each kind's files in command-line order,
+        # as run() takes them: k1's second file precedes k2's
+        bad = {}
+        for name in ("benign_bad", "k2_bad", "k1_bad"):
+            bad[name] = tmp_path / f"{name}.csv"
+            bad[name].write_text("time,x\n0.0,1.0\n0.1,banana\n")
+        good = str(corpus / "attack_0.csv")
+
+        def analyze(benign):
+            return main(["analyze", "--benign", benign, "--attack", f"k1={good}", "--attack", f"k2={bad['k2_bad']}",
+                         "--attack", f"k1={bad['k1_bad']}", "--out", str(tmp_path / "o")])
+
+        assert analyze(str(tmp_path / "benign_*.csv")) == 3
+        assert f"{bad['benign_bad']}:3:" in capsys.readouterr().err
+        assert analyze(str(corpus / "benign_*.csv")) == 3
+        assert f"{bad['k1_bad']}:3:" in capsys.readouterr().err
+
+    def test_duplicate_capture_id_names_files(self, corpus, tmp_path, capsys):
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "x.csv").write_bytes((corpus / "benign_0.csv").read_bytes())
+        rc = main(["analyze", "--benign", str(tmp_path / "*" / "x.csv"), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"duplicate capture_id 'x' ({tmp_path / 'a' / 'x.csv'} and {tmp_path / 'b' / 'x.csv'})" in err
+
     @pytest.mark.parametrize("error", [ValueError, KeyError])
     def test_internal_error_is_not_a_user_error(self, corpus, tmp_path, monkeypatch, error):
         # a bug inside run() must surface as itself, not as exit 2 or 3
@@ -338,6 +368,121 @@ class TestSimtest:
             assert rc == 0
             values.append(json.loads(capsys.readouterr().out)["similarity"])
         assert values[0] == values[1]
+
+
+def same_capture(a, b):
+    """Whether two captures are equal, their sample arrays bit for bit."""
+    return ((a.capture_id, a.source_path, a.label, a.attack_kind) == (b.capture_id, b.source_path, b.label, b.attack_kind)
+            and len(a.signals) == len(b.signals)
+            and all(x.signal_id == y.signal_id and x.timestamps.tobytes() == y.timestamps.tobytes()
+                    and x.values.tobytes() == y.values.tobytes() for x, y in zip(a.signals, b.signals)))
+
+
+def serial_outcome(jobs):
+    """What parsing the jobs one after another gives: the captures, or the first exception."""
+    try:
+        return [parse_capture(path, format="wide_csv", **labels) for path, labels in jobs]
+    except Exception as exc:
+        return exc
+
+
+@pytest.fixture
+def jobs(corpus):
+    """The corpus as loader jobs: four benign files, then the attack file."""
+    benign = [(str(corpus / f"benign_{i}.csv"), {}) for i in range(4)]
+    return benign + [(str(corpus / "attack_0.csv"), {"label": "attack", "attack_kind": "correlated_break"})]
+
+
+@pytest.mark.parametrize("n_files,n_cpus,fork", [(1, 4, True), (3, 1, True), (3, 4, False)])
+def test_load_captures_serial(jobs, monkeypatch, n_files, n_cpus, fork):
+    # one file, one CPU or no os.fork: no child
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    if fork:
+        monkeypatch.setattr(os, "fork", None)
+    else:
+        monkeypatch.delattr(os, "fork")
+    captures = cli._load_captures(jobs[:n_files], "wide_csv")
+    assert all(same_capture(a, b) for a, b in zip(captures, serial_outcome(jobs[:n_files]), strict=True))
+
+
+class TestLoadCaptures:
+    """The CLI's loader: this process parses jobs[0::n], forked children the other shares."""
+
+    @pytest.fixture(params=[2, 4], autouse=True)
+    def cpus(self, request, monkeypatch):
+        # the fork path runs whatever the host's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        yield request.param
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_same_as_serial(self, jobs):
+        captures = cli._load_captures(jobs, "wide_csv")
+        serial = serial_outcome(jobs)
+        assert len(captures) == len(serial) == 5
+        assert all(same_capture(a, b) for a, b in zip(captures, serial))
+        assert [c.label for c in captures] == ["benign"] * 4 + ["attack"]
+
+    def test_this_process_parses_its_share(self, jobs, cpus, monkeypatch):
+        calls = []
+
+        def counted(path, **kwargs):
+            calls.append(path)
+            return parse_capture(path, **kwargs)
+        monkeypatch.setattr(cli, "parse_capture", counted)
+        cli._load_captures(jobs, "wide_csv")
+        assert calls == [path for path, _labels in jobs[0::cpus]]  # children's calls stay in the children
+
+    @pytest.mark.parametrize("bad", [(0,), (1,), (1, 4), (0, 1)])
+    def test_first_failure_in_input_order(self, jobs, tmp_path, bad):
+        # index 0 and 4 are this process's share, index 1 a child's
+        for k, i in enumerate(bad):
+            path = tmp_path / f"bad_{i}.csv"
+            path.write_text("time,x\n0.0,1.0\n" * (k + 1) + "0.1,banana\n")
+            jobs[i] = (str(path), jobs[i][1])
+        expected = serial_outcome(jobs)
+        with pytest.raises(ParseError) as info:
+            cli._load_captures(jobs, "wide_csv")
+        got = info.value
+        assert type(got) is type(expected)
+        assert (str(got), got.path, got.line) == (str(expected), expected.path, expected.line)
+        assert got.path == jobs[bad[0]][0]
+
+    def test_missing_file(self, jobs, tmp_path):
+        jobs[1] = (str(tmp_path / "nope.csv"), {})
+        with pytest.raises(FileNotFoundError) as info:
+            cli._load_captures(jobs, "wide_csv")
+        assert str(info.value) == str(serial_outcome(jobs))
+        assert main(["simtest", "--a", jobs[0][0], "--b", jobs[1][0]]) == 3
+
+    def test_internal_error_in_child(self, corpus, monkeypatch):
+        # a bug in a child surfaces as itself, not as exit 3
+        def broken(path, **kwargs):
+            if path.endswith("benign_1.csv"):
+                raise RuntimeError("parser bug")
+            return parse_capture(path, **kwargs)
+        monkeypatch.setattr(cli, "parse_capture", broken)
+        with pytest.raises(RuntimeError, match="parser bug"):
+            main(["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(corpus / "benign_1.csv")])
+
+    def test_child_dies_without_result(self, jobs, monkeypatch):
+        # index 1 is the first child's; with 4 CPUs two more children are still to be read
+        def dies(path, **kwargs):
+            if path == jobs[1][0]:
+                os._exit(1)
+            return parse_capture(path, **kwargs)
+
+        def hangs(signum, frame):
+            raise AssertionError("the loader waited for a dead child")
+        monkeypatch.setattr(cli, "parse_capture", dies)
+        previous = signal.signal(signal.SIGALRM, hangs)
+        signal.alarm(30)
+        try:
+            with pytest.raises(RuntimeError, match="exited with status 1 before sending its captures"):
+                cli._load_captures(jobs, "wide_csv")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def test_cli_import_loads_no_scipy():

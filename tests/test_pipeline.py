@@ -163,8 +163,19 @@ class TestConfigValidation:
 
     def test_duplicate_capture_ids(self):
         caps = make_benign(2)
-        with pytest.raises(DataError, match="duplicate capture_id"):
+        with pytest.raises(DataError, match=r"duplicate capture_id 'benign_0' \(inline and inline\)"):
             run(RunConfig(benign_captures=(caps[0], caps[0])))
+
+    def test_duplicate_capture_ids_name_their_files(self, tmp_path):
+        # the same file name in two directories: the error names both files
+        cap = make_benign(1)[0]
+        paths = [tmp_path / d / "x.csv" for d in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            write_wide_csv(cap, path)
+        with pytest.raises(DataError) as info:
+            run(RunConfig(benign_captures=tuple(parse_capture(p) for p in paths)))
+        assert str(info.value) == f"duplicate capture_id 'x' ({paths[0]} and {paths[1]})"
 
 
 class TestPairSamples:
