@@ -10,17 +10,14 @@ Exit codes: 0 = ran, 2 = configuration error, 3 = data error.
 import argparse
 import glob
 import json
-import os
-import pickle
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .clusim import similarity
 from .errors import ConfigError, DataError
-from .hierarchy import LINKAGES, agglomerate
+from .hierarchy import LINKAGES
 from .ingest import parse_capture
-from .pipeline import RunConfig, prepare, run, verdict
+from .pipeline import RunConfig, conclude, fan_out, summarize, verdict
 from .synth import AttackSpec, SynthSpec, generate, inject, write_wide_csv
 
 DISSIMILARITY_ALIASES = {
@@ -42,82 +39,9 @@ def _expand(pattern):
     return files
 
 
-def _parse_share(jobs, format):
-    """Each job's capture, in order, up to and including the first failure, which is kept as its exception."""
-    outcomes = []
-    for path, labels in jobs:
-        try:
-            outcomes.append(parse_capture(path, format=format, **labels))
-        except Exception as exc:
-            outcomes.append(exc)
-            break
-    return outcomes
-
-
-def _fork_share(jobs, format, siblings):
-    """Start a child that parses jobs and pickles their outcomes to a pipe; (its pid, the pipe's read end)."""
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns: os._exit skips the parent's cleanup and atexit handlers
-        status = 1
-        try:
-            os.close(r)
-            for _pid, fd in siblings:  # so that a sibling's pipe breaks when the parent closes it
-                os.close(fd)
-            with open(w, "wb") as pipe:
-                pickle.dump(_parse_share(jobs, format), pipe, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, r
-
-
-def _receive_share(pid, fd):
-    """The outcomes a child sends; the child is reaped either way."""
-    try:
-        with open(fd, "rb") as pipe:
-            outcomes = pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):  # the child died before it wrote all of them
-        outcomes = None
-    finally:
-        _pid, status = os.waitpid(pid, 0)
-    if outcomes is None:
-        raise RuntimeError(f"capture parser process {pid} exited with status "
-                           f"{os.waitstatus_to_exitcode(status)} before sending its captures")
-    return outcomes
-
-
-def _load_captures(jobs, format):
-    """Parse (path, labels) jobs on every available CPU: their captures in input order.
-
-    With n processes, this one parses jobs[0::n] and forked children parse
-    jobs[k::n]. The first failure in input order is raised, so the error is
-    the one that parsing the files one after another gives.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    n = min(len(jobs), cpus) if hasattr(os, "fork") else 1
-    children = []  # (pid, pipe read end) of shares 1..n-1, until received
-    try:
-        for k in range(1, n):
-            children.append(_fork_share(jobs[k::n], format, children))
-        shares = [_parse_share(jobs[0::n], format)]
-        while children:
-            shares.append(_receive_share(*children.pop(0)))
-    finally:  # after a failure: unread children see a broken pipe and exit
-        for pid, fd in children:
-            os.close(fd)
-            os.waitpid(pid, 0)
-    captures = []
-    for i in range(len(jobs)):
-        outcome = shares[i % n][i // n]  # present: a share stops only after an earlier index's failure
-        if isinstance(outcome, Exception):
-            raise outcome
-        captures.append(outcome)
-    return captures
+def _summarize_files(jobs, format, config):
+    """summarize() each (path, labels) job's capture where it is parsed: the summaries in input order."""
+    return fan_out(lambda job: summarize(parse_capture(job[0], format=format, **job[1]), config), jobs)
 
 
 def _add_shared(parser):
@@ -151,15 +75,14 @@ def _cmd_analyze(args):
         allow_intersection=args.allow_intersection,
         output_dir=args.out,
     )
-    config.check_parameters()
-    # benign files, then each kind's, in the order run() takes the captures
-    benign = [(path, {}) for path in _expand(args.benign)]
-    attacks = [(path, {"label": "attack", "attack_kind": kind})
-               for kind, pats in patterns.items() for p in pats for path in _expand(p)]
-    captures = _load_captures(benign + attacks, args.format)
-    attack_groups = {kind: tuple(c for c in captures[len(benign):] if c.attack_kind == kind) for kind in patterns}
-    config = replace(config, benign_captures=tuple(captures[:len(benign)]), attack_capture_groups=attack_groups)
-    summary, _tally = verdict(run(config))
+    # benign files, then each kind's, as run() orders captures; a capture's id is its file's stem
+    files = {None: _expand(args.benign),
+             **{kind: [f for p in pats for f in _expand(p)] for kind, pats in patterns.items()}}
+    sources = {kind: [(Path(f).stem, f) for f in group] for kind, group in files.items()}
+    params = config.check_parameters(sources)  # before any file is parsed
+    jobs = [(f, {} if kind is None else {"label": "attack", "attack_kind": kind})
+            for kind, group in files.items() for f in group]
+    summary, _tally = verdict(conclude(config, params, sources, _summarize_files(jobs, args.format, config)))
     print(summary)
     return 0
 
@@ -212,13 +135,11 @@ def _cmd_synth(args):
 
 def _cmd_simtest(args):
     # every parameter is checked before either file is parsed
-    params = RunConfig(frequency_hz=args.freq, linkages=(args.linkage_single,), r=args.r,
-                       alpha=args.alpha).check_parameters()
-    dends = []
-    for cap in _load_captures([(args.a, {}), (args.b, {})], args.format):
-        _m, _c, d = prepare(cap, args.freq, args.dissimilarity)
-        dends.append(agglomerate(d, args.linkage_single))
-    score = similarity(dends[0], dends[1], params, allow_intersection=args.allow_intersection)
+    config = RunConfig(frequency_hz=args.freq, linkages=(args.linkage_single,), r=args.r, alpha=args.alpha,
+                       dissimilarity=args.dissimilarity)
+    params = config.check_parameters()
+    (_, (dend_a,)), (_, (dend_b,)) = _summarize_files([(args.a, {}), (args.b, {})], args.format, config)
+    score = similarity(dend_a, dend_b, params, allow_intersection=args.allow_intersection)
     print(json.dumps({"capture_a": Path(args.a).stem, "capture_b": Path(args.b).stem,
                       "linkage": args.linkage_single, "r": params.r, "alpha": params.alpha,
                       "similarity": score.value}))

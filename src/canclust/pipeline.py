@@ -1,19 +1,18 @@
 """End-to-end orchestration: captures in, verdict report out.
 
-prepare() takes one capture through resampling, correlation and the
-dissimilarity transform. run() prepares every in-memory capture once and
-clusters each once per requested linkage. Per linkage it scores, in one
-clusim.similarities() batch, the C(k, 2) benign pairs and then the attack x
-benign pairs of each non-empty attack kind, so a tree shared by benign and
-attack pairs is solved once; it slices the scores into the benign sample and
-the attack samples, runs the Mann-Whitney test per (attack kind, linkage)
-cell, and emits a self-contained report. Loading capture files is the
-caller's job (the CLI does it with parse_capture). verdict() condenses a
-report into the human-readable detection tally.
+summarize() resamples, correlates and clusters one capture, keeping only its
+diagnostics and one dendrogram per linkage. conclude() scores each linkage's
+benign and attack x benign pairs in one clusim.similarities() batch, runs
+the Mann-Whitney test per (attack kind, linkage) cell and emits a
+self-contained report. run() does both for in-memory captures; the CLI
+parses and summarizes each file in one step. fan_out() spreads either stage
+over every available CPU. verdict() condenses a report into a tally.
 """
 
 import json
 import math
+import os
+import pickle
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -42,14 +41,12 @@ class RunConfig:
     allow_intersection: bool = False
     output_dir: str = ""
 
-    def validate(self):
-        """Check the configuration; return the HierarchyParams the run scores with."""
-        if len(self.benign_captures) < 2:
-            raise ConfigError("need at least 2 benign captures")
-        return self.check_parameters()
+    def check_parameters(self, sources=None):
+        """Check all but the captures' contents; return the HierarchyParams the run scores with.
 
-    def check_parameters(self):
-        """Check everything but the captures; return the HierarchyParams the run scores with."""
+        sources maps None (benign) and each attack kind to its captures'
+        (capture_id, source), in run order; a duplicate id is rejected.
+        """
         if not self.linkages:
             raise ConfigError("need at least one linkage")
         bad = [l for l in self.linkages if l not in LINKAGES]
@@ -69,9 +66,15 @@ class RunConfig:
         if not (0.0 < self.frequency_hz < math.inf):
             raise ConfigError("frequency_hz must be positive and finite")
         try:
-            return HierarchyParams(r=self.r, alpha=self.alpha)
+            params = HierarchyParams(r=self.r, alpha=self.alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        seen = {}  # capture_id -> its first source
+        for cap_id, source in (s for group in (sources or {}).values() for s in group):
+            if cap_id in seen:
+                raise DataError(f"duplicate capture_id {cap_id!r} ({seen[cap_id]} and {source})")
+            seen[cap_id] = source
+        return params
 
     def echo(self):
         return {
@@ -131,60 +134,126 @@ def prepare(capture, frequency_hz, dissimilarity):
         raise DataError(f"capture {capture.capture_id!r} ({capture.source_path or 'inline'}): {exc}") from exc
 
 
-def run(config):
-    """Execute the full forensic pipeline and return a VerdictReport.
+def _share(fn, items):
+    """fn of each item, in order, up to and including the first failure, which is kept as its exception."""
+    outcomes = []
+    for item in items:
+        try:
+            outcomes.append(fn(item))
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
 
-    When config.output_dir is set, report.json, similarities.jsonl and
-    per-sample density CSVs are written there, only after every computation
-    has succeeded.
+
+def _fork_share(fn, items, siblings):
+    """Start a child that runs fn on items and pickles the outcomes to a pipe; (its pid, the pipe's read end)."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns: os._exit skips the parent's cleanup and atexit handlers
+        status = 1
+        try:
+            os.close(r)
+            for _pid, fd in siblings:  # so that a sibling's pipe breaks when the parent closes it
+                os.close(fd)
+            with open(w, "wb") as pipe:
+                pickle.dump(_share(fn, items), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _receive_share(pid, fd):
+    """The outcomes a child sends; the child is reaped either way."""
+    try:
+        with open(fd, "rb") as pipe:
+            outcomes = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # the child died before it wrote all of them
+        outcomes = None
+    finally:
+        _pid, status = os.waitpid(pid, 0)
+    if outcomes is None:
+        raise RuntimeError(f"worker process {pid} exited with status "
+                           f"{os.waitstatus_to_exitcode(status)} before sending its results")
+    return outcomes
+
+
+def fan_out(fn, items):
+    """fn of each item on every available CPU: the results in input order.
+
+    With n processes, this one runs items[0::n] and forked children
+    items[k::n], each sending its results through its own pipe. The first
+    failure in input order is raised, as running the items in turn would.
     """
-    params = config.validate()
-    attack_groups = config.attack_capture_groups
-    captures = list(config.benign_captures) + [c for g in attack_groups.values() for c in g]
-    seen = {}  # capture_id -> its first source
-    for cap in captures:
-        source = cap.source_path or "inline"
-        if cap.capture_id in seen:
-            raise DataError(f"duplicate capture_id {cap.capture_id!r} ({seen[cap.capture_id]} and {source})")
-        seen[cap.capture_id] = source
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n = min(len(items), cpus) if hasattr(os, "fork") else 1
+    children = []  # (pid, pipe read end) of shares 1..n-1, until received
+    try:
+        for k in range(1, n):
+            children.append(_fork_share(fn, items[k::n], children))
+        shares = [_share(fn, items[0::n])]
+        while children:
+            shares.append(_receive_share(*children.pop(0)))
+    finally:  # after a failure: unread children see a broken pipe and exit
+        for pid, fd in children:
+            os.close(fd)
+            os.waitpid(pid, 0)
+    results = []
+    for i in range(len(items)):
+        outcome = shares[i % n][i // n]  # present: a share stops only after an earlier index's failure
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(outcome)
+    return results
 
-    diagnostics = []
-    dissims = {}
-    for cap in captures:
-        m, _c, dissims[cap.capture_id] = prepare(cap, config.frequency_hz, config.dissimilarity)
-        diagnostics.append({
-            "capture_id": cap.capture_id,
-            "source_path": cap.source_path,
-            "label": cap.label,
-            "attack_kind": cap.attack_kind,
-            "n_signals": len(m.signal_ids),
-            "t": int(m.grid.size),
-            "dropped_constant": list(m.dropped_constant),
-        })
 
-    # each capture is clustered exactly once per linkage
-    dendrograms = {}  # (capture_id, linkage) -> Dendrogram
-    for linkage in config.linkages:
-        for cap_id, dm in dissims.items():
-            dendrograms[(cap_id, linkage)] = agglomerate(dm, linkage)
+def summarize(capture, config):
+    """One capture's diagnostics entry and its Dendrogram under each of config.linkages, in order."""
+    m, _c, dm = prepare(capture, config.frequency_hz, config.dissimilarity)
+    diagnostics = {"capture_id": capture.capture_id, "source_path": capture.source_path, "label": capture.label,
+                   "attack_kind": capture.attack_kind, "n_signals": len(m.signal_ids), "t": int(m.grid.size),
+                   "dropped_constant": list(m.dropped_constant)}
+    return diagnostics, tuple(agglomerate(dm, linkage) for linkage in config.linkages)
 
+
+def run(config):
+    """Execute the full forensic pipeline on config's in-memory captures; return a VerdictReport."""
+    groups = {None: config.benign_captures, **config.attack_capture_groups}
+    sources = {kind: [(c.capture_id, c.source_path or "inline") for c in caps] for kind, caps in groups.items()}
+    params = config.check_parameters(sources)
+    summaries = fan_out(lambda cap: summarize(cap, config), [c for caps in groups.values() for c in caps])
+    return conclude(config, params, sources, summaries)
+
+
+def conclude(config, params, sources, summaries):
+    """The VerdictReport of the summaries of sources' captures, one fan_out() item per linkage.
+
+    Outputs go to config.output_dir, if set, after every computation succeeded.
+    """
+    benign_ids = [cap_id for cap_id, _source in sources[None]]
+    if len(benign_ids) < 2:  # checked after loading, so a bad file is reported first
+        raise ConfigError("need at least 2 benign captures")
     # one batch per linkage: the C(k, 2) benign pairs first, then attack x benign for
     # each non-empty kind, whose pairs are pair_ids[lo:hi] for its (kind, lo, hi)
-    benign_ids = [c.capture_id for c in config.benign_captures]
     pair_ids = list(combinations(benign_ids, 2))
     n_benign = len(pair_ids)
     groups = []
-    for kind, caps in attack_groups.items():
-        if caps:
+    for kind, group in sources.items():
+        if kind is not None and group:
             lo = len(pair_ids)
-            pair_ids += [(c.capture_id, b) for c in caps for b in benign_ids]
+            pair_ids += [(cap_id, b) for cap_id, _source in group for b in benign_ids]
             groups.append((kind, lo, len(pair_ids)))
+    trees = {diag["capture_id"]: dends for diag, dends in summaries}  # capture_id -> a Dendrogram per linkage
+
+    def score(j):
+        batch = [(trees[a][j], trees[b][j]) for a, b in pair_ids]
+        return tuple(s.value for s in similarities(batch, params, allow_intersection=config.allow_intersection))
+
     benign_samples = {}
     entries = {}
-    for linkage in config.linkages:
-        scores = similarities([(dendrograms[(a, linkage)], dendrograms[(b, linkage)]) for a, b in pair_ids],
-                              params, allow_intersection=config.allow_intersection)
-        values = tuple(s.value for s in scores)
+    for linkage, values in zip(config.linkages, fan_out(score, range(len(config.linkages)))):
         benign_samples[linkage] = bsample = SimilaritySample(values=values[:n_benign],
                                                              pair_ids=tuple(pair_ids[:n_benign]))
         for kind, lo, hi in groups:
@@ -201,7 +270,7 @@ def run(config):
             }
 
     report = VerdictReport(schema=SCHEMA_VERSION, config=config.echo(),
-                           diagnostics=tuple(diagnostics),
+                           diagnostics=tuple(diag for diag, _dends in summaries),
                            benign_samples=benign_samples, entries=entries)
     if config.output_dir:
         _write_outputs(report, config, params)

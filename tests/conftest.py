@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -218,6 +219,17 @@ def csv_reader_signals(path, format="wide_csv"):
     if not signals:
         raise DataError(f"{path}: capture contains no signals")
     return signals
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_child():
+    """Fail any test that leaves a child process unreaped, such as a fan_out() worker."""
+    yield
+    try:
+        pid, _status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child left
+        return
+    pytest.fail(f"the test left child process {pid or '(still running)'} unreaped")
 
 
 @pytest.fixture

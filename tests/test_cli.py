@@ -3,8 +3,10 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import canclust
@@ -273,7 +275,11 @@ class TestAnalyze:
         assert analyze(str(corpus / "benign_*.csv")) == 3
         assert f"{bad['k1_bad']}:3:" in capsys.readouterr().err
 
-    def test_duplicate_capture_id_names_files(self, corpus, tmp_path, capsys):
+    def test_duplicate_capture_id_names_files(self, corpus, tmp_path, capsys, monkeypatch):
+        # an id is its file's stem, so a duplicate is rejected before any file is parsed
+        def parsed(path, **kwargs):
+            raise AssertionError(f"{path} was parsed")
+        monkeypatch.setattr(cli, "parse_capture", parsed)
         for d in ("a", "b"):
             (tmp_path / d).mkdir()
             (tmp_path / d / "x.csv").write_bytes((corpus / "benign_0.csv").read_bytes())
@@ -378,6 +384,11 @@ def same_capture(a, b):
                     and x.values.tobytes() == y.values.tobytes() for x, y in zip(a.signals, b.signals)))
 
 
+def load(jobs):
+    """The jobs' captures, each parsed by the CLI's parse_capture through fan_out."""
+    return pipeline.fan_out(lambda job: cli.parse_capture(job[0], format="wide_csv", **job[1]), jobs)
+
+
 def serial_outcome(jobs):
     """What parsing the jobs one after another gives: the captures, or the first exception."""
     try:
@@ -401,27 +412,38 @@ def test_load_captures_serial(jobs, monkeypatch, n_files, n_cpus, fork):
         monkeypatch.setattr(os, "fork", None)
     else:
         monkeypatch.delattr(os, "fork")
-    captures = cli._load_captures(jobs[:n_files], "wide_csv")
+    captures = load(jobs[:n_files])
     assert all(same_capture(a, b) for a, b in zip(captures, serial_outcome(jobs[:n_files]), strict=True))
 
 
 class TestLoadCaptures:
-    """The CLI's loader: this process parses jobs[0::n], forked children the other shares."""
+    """Loading captures through fan_out: this process runs jobs[0::n], forked children the other shares.
+
+    The autouse no_unreaped_child fixture checks that every child was reaped.
+    """
 
     @pytest.fixture(params=[2, 4], autouse=True)
     def cpus(self, request, monkeypatch):
         # the fork path runs whatever the host's CPU count
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
-        yield request.param
-        with pytest.raises(ChildProcessError):  # every child was reaped
-            os.waitpid(-1, os.WNOHANG)
+        return request.param
 
     def test_same_as_serial(self, jobs):
-        captures = cli._load_captures(jobs, "wide_csv")
+        captures = load(jobs)
         serial = serial_outcome(jobs)
         assert len(captures) == len(serial) == 5
         assert all(same_capture(a, b) for a, b in zip(captures, serial))
         assert [c.label for c in captures] == ["benign"] * 4 + ["attack"]
+
+    def test_summaries_same_as_serial(self, jobs):
+        # the children run BLAS after forking this process, whose OpenBLAS threads run:
+        # the product below starts them (the test keeps the default BLAS thread count)
+        np.ones((256, 256)) @ np.ones((256, 256))
+        config = pipeline.RunConfig()  # all four linkages
+        summaries = cli._summarize_files(jobs, "wide_csv", config)
+        serial = [pipeline.summarize(capture, config) for capture in serial_outcome(jobs)]
+        # repr shows every float of the diagnostics and merges exactly, so equal reprs are bit-identical
+        assert [repr(summary) for summary in summaries] == [repr(summary) for summary in serial]
 
     def test_this_process_parses_its_share(self, jobs, cpus, monkeypatch):
         calls = []
@@ -430,7 +452,7 @@ class TestLoadCaptures:
             calls.append(path)
             return parse_capture(path, **kwargs)
         monkeypatch.setattr(cli, "parse_capture", counted)
-        cli._load_captures(jobs, "wide_csv")
+        load(jobs)
         assert calls == [path for path, _labels in jobs[0::cpus]]  # children's calls stay in the children
 
     @pytest.mark.parametrize("bad", [(0,), (1,), (1, 4), (0, 1)])
@@ -442,16 +464,30 @@ class TestLoadCaptures:
             jobs[i] = (str(path), jobs[i][1])
         expected = serial_outcome(jobs)
         with pytest.raises(ParseError) as info:
-            cli._load_captures(jobs, "wide_csv")
+            load(jobs)
         got = info.value
         assert type(got) is type(expected)
         assert (str(got), got.path, got.line) == (str(expected), expected.path, expected.line)
         assert got.path == jobs[bad[0]][0]
 
+    def test_first_bad_file_across_stages(self, corpus, tmp_path, capsys):
+        # file 1 parses but cannot be summarized (every signal constant), file 3 does not parse:
+        # file 1's error wins, as it does when the files are parsed and summarized one after another
+        for i in (0, 2, 4):
+            (tmp_path / f"c{i}.csv").write_bytes((corpus / f"benign_{i // 2}.csv").read_bytes())
+        (tmp_path / "c1.csv").write_text("time,a,b\n" + "".join(f"{i / 10},1.0,2.0\n" for i in range(50)))
+        (tmp_path / "c3.csv").write_text("time,x\n0.0,1.0\n0.1,banana\n")
+        assert main(["analyze", "--benign", str(tmp_path / "c*.csv"), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / "c1.csv") in err and "c3.csv" not in err
+        assert main(["simtest", "--a", str(tmp_path / "c1.csv"), "--b", str(tmp_path / "c3.csv")]) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / "c1.csv") in err and "c3.csv" not in err
+
     def test_missing_file(self, jobs, tmp_path):
         jobs[1] = (str(tmp_path / "nope.csv"), {})
         with pytest.raises(FileNotFoundError) as info:
-            cli._load_captures(jobs, "wide_csv")
+            load(jobs)
         assert str(info.value) == str(serial_outcome(jobs))
         assert main(["simtest", "--a", jobs[0][0], "--b", jobs[1][0]]) == 3
 
@@ -478,11 +514,37 @@ class TestLoadCaptures:
         previous = signal.signal(signal.SIGALRM, hangs)
         signal.alarm(30)
         try:
-            with pytest.raises(RuntimeError, match="exited with status 1 before sending its captures"):
-                cli._load_captures(jobs, "wide_csv")
+            with pytest.raises(RuntimeError, match="exited with status 1 before sending its results"):
+                load(jobs)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_analyze_holds_one_capture_at_a_time(tmp_path, monkeypatch, n_cpus):
+    # the process that parses a capture summarizes it, so this process's peak allocation
+    # does not grow with the number of captures by as much as one capture's parsed arrays
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    rng = np.random.default_rng(7)
+    t = np.arange(10_000) / 100.0
+    rows = np.column_stack([t, rng.normal(size=(t.size, 3)).cumsum(axis=0)])
+    capture = tmp_path / "capture.csv"
+    np.savetxt(capture, rows, delimiter=",", header="time,a,b,c", comments="", fmt="%.6f")
+    one_capture = sum(s.timestamps.nbytes + s.values.nbytes for s in parse_capture(capture).signals)
+
+    def peak(n_copies):
+        corpus = tmp_path / f"copies_{n_copies}"
+        corpus.mkdir()
+        for i in range(n_copies):
+            (corpus / f"c{i}.csv").write_bytes(capture.read_bytes())
+        tracemalloc.start()
+        try:
+            assert main(["analyze", "--benign", str(corpus), "--linkage", "ward", "--out", str(tmp_path / "o")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(8) - peak(4) < one_capture
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,9 +1,10 @@
 import json
+import os
 from itertools import combinations
 
 import pytest
 
-from canclust import clusim
+from canclust import clusim, pipeline
 from canclust.cli import main
 from canclust.errors import ConfigError, DataError
 from canclust.hierarchy import agglomerate
@@ -161,7 +162,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown dissimilarity 'bogus'"):
             run(RunConfig(benign_captures=make_benign(2), dissimilarity="bogus"))
 
-    def test_duplicate_capture_ids(self):
+    def test_duplicate_capture_ids(self, monkeypatch):
+        # rejected before any capture is summarized
+        monkeypatch.setattr("canclust.pipeline.prepare", None)
         caps = make_benign(2)
         with pytest.raises(DataError, match=r"duplicate capture_id 'benign_0' \(inline and inline\)"):
             run(RunConfig(benign_captures=(caps[0], caps[0])))
@@ -210,6 +213,8 @@ class TestPairSamples:
 
 class TestBatchScoring:
     def test_one_solve_per_distinct_tree_per_linkage(self, monkeypatch):
+        # one CPU: the calls are counted in this process, and the batches are those of any CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         # captures that drop different constant signals pair up over differing common sets
         drops = {"benign_1": signal_id(0, 0), "benign_2": signal_id(1, 1),
                  "attack_correlated_break_1": signal_id(2, 2)}
@@ -246,6 +251,28 @@ class TestBatchScoring:
         assert sorted(report.entries) == [("correlated_break", l) for l in linkages]
         assert {d["capture_id"]: d["dropped_constant"] for d in report.diagnostics
                 if d["dropped_constant"]} == {cid: [sid] for cid, sid in drops.items()}
+
+
+    @pytest.mark.parametrize("n_cpus", [2, 4])
+    def test_each_linkage_scored_once_across_processes(self, tmp_path, monkeypatch, n_cpus):
+        # a child's calls are not seen here, so each batch appends its linkage and process to a file
+        log = tmp_path / "batches"
+        real = pipeline.similarities
+
+        def logged(pairs, params, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {pairs[0][0].linkage}\n")
+            return real(pairs, params, **kwargs)
+        config = RunConfig(benign_captures=make_benign(3),
+                           attack_capture_groups={"correlated_break": make_attacks("correlated_break", 1)})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = run(config).to_dict()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        monkeypatch.setattr(pipeline, "similarities", logged)
+        assert run(config).to_dict() == serial
+        batches = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(linkage for _pid, linkage in batches) == sorted(config.linkages)
+        assert len({pid for pid, _linkage in batches}) == n_cpus
 
 
 class TestFileInputs:
