@@ -9,10 +9,15 @@ Cells are split on commas, without CSV quoting: a header or data line that
 contains ``"`` raises ParseError naming its line (comment lines may contain
 anything). Time and value cells are read with Python's ``float()``.
 
-Files are parsed in blocks of about BLOCK_CELLS cells, each checked and converted
-a whole column at a time; only a block that fails is walked line by line,
-to name the first bad line as a row-by-row reader would. Working memory
-stays a few MB above the parsed arrays whatever the file's length or width.
+Files are read in blocks of BLOCK_CHARS characters, each finished at the end
+of its last line. A block of well-formed data lines is checked from the
+positions of its commas and newlines and converted a whole column at a time
+(a wide block without blank cells as one table); only a block that fails is
+walked line by line, to name the first bad line as a row-by-row reader
+would. The cell strings of one block, a few MB whatever the file's length
+or width, are the only per-cell Python objects alive at once. Until they
+are cut into signals, parsed blocks hold 24 bytes per sample, or 8 per cell
+of a wide file without a blank cell.
 
 Resampling puts every signal of a capture onto a shared uniform grid by
 linear interpolation (never extrapolation), drops constant signals, and
@@ -21,7 +26,7 @@ dot products downstream are exactly Pearson correlations.
 """
 
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +41,10 @@ CONSTANT_TOL = 1e-12
 # corrupt timestamp from turning into a multi-GB (or impossible) allocation
 MAX_GRID_POINTS = 10_000_000
 
-# cells parsed per block (8192 lines of long_csv, fewer of a wide file): bounds
-# the parser's working memory to a few MB whatever the file's length or width,
-# while keeping per-block overhead negligible
-BLOCK_CELLS = 3 * 8192
+# characters read per block (plus the rest of its last line): about 2,000 lines
+# of a typical long_csv file; bounds the cell strings alive at once to a few MB
+# whatever the file's length or width, while keeping per-block overhead negligible
+BLOCK_CHARS = 1 << 16
 
 _QUOTE_ERROR = "quote character '\"': cells are split on commas, without CSV quoting"
 
@@ -92,8 +97,8 @@ class SignalMatrix:
 
 
 def _is_data(line):
-    """False for the empty and comment lines every layout skips."""
-    return line != "\n" and not line.lstrip().startswith("#")
+    """False for the empty and comment lines every layout skips (line without its newline)."""
+    return line != "" and not line.lstrip().startswith("#")
 
 
 def _line_error(layout, line):
@@ -111,11 +116,18 @@ def _line_error(layout, line):
     return None
 
 
-def _cell_counts(text):
-    """Number of comma-separated cells on each line of newline-terminated text."""
+def _shape(text, ncols):
+    """(lines in text, whether every line has ncols cells) for newline-terminated text.
+
+    With exactly lines * ncols separators, every line has ncols cells exactly
+    when every ncols-th separator is a newline; an empty line (one cell) never does.
+    """
     raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)  # ',' and '\n' are single utf-8 bytes
-    commas_before_eol = np.searchsorted(np.flatnonzero(raw == ord(",")), np.flatnonzero(raw == ord("\n")))
-    return np.diff(commas_before_eol, prepend=0) + 1
+    ends = raw == ord("\n")
+    n = int(np.count_nonzero(ends))
+    ends |= raw == ord(",")
+    seps = np.flatnonzero(ends)
+    return n, seps.size == n * ncols and bool(np.all(raw[seps[ncols - 1::ncols]] == ord("\n")))
 
 
 class _Wide:
@@ -130,14 +142,46 @@ class _Wide:
         self.signal_ids = header[1:]
 
     def columns(self, cells, n):
-        """(times, values, signal index) of every sample in n rows of cells."""
-        present = np.fromiter(map(bool, map(str.strip, cells)), dtype=bool, count=len(cells))
-        present[::self.ncols] = True  # a time cell is never optional
-        table = np.full(len(cells), np.nan)
-        table[present] = np.array(list(compress(cells, present.tolist())), dtype=float)
-        table, present = table.reshape(n, self.ncols), present.reshape(n, self.ncols)
+        """n rows of cells as an n x ncols table, or (times, values, signal index) of
+        their samples when a cell is blank."""
+        try:
+            return np.array(cells, dtype=float).reshape(n, self.ncols)
+        except ValueError:  # a blank cell, or a bad one that the caller then names
+            pass
+        values = list(map(str.strip, cells))
+        values[::self.ncols] = cells[::self.ncols]  # a time cell is never optional, and is read as written
+        present = np.fromiter(map(bool, values), dtype=bool, count=len(values))
+        present[::self.ncols] = True
+        table = np.full(len(values), np.nan)
+        table[present] = np.array(list(compress(values, present.tolist())), dtype=float)
+        return self._samples(table.reshape(n, self.ncols), present.reshape(n, self.ncols))
+
+    @staticmethod
+    def _samples(table, present):
         rows, sids = np.nonzero(present[:, 1:])
-        return table[rows, 0], table[:, 1:][rows, sids], sids
+        return table[rows, 0], table[rows, sids + 1], sids
+
+    def signals(self, blocks):
+        """(signal id, times, values) of each column with samples, sorted by time.
+
+        Tables of a file without a blank cell are joined, their rows stably
+        sorted by time once, and cut per column. Any blank cell sends every
+        block through the per-sample cut, whose 24 bytes per sample, unlike
+        a table's 8 per cell, do not grow with a sparse file's empty cells.
+        """
+        if any(isinstance(block, tuple) for block in blocks):
+            for k, block in enumerate(blocks):
+                if not isinstance(block, tuple):
+                    blocks[k] = self._samples(block, np.ones(block.shape, dtype=bool))
+            yield from _cut(blocks, self.signal_ids)
+            return
+        table = np.concatenate(blocks)
+        blocks.clear()
+        if not np.all(table[1:, 0] >= table[:-1, 0]):  # rows out of time order, or a nan time
+            table = table[np.argsort(table[:, 0], kind="stable")]
+        times = table[:, 0]
+        for col, signal_id in enumerate(self.signal_ids, start=1):
+            yield signal_id, times.copy(), table[:, col].copy()
 
     def numeric_cells(self, cells):
         """(what, cell) for each cell of one row that must be a number, in row order."""
@@ -156,12 +200,19 @@ class _Long:
         self._index = {}  # signal cell as written -> index of its signal id
 
     def columns(self, cells, n):
+        """(times, values, signal index) of the n samples in n rows of cells."""
         names = cells[1::3]
-        for name in dict.fromkeys(names):  # each distinct cell of the block, in order of appearance
-            if name not in self._index:
-                self._index[name] = self.signal_ids.setdefault(name.strip(), len(self.signal_ids))
-        sids = np.fromiter(map(self._index.__getitem__, names), dtype=np.intp, count=n)
+        try:
+            sids = np.fromiter(map(self._index.__getitem__, names), dtype=np.intp, count=n)
+        except KeyError:  # a signal cell not seen before
+            for name in dict.fromkeys(names):  # each distinct cell of the block, in order of appearance
+                if name not in self._index:
+                    self._index[name] = self.signal_ids.setdefault(name.strip(), len(self.signal_ids))
+            sids = np.fromiter(map(self._index.__getitem__, names), dtype=np.intp, count=n)
         return np.array(cells[0::3], dtype=float), np.array(cells[2::3], dtype=float), sids
+
+    def signals(self, blocks):
+        return _cut(blocks, self.signal_ids)
 
     def numeric_cells(self, cells):
         return [("time", cells[0]), ("value", cells[2])]
@@ -170,56 +221,60 @@ class _Long:
 _LAYOUTS = {"wide_csv": _Wide, "long_csv": _Long}
 
 
-def _parse_block(layout, lines, first_line, path):
-    """(times, values, signal index) of the samples in one block of raw lines.
+def _cut(blocks, signal_ids):
+    """(signal id, times, values) of each signal index with samples, sorted by time.
 
-    The common case, a block of well-formed data lines, is checked and
-    converted a whole column at a time; only a block that fails is walked
-    line by line to name the first bad line.
+    blocks hold (times, values, signal index) arrays; the list is emptied as
+    they are joined.
     """
-    text = "".join(lines)
-    if "#" in text or "\n" in lines:
-        text = "".join(filter(_is_data, lines))
-    if text and not text.endswith("\n"):
-        text += "\n"  # the file's last line
-    counts = _cell_counts(text)
-    if '"' not in text and np.all(counts == layout.ncols):
-        cells = text.replace("\n", ",").split(",")
-        cells.pop()  # after the last line's newline
-        try:
-            return layout.columns(cells, counts.size)
-        except ValueError:
-            pass
-    for lineno, line in enumerate(lines, start=first_line):
-        error = _is_data(line) and _line_error(layout, line.rstrip("\n"))
-        if error:
-            raise ParseError(error, path=path, line=lineno)
-    raise RuntimeError(f"{path}: lines {first_line}-{first_line + len(lines) - 1} failed to convert "
-                       "but no line is at fault")
-
-
-def _split_signals(blocks, signal_ids, path):
-    """One RawSignal per signal index with samples, in index order, each sorted by time.
-
-    Empties the list of parsed blocks as it joins them, and gives every
-    signal arrays of its own, so no capture-sized buffer outlives the parse.
-    """
-    if not blocks:
-        return []
     times, values, sids = (np.concatenate(column) for column in zip(*blocks))
     blocks.clear()
     order = np.lexsort((times, sids))
-    counts = np.bincount(sids)
+    ends = np.cumsum(np.bincount(sids, minlength=len(signal_ids)))
+    for signal_id, rows in zip(signal_ids, np.split(order, ends[:-1])):
+        if rows.size:
+            yield signal_id, times[rows], values[rows]
+
+
+def _parse_block(layout, text, first_line, path):
+    """(lines in text, the layout's columns of its samples or None) for one block of whole lines.
+
+    The common case, a block of well-formed data lines, is checked and
+    converted a whole column at a time; comment and empty lines are filtered
+    out only when the block has a ``#`` or fails the check, and only a block
+    that still fails is walked line by line to name the first bad line.
+    """
+    n, ok = _shape(text, layout.ncols)
+    data, rows = text, n
+    if "#" in text or not ok:
+        kept = [line for line in text.split("\n")[:-1] if _is_data(line)]
+        if not kept:
+            return n, None
+        data = "\n".join(kept) + "\n"
+        rows, ok = _shape(data, layout.ncols)
+    if ok and '"' not in data:
+        cells = data.replace("\n", ",").split(",")
+        cells.pop()  # after the last line's newline
+        try:
+            return n, layout.columns(cells, rows)
+        except ValueError:
+            pass
+    for lineno, line in enumerate(text.split("\n")[:-1], start=first_line):
+        error = _is_data(line) and _line_error(layout, line)
+        if error:
+            raise ParseError(error, path=path, line=lineno)
+    raise RuntimeError(f"{path}: lines {first_line}-{first_line + n - 1} failed to convert "
+                       "but no line is at fault")
+
+
+def _raw_signals(samples, path):
+    """One RawSignal per (signal id, times, values) with samples; a repeated time is an error."""
     signals = []
-    for sid, end in enumerate(np.cumsum(counts)):
-        if not counts[sid]:
-            continue
-        rows = order[end - counts[sid]:end]
-        ts, signal_id = times[rows], signal_ids[sid]
+    for signal_id, ts, vs in samples:
         if ts.size > 1 and np.any(np.diff(ts) <= 0):
             raise ParseError(f"duplicate timestamp in signal {signal_id!r}", path=path)
         try:
-            signals.append(RawSignal(signal_id, ts, values[rows]))
+            signals.append(RawSignal(signal_id, ts, vs))
         except DataError as exc:
             raise ParseError(str(exc), path=path) from None
     return signals
@@ -256,7 +311,7 @@ def parse_capture(path, format="wide_csv", capture_id=None, label="benign", atta
     try:
         with open(path, encoding="utf-8") as fh:  # universal newlines: '\r\n' and '\r' end lines too
             for lineno, line in enumerate(fh, start=1):
-                if _is_data(line):
+                if _is_data(line.rstrip("\n")):
                     break
             else:
                 raise ParseError("empty file", path=path)
@@ -267,12 +322,18 @@ def parse_capture(path, format="wide_csv", capture_id=None, label="benign", atta
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=lineno) from None
             blocks = []
-            while lines := list(islice(fh, max(1, BLOCK_CELLS // layout.ncols))):
-                blocks.append(_parse_block(layout, lines, lineno + 1, path))
-                lineno += len(lines)
+            while text := fh.read(BLOCK_CHARS):
+                if not text.endswith("\n"):
+                    text += fh.readline()  # the rest of the block's last line
+                if not text.endswith("\n"):
+                    text += "\n"  # the file's last line
+                n, columns = _parse_block(layout, text, lineno + 1, path)
+                if columns is not None:
+                    blocks.append(columns)
+                lineno += n
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=path, line=_undecodable_line(path)) from None
-    signals = _split_signals(blocks, list(layout.signal_ids), path)
+    signals = _raw_signals(layout.signals(blocks), path) if blocks else []
     if not signals:
         raise DataError(f"{path}: capture contains no signals")
     return SignalCapture(capture_id=capture_id, signals=tuple(signals), source_path=path,

@@ -304,11 +304,9 @@ def _write_outputs(report, config, params):
 def _write_density(path, values):
     if len(values) < 2 or len(set(values)) < 2:
         return  # degenerate sample: no curve to export
-    curve = density_export(values)
+    rows = "".join(f"{x!r},{dens!r}\n" for x, dens in density_export(values).tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,density\n")
-        for x, dens in curve:
-            fh.write(f"{x!r},{dens!r}\n")
+        fh.write("x,density\n" + rows)
 
 
 def verdict(report):

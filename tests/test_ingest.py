@@ -6,16 +6,27 @@ import pytest
 
 from canclust import ingest
 from canclust.errors import DataError, DegenerateCaptureError, InsufficientOverlapError, ParseError
-from canclust.ingest import BLOCK_CELLS, RawSignal, SignalCapture, parse_capture, resample
+from canclust.ingest import BLOCK_CHARS, RawSignal, SignalCapture, parse_capture, resample
 from conftest import csv_reader_signals
 
-BLOCK_LINES = BLOCK_CELLS // 3  # lines per block of a long_csv file; more blocks of a wider one
+BLOCK_LINES = BLOCK_CHARS // 8  # most lines a block holds when every line has 8 characters or more
 
 
 def write(tmp_path, text, name="cap.csv"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def parse_peak(path, format="wide_csv"):
+    """(tracemalloc peak while parsing path, bytes of the arrays returned)."""
+    tracemalloc.start()
+    try:
+        cap = parse_capture(path, format=format)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sum(s.timestamps.nbytes + s.values.nbytes for s in cap.signals)
 
 
 class TestParseWide:
@@ -59,6 +70,28 @@ class TestParseWide:
         p = write(tmp_path, "time,a\n0.2,3.0\n0.0,1.0\n0.1,2.0\n")
         cap = parse_capture(p)
         assert cap.signals[0].timestamps.tolist() == [0.0, 0.1, 0.2]
+
+    def test_memory_bounded_dense(self, tmp_path):
+        # a dense block is one n x ncols table cut per column: no per-sample time,
+        # value and signal-index arrays beside the returned ones
+        n, k = 20_000, 64
+        values = [f"{v / 7:.6f}" for v in range(1000)]
+        rows = "".join(f"{i / 100:.2f}," + ",".join(values[i * 37 % 900:][:k]) + "\n" for i in range(n))
+        p = write(tmp_path, "time," + ",".join(f"s{j}" for j in range(k)) + "\n" + rows)
+        peak, output = parse_peak(p)
+        assert output == 16 * n * k
+        assert peak < 2.5 * output
+
+    def test_memory_bounded_sparse(self, tmp_path):
+        # a 10%-dense file: a table and presence mask per cell would hold about 11x
+        # the returned arrays; per-sample blocks stay near 3.5x, as for a long file
+        n, k = 20_000, 64
+        rnd = random.Random(5)
+        rows = "".join(f"{i / 100:.2f}," + ",".join(f"{j}.5" if rnd.random() < 0.1 else "" for j in range(k)) + "\n"
+                       for i in range(n))
+        p = write(tmp_path, "time," + ",".join(f"s{j}" for j in range(k)) + "\n" + rows)
+        peak, output = parse_peak(p)
+        assert peak < 6 * output
 
 
 class TestParseLong:
@@ -123,13 +156,7 @@ class TestParseLong:
         n = 100_000
         rows = "".join(f"{i / 100:.2f},ID_{i % 32:03d}_sig,{(i * 7919) % 1000 / 7:.6f}\n" for i in range(n))
         p = write(tmp_path, "time,signal,value\n" + rows)
-        tracemalloc.start()
-        try:
-            cap = parse_capture(p, format="long_csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        output = sum(s.timestamps.nbytes + s.values.nbytes for s in cap.signals)
+        peak, output = parse_peak(p, format="long_csv")
         assert output == 16 * n
         assert peak < 6 * output
 
@@ -254,6 +281,102 @@ class TestParseParity:
         expected = outcome(csv_reader_signals, path, "long_csv")
         assert "non-finite values" in expected[1]
         assert outcome(block_parser, path, "long_csv") == expected
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of a few hundred characters, so that a '\\r\\n' pair, a comment line and
+    an empty line fall on a read boundary many times per file."""
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", 300)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestParseParitySmallBlocks(TestParseParity):
+    """Every parity test again with blocks of a few hundred characters."""
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestParseLongSmallBlocks:
+    test_error_in_second_block = TestParseLong.test_error_in_second_block
+    test_not_utf8_names_line = TestParseLong.test_not_utf8_names_line
+
+
+def dense_lines(rnd, n_rows, n_signals=5):
+    """Header and data lines of a wide capture with no blank cell, rows in time order."""
+    return ["time," + ",".join(f"s{j}" for j in range(n_signals))] + [
+        ",".join([repr(k / 64.0 + 3.0)] + [f"{rnd.gauss(0, 1):.6f}" for _ in range(n_signals)])
+        for k in range(n_rows)]
+
+
+class TestWideBlocks:
+    """Blocks without a blank cell (one table conversion) and with one (a presence
+    mask, then per-sample arrays) against the csv.reader oracle."""
+
+    def same_outcome(self, tmp_path, lines):
+        path = tmp_path / "cap.csv"
+        path.write_text("\n".join(lines) + "\n")
+        expected = outcome(csv_reader_signals, path, "wide_csv")
+        assert outcome(block_parser, path, "wide_csv") == expected
+        return expected
+
+    def test_dense_and_sparse_blocks_alternate(self, tmp_path, monkeypatch, small_blocks):
+        masked = []
+        columns = ingest._Wide.columns
+
+        def spy(layout, cells, n):
+            block = columns(layout, cells, n)
+            masked.append(isinstance(block, tuple))
+            return block
+
+        monkeypatch.setattr(ingest._Wide, "columns", spy)
+        rnd = random.Random(21)
+        lines = dense_lines(rnd, 400)
+        for k in range(1, len(lines)):
+            if k // 40 % 2:  # runs of 40 rows, each far longer than a block
+                cells = lines[k].split(",")
+                cells[1 + k % 5] = ""
+                lines[k] = ",".join(cells)
+        assert isinstance(self.same_outcome(tmp_path, lines), list)
+        assert 5 <= masked.count(True) and 5 <= masked.count(False)
+
+    @pytest.mark.parametrize("blank", ["\u3000", "\xa0", " \u3000\t"])
+    def test_unicode_blank_is_no_sample(self, tmp_path, blank):
+        # str.strip() empties these cells, as the oracle's does: no sample, not a bad cell
+        lines = dense_lines(random.Random(22), 300)
+        cells = lines[150].split(",")
+        lines[150] = ",".join(cells[:2] + [blank] + cells[3:])
+        expected = self.same_outcome(tmp_path, lines)
+        assert [len(ts) // 8 for _, ts, _ in expected] == [300, 299, 300, 300, 300]
+
+    def test_value_read_as_stripped(self, tmp_path):
+        # float() rejects the leading '\x1c' that str.strip() removes; the oracle strips value cells
+        lines = dense_lines(random.Random(23), 300)
+        cells = lines[150].split(",")
+        lines[150] = ",".join(cells[:2] + ["\x1c7.5"] + cells[3:])
+        expected = self.same_outcome(tmp_path, lines)
+        assert np.frombuffer(expected[1][2], dtype=float)[149] == 7.5
+
+    def test_time_read_as_written(self, tmp_path):
+        # ... but reads the time cell as written, so the same cell there is a bad time
+        lines = dense_lines(random.Random(23), 300)
+        lines[150] = ",".join(["\x1c7.5", ""] + lines[150].split(",")[2:])
+        expected = self.same_outcome(tmp_path, lines)
+        assert expected[1:] == (f"{tmp_path / 'cap.csv'}:151: non-numeric time '\\x1c7.5'", 151)
+
+    def test_dense_rows_out_of_time_order(self, tmp_path):
+        rnd = random.Random(24)
+        lines = dense_lines(rnd, 3000)
+        body = lines[1:]
+        rnd.shuffle(body)
+        expected = self.same_outcome(tmp_path, lines[:1] + body)
+        assert isinstance(expected, list) and len(expected) == 5
+
+    def test_nan_time_in_dense_block(self, tmp_path):
+        lines = dense_lines(random.Random(25), 3000)
+        cells = lines[1200].split(",")
+        lines[1200] = ",".join(["nan"] + cells[1:])
+        expected = self.same_outcome(tmp_path, lines)
+        assert expected[0] is ParseError and "non-finite timestamps" in expected[1]
 
 
 def make_capture(signals):

@@ -10,6 +10,7 @@ from canclust.errors import ConfigError, DataError
 from canclust.hierarchy import agglomerate
 from canclust.ingest import parse_capture
 from canclust.pipeline import RunConfig, prepare, run, verdict
+from canclust.stats import density_export
 from canclust.synth import AttackSpec, SynthSpec, generate, inject, signal_id, write_wide_csv
 
 SPEC = SynthSpec(n_groups=3, signals_per_group=3, duration_s=40.0, rate_hz=10.0,
@@ -112,9 +113,12 @@ class TestRun:
         benign_vals = report_obj.benign_samples["ward"].values
         assert len(set(benign_vals)) == 1
         assert not (out / "density_benign_ward.csv").exists()
-        assert (out / "density_correlated_break_ward.csv").exists()
-        header = (out / "density_correlated_break_ward.csv").read_text().splitlines()[0]
+        text = (out / "density_correlated_break_ward.csv").read_text()
+        assert "np." not in text
+        header, *rows = text.splitlines()
         assert header == "x,density"
+        curve = density_export(report_obj.entries[("correlated_break", "ward")]["attack_values"]).tolist()
+        assert [[float(cell) for cell in row.split(",")] for row in rows] == curve
 
 
 class TestConfigValidation:
