@@ -29,9 +29,7 @@ def main():
     print(f"   targets: {', '.join(targets)}")
 
     print("3. running the pipeline (resample -> correlate -> cluster -> compare -> test)")
-    config = RunConfig(benign_captures=benign,
-                       attack_capture_groups={"correlated_break": attacked})
-    report = run(config)
+    report = run(RunConfig(), benign, {"correlated_break": attacked})
 
     print("4. verdict")
     summary, tally = verdict(report)

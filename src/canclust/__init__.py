@@ -8,21 +8,21 @@ Mann-Whitney U test on the similarity distributions.
 """
 
 from .ingest import RawSignal, SignalCapture, SignalMatrix, parse_capture, resample
-from .correlation import CorrelationMatrix, DissimilarityMatrix, pearson_matrix, to_dissimilarity
+from .correlation import DissimilarityMatrix, to_dissimilarity
 from .hierarchy import LINKAGES, Dendrogram, agglomerate
 from .clusim import HierarchyParams, SimilarityScore, affinity, similarity
 from .stats import TestResult, density_export, mann_whitney
 from .synth import AttackSpec, SynthSpec, generate, inject, signal_id
-from .pipeline import RunConfig, SimilaritySample, VerdictReport, prepare, run, verdict
+from .pipeline import RunConfig, SimilaritySample, VerdictReport, run, verdict, write_outputs
 
 __all__ = [
     "RawSignal", "SignalCapture", "SignalMatrix", "parse_capture", "resample",
-    "CorrelationMatrix", "DissimilarityMatrix", "pearson_matrix", "to_dissimilarity",
+    "DissimilarityMatrix", "to_dissimilarity",
     "LINKAGES", "Dendrogram", "agglomerate",
     "HierarchyParams", "SimilarityScore", "affinity", "similarity",
     "TestResult", "density_export", "mann_whitney",
     "AttackSpec", "SynthSpec", "generate", "inject", "signal_id",
-    "RunConfig", "SimilaritySample", "VerdictReport", "prepare", "run", "verdict",
+    "RunConfig", "SimilaritySample", "VerdictReport", "run", "verdict", "write_outputs",
 ]
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from .clusim import similarity
 from .errors import ConfigError, DataError
 from .hierarchy import LINKAGES
 from .ingest import parse_capture
-from .pipeline import RunConfig, conclude, fan_out, summarize, verdict
+from .pipeline import RunConfig, check_sources, conclude, fan_out, summarize, verdict, write_outputs
 from .synth import AttackSpec, SynthSpec, generate, inject, write_wide_csv
 
 DISSIMILARITY_ALIASES = {
@@ -65,7 +65,6 @@ def _cmd_analyze(args):
         kind, pattern = spec.split("=", 1)
         patterns.setdefault(kind, []).append(pattern)
     config = RunConfig(
-        attack_capture_groups=dict.fromkeys(patterns, ()),
         frequency_hz=args.freq,
         linkages=tuple(l.strip() for l in args.linkage.split(",") if l.strip()),
         r=args.r,
@@ -73,16 +72,16 @@ def _cmd_analyze(args):
         significance=args.significance,
         dissimilarity=args.dissimilarity,
         allow_intersection=args.allow_intersection,
-        output_dir=args.out,
     )
     # benign files, then each kind's, as run() orders captures; a capture's id is its file's stem
-    files = {None: _expand(args.benign),
-             **{kind: [f for p in pats for f in _expand(p)] for kind, pats in patterns.items()}}
-    sources = {kind: [(Path(f).stem, f) for f in group] for kind, group in files.items()}
-    params = config.check_parameters(sources)  # before any file is parsed
+    benign = [(Path(f).stem, f) for f in _expand(args.benign)]
+    attacks = {kind: [(Path(f).stem, f) for p in pats for f in _expand(p)] for kind, pats in patterns.items()}
+    sources = check_sources(benign, attacks)
     jobs = [(f, {} if kind is None else {"label": "attack", "attack_kind": kind})
-            for kind, group in files.items() for f in group]
-    summary, _tally = verdict(conclude(config, params, sources, _summarize_files(jobs, args.format, config)))
+            for kind, group in sources.items() for _cap_id, f in group]
+    report = conclude(config, sources, _summarize_files(jobs, args.format, config))
+    write_outputs(report, args.out)
+    summary, _tally = verdict(report)
     print(summary)
     return 0
 
@@ -137,11 +136,10 @@ def _cmd_simtest(args):
     # every parameter is checked before either file is parsed
     config = RunConfig(frequency_hz=args.freq, linkages=(args.linkage_single,), r=args.r, alpha=args.alpha,
                        dissimilarity=args.dissimilarity)
-    params = config.check_parameters()
     (_, (dend_a,)), (_, (dend_b,)) = _summarize_files([(args.a, {}), (args.b, {})], args.format, config)
-    score = similarity(dend_a, dend_b, params, allow_intersection=args.allow_intersection)
+    score = similarity(dend_a, dend_b, config.params, allow_intersection=args.allow_intersection)
     print(json.dumps({"capture_a": Path(args.a).stem, "capture_b": Path(args.b).stem,
-                      "linkage": args.linkage_single, "r": params.r, "alpha": params.alpha,
+                      "linkage": args.linkage_single, "r": config.r, "alpha": config.alpha,
                       "similarity": score.value}))
     return 0
 

@@ -1,4 +1,4 @@
-"""Pairwise Pearson correlation of resampled signals and its dissimilarity form.
+"""Pairwise Pearson correlation of resampled signals, in its dissimilarity form.
 
 Rows of a SignalMatrix are centered and unit-norm, so the correlation matrix
 is just the Gram matrix of the rows. The clustering input is a dissimilarity:
@@ -17,23 +17,19 @@ DISSIMILARITIES = ("one_minus_abs_rho", "half_one_minus_rho")
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
-    signal_ids: tuple
-    rho: np.ndarray  # N x N, symmetric, unit diagonal, entries in [-1, 1]
-
-
-@dataclass(frozen=True)
 class DissimilarityMatrix:
     signal_ids: tuple
     d: np.ndarray  # N x N, symmetric, zero diagonal, entries in [0, 1]
 
 
-def pearson_matrix(m):
-    """Pearson correlation matrix of the rows of a SignalMatrix.
+def to_dissimilarity(m, mode="one_minus_abs_rho"):
+    """The clustering dissimilarity of the rows of a SignalMatrix.
 
-    Rows are already centered and unit-norm, so rho[i, j] is the plain dot
-    product; entries are computed once for i < j and mirrored, the diagonal
-    is set (not computed) to exactly 1.
+    Rows are already centered and unit-norm, so the correlation rho[i, j] is
+    the plain dot product; it is computed once for i < j and mirrored, and
+    its diagonal is set (not computed) to exactly 1. mode
+    "one_minus_abs_rho" gives d = 1 - |rho| (default); mode
+    "half_one_minus_rho" gives d = (1 - rho) / 2.
     """
     n = m.data.shape[0]
     if n < 2:
@@ -50,22 +46,12 @@ def pearson_matrix(m):
     rho[iu] = np.clip(gram[iu], -1.0, 1.0)
     rho = rho + rho.T
     np.fill_diagonal(rho, 1.0)
-    return CorrelationMatrix(signal_ids=tuple(m.signal_ids), rho=rho)
-
-
-def to_dissimilarity(c, mode="one_minus_abs_rho"):
-    """Turn a correlation matrix into the clustering dissimilarity.
-
-    mode "one_minus_abs_rho" gives d = 1 - |rho| (default);
-    mode "half_one_minus_rho" gives d = (1 - rho) / 2.
-    """
     if mode == "one_minus_abs_rho":
-        d = 1.0 - np.abs(c.rho)
+        d = 1.0 - np.abs(rho)
     elif mode == "half_one_minus_rho":
-        d = (1.0 - c.rho) / 2.0
+        d = (1.0 - rho) / 2.0
     else:
         raise ValueError(f"unknown dissimilarity mode {mode!r}")
     d = np.clip(d, 0.0, 1.0)
     np.fill_diagonal(d, 0.0)
-    return DissimilarityMatrix(signal_ids=tuple(c.signal_ids), d=d)
-
+    return DissimilarityMatrix(signal_ids=tuple(m.signal_ids), d=d)

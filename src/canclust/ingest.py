@@ -25,6 +25,7 @@ normalizes each remaining series to zero mean and unit l2 norm so that row
 dot products downstream are exactly Pearson correlations.
 """
 
+import re
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -45,6 +46,10 @@ MAX_GRID_POINTS = 10_000_000
 # of a typical long_csv file; bounds the cell strings alive at once to a few MB
 # whatever the file's length or width, while keeping per-block overhead negligible
 BLOCK_CHARS = 1 << 16
+
+# a newline, then a line whose first non-blank character is '#' (re's \s is str.isspace(), what
+# str.lstrip() strips); re finds the literal newline fast, unlike a multi-line "^"
+_COMMENT_LINE = re.compile(r"\n\s*#")
 
 _QUOTE_ERROR = "quote character '\"': cells are split on commas, without CSV quoting"
 
@@ -241,12 +246,12 @@ def _parse_block(layout, text, first_line, path):
 
     The common case, a block of well-formed data lines, is checked and
     converted a whole column at a time; comment and empty lines are filtered
-    out only when the block has a ``#`` or fails the check, and only a block
-    that still fails is walked line by line to name the first bad line.
+    out only when the block has a comment line or fails the check, and only a
+    block that still fails is walked line by line to name the first bad line.
     """
     n, ok = _shape(text, layout.ncols)
     data, rows = text, n
-    if "#" in text or not ok:
+    if not ok or ("#" in text and _COMMENT_LINE.search("\n" + text)):
         kept = [line for line in text.split("\n")[:-1] if _is_data(line)]
         if not kept:
             return n, None
@@ -296,8 +301,8 @@ def _undecodable_line(path):
     return None
 
 
-def parse_capture(path, format="wide_csv", capture_id=None, label="benign", attack_kind=""):
-    """Parse a capture file into a SignalCapture.
+def parse_capture(path, format="wide_csv", label="benign", attack_kind=""):
+    """Parse a capture file into a SignalCapture whose capture_id is the file's stem.
 
     format is "wide_csv" (header ``time,<sig1>,...``) or "long_csv"
     (header ``time,signal,value``). Signals with no samples at all are
@@ -306,8 +311,6 @@ def parse_capture(path, format="wide_csv", capture_id=None, label="benign", atta
     if format not in _LAYOUTS:
         raise ValueError(f"unknown format {format!r}")
     path = str(path)
-    if capture_id is None:
-        capture_id = Path(path).stem
     try:
         with open(path, encoding="utf-8") as fh:  # universal newlines: '\r\n' and '\r' end lines too
             for lineno, line in enumerate(fh, start=1):
@@ -336,7 +339,7 @@ def parse_capture(path, format="wide_csv", capture_id=None, label="benign", atta
     signals = _raw_signals(layout.signals(blocks), path) if blocks else []
     if not signals:
         raise DataError(f"{path}: capture contains no signals")
-    return SignalCapture(capture_id=capture_id, signals=tuple(signals), source_path=path,
+    return SignalCapture(capture_id=Path(path).stem, signals=tuple(signals), source_path=path,
                          label=label, attack_kind=attack_kind)
 
 

@@ -1,12 +1,15 @@
 """End-to-end orchestration: captures in, verdict report out.
 
-summarize() resamples, correlates and clusters one capture, keeping only its
-diagnostics and one dendrogram per linkage. conclude() scores each linkage's
-benign and attack x benign pairs in one clusim.similarities() batch, runs
-the Mann-Whitney test per (attack kind, linkage) cell and emits a
-self-contained report. run() does both for in-memory captures; the CLI
-parses and summarizes each file in one step. fan_out() spreads either stage
-over every available CPU. verdict() condenses a report into a tally.
+A RunConfig holds the analysis parameters, checked when it is built.
+check_sources() checks attack kinds and capture ids before any capture is
+touched. summarize() resamples, correlates and clusters one capture, keeping
+only its diagnostics and one dendrogram per linkage. conclude() scores each
+linkage's benign and attack x benign pairs in one clusim.similarities()
+batch, runs the Mann-Whitney test per (attack kind, linkage) cell and emits
+a self-contained report, which write_outputs() writes to a directory. run()
+does all of this for in-memory captures; the CLI parses and summarizes each
+file in one step. fan_out() spreads either stage over every available CPU.
+verdict() condenses a report into a tally.
 """
 
 import json
@@ -14,12 +17,12 @@ import math
 import os
 import pickle
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 
 from .clusim import HierarchyParams, similarities
-from .correlation import DISSIMILARITIES, pearson_matrix, to_dissimilarity
+from .correlation import DISSIMILARITIES, to_dissimilarity
 from .errors import ConfigError, DataError
 from .hierarchy import LINKAGES, agglomerate
 from .ingest import resample
@@ -30,8 +33,8 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    benign_captures: tuple = ()
-    attack_capture_groups: dict = field(default_factory=dict)  # kind -> tuple of captures
+    """The analysis parameters, checked when built; report.json echoes these fields as its config."""
+
     frequency_hz: float = 10.0
     linkages: tuple = ("single", "complete", "average", "ward")
     r: float = -5.0
@@ -39,14 +42,8 @@ class RunConfig:
     significance: float = 0.05
     dissimilarity: str = "one_minus_abs_rho"
     allow_intersection: bool = False
-    output_dir: str = ""
 
-    def check_parameters(self, sources=None):
-        """Check all but the captures' contents; return the HierarchyParams the run scores with.
-
-        sources maps None (benign) and each attack kind to its captures'
-        (capture_id, source), in run order; a duplicate id is rejected.
-        """
+    def __post_init__(self):
         if not self.linkages:
             raise ConfigError("need at least one linkage")
         bad = [l for l in self.linkages if l not in LINKAGES]
@@ -56,36 +53,38 @@ class RunConfig:
             raise ConfigError(f"duplicate linkages in {list(self.linkages)}")
         if self.dissimilarity not in DISSIMILARITIES:
             raise ConfigError(f"unknown dissimilarity {self.dissimilarity!r}; choose from {DISSIMILARITIES}")
-        # a kind names output files (density_<kind>_<linkage>.csv)
-        bad = [k for k in self.attack_capture_groups
-               if not (isinstance(k, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", k))]
-        if bad:
-            raise ConfigError(f"attack kinds {bad} are not non-empty names of letters, digits, '_', '-' and '.'")
         if not (0.0 < self.significance < 1.0):
             raise ConfigError("significance must be in (0, 1)")
         if not (0.0 < self.frequency_hz < math.inf):
             raise ConfigError("frequency_hz must be positive and finite")
+        self.params  # checks r and alpha
+
+    @property
+    def params(self):
+        """The HierarchyParams that pairs are scored with."""
         try:
-            params = HierarchyParams(r=self.r, alpha=self.alpha)
+            return HierarchyParams(r=self.r, alpha=self.alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        seen = {}  # capture_id -> its first source
-        for cap_id, source in (s for group in (sources or {}).values() for s in group):
-            if cap_id in seen:
-                raise DataError(f"duplicate capture_id {cap_id!r} ({seen[cap_id]} and {source})")
-            seen[cap_id] = source
-        return params
 
-    def echo(self):
-        return {
-            "frequency_hz": self.frequency_hz,
-            "linkages": list(self.linkages),
-            "r": self.r,
-            "alpha": self.alpha,
-            "significance": self.significance,
-            "dissimilarity": self.dissimilarity,
-            "allow_intersection": self.allow_intersection,
-        }
+
+def check_sources(benign, attacks):
+    """Sources by kind, None first for benign, after checking attack kind names and capture ids.
+
+    benign and each group of attacks (kind -> group) are (capture_id,
+    source) pairs, in run order; a duplicate id is rejected, naming both sources.
+    """
+    # a kind names output files (density_<kind>_<linkage>.csv)
+    bad = [k for k in attacks if not (isinstance(k, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", k))]
+    if bad:
+        raise ConfigError(f"attack kinds {bad} are not non-empty names of letters, digits, '_', '-' and '.'")
+    sources = {None: benign, **attacks}
+    seen = {}  # capture_id -> its first source
+    for cap_id, source in (s for group in sources.values() for s in group):
+        if cap_id in seen:
+            raise DataError(f"duplicate capture_id {cap_id!r} ({seen[cap_id]} and {source})")
+        seen[cap_id] = source
+    return sources
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class SimilaritySample:
 @dataclass(frozen=True)
 class VerdictReport:
     schema: int
-    config: dict
+    config: RunConfig
     diagnostics: tuple  # per-capture dicts: capture_id, source_path, label, kind, n_signals, t, dropped
     benign_samples: dict  # linkage -> SimilaritySample
     entries: dict  # (attack_kind, linkage) -> entry dict
@@ -107,7 +106,7 @@ class VerdictReport:
     def to_dict(self):
         return {
             "schema": self.schema,
-            "config": self.config,
+            "config": asdict(self.config),
             "diagnostics": list(self.diagnostics),
             "benign_samples": {
                 linkage: {"values": list(s.values), "pair_ids": [list(p) for p in s.pair_ids]}
@@ -118,20 +117,6 @@ class VerdictReport:
                 for (kind, linkage), entry in sorted(self.entries.items())
             ],
         }
-
-
-def prepare(capture, frequency_hz, dissimilarity):
-    """Resample, correlate and transform one capture for clustering.
-
-    Returns (SignalMatrix, CorrelationMatrix, DissimilarityMatrix). A
-    DataError is re-raised naming the capture and the file it came from.
-    """
-    try:
-        m = resample(capture, frequency_hz)
-        c = pearson_matrix(m)
-        return m, c, to_dissimilarity(c, mode=dissimilarity)
-    except DataError as exc:
-        raise DataError(f"capture {capture.capture_id!r} ({capture.source_path or 'inline'}): {exc}") from exc
 
 
 def _share(fn, items):
@@ -210,27 +195,35 @@ def fan_out(fn, items):
 
 
 def summarize(capture, config):
-    """One capture's diagnostics entry and its Dendrogram under each of config.linkages, in order."""
-    m, _c, dm = prepare(capture, config.frequency_hz, config.dissimilarity)
+    """One capture's diagnostics entry and its Dendrogram under each of config.linkages, in order.
+
+    A DataError is re-raised naming the capture and the file it came from.
+    """
+    try:
+        m = resample(capture, config.frequency_hz)
+        dm = to_dissimilarity(m, config.dissimilarity)
+    except DataError as exc:
+        raise DataError(f"capture {capture.capture_id!r} ({capture.source_path or 'inline'}): {exc}") from exc
     diagnostics = {"capture_id": capture.capture_id, "source_path": capture.source_path, "label": capture.label,
                    "attack_kind": capture.attack_kind, "n_signals": len(m.signal_ids), "t": int(m.grid.size),
                    "dropped_constant": list(m.dropped_constant)}
     return diagnostics, tuple(agglomerate(dm, linkage) for linkage in config.linkages)
 
 
-def run(config):
-    """Execute the full forensic pipeline on config's in-memory captures; return a VerdictReport."""
-    groups = {None: config.benign_captures, **config.attack_capture_groups}
-    sources = {kind: [(c.capture_id, c.source_path or "inline") for c in caps] for kind, caps in groups.items()}
-    params = config.check_parameters(sources)
-    summaries = fan_out(lambda cap: summarize(cap, config), [c for caps in groups.values() for c in caps])
-    return conclude(config, params, sources, summaries)
+def run(config, benign, attacks=None):
+    """The VerdictReport of in-memory benign captures and attacks, which maps each kind to its captures."""
+    def sources(captures):
+        return [(c.capture_id, c.source_path or "inline") for c in captures]
+    attacks = attacks or {}
+    checked = check_sources(sources(benign), {kind: sources(caps) for kind, caps in attacks.items()})
+    captures = [c for caps in (benign, *attacks.values()) for c in caps]
+    return conclude(config, checked, fan_out(lambda cap: summarize(cap, config), captures))
 
 
-def conclude(config, params, sources, summaries):
+def conclude(config, sources, summaries):
     """The VerdictReport of the summaries of sources' captures, one fan_out() item per linkage.
 
-    Outputs go to config.output_dir, if set, after every computation succeeded.
+    sources is what check_sources() returns; summaries are summarize()'s, in the same order.
     """
     benign_ids = [cap_id for cap_id, _source in sources[None]]
     if len(benign_ids) < 2:  # checked after loading, so a bad file is reported first
@@ -246,6 +239,7 @@ def conclude(config, params, sources, summaries):
             pair_ids += [(cap_id, b) for cap_id, _source in group for b in benign_ids]
             groups.append((kind, lo, len(pair_ids)))
     trees = {diag["capture_id"]: dends for diag, dends in summaries}  # capture_id -> a Dendrogram per linkage
+    params = config.params
 
     def score(j):
         batch = [(trees[a][j], trees[b][j]) for a, b in pair_ids]
@@ -269,30 +263,29 @@ def conclude(config, params, sources, summaries):
                 "attack_pair_ids": [list(p) for p in pair_ids[lo:hi]],
             }
 
-    report = VerdictReport(schema=SCHEMA_VERSION, config=config.echo(),
-                           diagnostics=tuple(diag for diag, _dends in summaries),
-                           benign_samples=benign_samples, entries=entries)
-    if config.output_dir:
-        _write_outputs(report, config, params)
-    return report
+    return VerdictReport(schema=SCHEMA_VERSION, config=config,
+                         diagnostics=tuple(diag for diag, _dends in summaries),
+                         benign_samples=benign_samples, entries=entries)
 
 
-def _write_outputs(report, config, params):
-    out = Path(config.output_dir)
+def write_outputs(report, output_dir):
+    """Write report.json, similarities.jsonl and the density CSVs of a report to output_dir."""
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
 
+    r, alpha = report.config.r, report.config.alpha
     with open(out / "similarities.jsonl", "w", encoding="utf-8") as fh:
         for linkage, sample in report.benign_samples.items():
             for (a, b), v in zip(sample.pair_ids, sample.values):
                 fh.write(json.dumps({"capture_a": a, "capture_b": b, "linkage": linkage,
-                                     "r": params.r, "alpha": params.alpha, "similarity": v}) + "\n")
+                                     "r": r, "alpha": alpha, "similarity": v}) + "\n")
         for (kind, linkage), entry in sorted(report.entries.items()):
             for (a, b), v in zip(entry["attack_pair_ids"], entry["attack_values"]):
                 fh.write(json.dumps({"capture_a": a, "capture_b": b, "linkage": linkage,
-                                     "r": params.r, "alpha": params.alpha, "similarity": v,
+                                     "r": r, "alpha": alpha, "similarity": v,
                                      "attack_kind": kind}) + "\n")
 
     for linkage, sample in report.benign_samples.items():
@@ -316,7 +309,7 @@ def verdict(report):
     (detected, total attack kinds).
     """
     kinds = sorted({kind for kind, _ in report.entries})
-    linkages = report.config["linkages"]
+    linkages = report.config.linkages
     lines = []
     tally = {linkage: 0 for linkage in linkages}
     for kind in kinds:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DataError
 
 EXACT_LIMIT = 10_000
+DENSITY_POINTS = 256  # points of an exported density curve
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,14 @@ def mann_whitney(x, y, significance=0.05):
 
     u = u_statistic(xv, yv)
     pooled = np.concatenate([xv, yv])
-    has_ties = len(np.unique(pooled)) < len(pooled)
-
-    if np.all(pooled == pooled[0]):
+    # the one tie decision: values tie when exactly equal
+    _, tie_counts = np.unique(pooled, return_counts=True)
+    if len(tie_counts) == 1:
         # all values identical: no location information at all
         return TestResult(u_statistic=u, p_value=1.0, n1=n1, n2=n2,
                           method="normal_approx", significant=False)
 
-    if not has_ties and n1 * n2 <= EXACT_LIMIT:
+    if len(tie_counts) == len(pooled) and n1 * n2 <= EXACT_LIMIT:
         counts = exact_u_counts(n1, n2)
         mu2 = n1 * n2  # 2 * mean, kept integral
         dev = abs(2 * int(round(u)) - mu2)
@@ -105,7 +106,6 @@ def mann_whitney(x, y, significance=0.05):
         method = "exact"
     else:
         n = n1 + n2
-        _, tie_counts = np.unique(pooled, return_counts=True)
         tie_term = float(np.sum(tie_counts ** 3 - tie_counts))
         var = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
         mu = n1 * n2 / 2.0
@@ -125,10 +125,10 @@ def scott_bandwidth(values):
     return float(np.std(values, ddof=1) * len(values) ** (-0.2))
 
 
-def density_export(values, n_points=256):
+def density_export(values):
     """Gaussian KDE curve for a sequence of similarities, bandwidth h = sigma_hat * n^(-1/5) (Scott's rule).
 
-    Returns an (n_points, 2) array of (x, density) over [min - 3h, max + 3h];
+    Returns a (DENSITY_POINTS, 2) array of (x, density) over [min - 3h, max + 3h];
     the trapezoid integral of the curve is 1 within ~1e-3.
     """
     values = np.asarray(values, dtype=float)
@@ -137,7 +137,7 @@ def density_export(values, n_points=256):
     h = scott_bandwidth(values)
     if h <= 0:
         raise DataError("zero-variance sample has no density curve")
-    xs = np.linspace(values.min() - 3 * h, values.max() + 3 * h, n_points)
+    xs = np.linspace(values.min() - 3 * h, values.max() + 3 * h, DENSITY_POINTS)
     z = (xs[:, None] - values[None, :]) / h
     dens = np.exp(-0.5 * z ** 2).sum(axis=1) / (len(values) * h * math.sqrt(2 * math.pi))
     return np.column_stack([xs, dens])

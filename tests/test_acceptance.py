@@ -48,8 +48,7 @@ def attack_captures(base, kind, targets, window):
 
 def ward_cell(benign, kind, attacks):
     """The (kind, Ward) test cell run() reports for one attack group against the benign captures."""
-    config = RunConfig(benign_captures=benign, attack_capture_groups={kind: attacks}, linkages=("ward",))
-    return run(config).entries[(kind, "ward")]
+    return run(RunConfig(linkages=("ward",)), benign, {kind: attacks}).entries[(kind, "ward")]
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +65,7 @@ def replicates():
 
 def test_criterion_01_benign_pair_count(replicates, capsys):
     _base, caps = replicates[0]
-    sample = run(RunConfig(benign_captures=caps[:12], linkages=("ward",))).benign_samples["ward"]
+    sample = run(RunConfig(linkages=("ward",)), caps[:12]).benign_samples["ward"]
     passed = len(sample.values) == 66 and len(set(sample.pair_ids)) == 66
     report(capsys, 1, passed, f"12 benign captures give {len(sample.values)} benign-benign pairs (want 66)")
 
@@ -190,10 +189,8 @@ def test_criterion_10_road_reproduction(capsys):
         paths = sorted(glob.glob(os.path.join(road_dir, name, "*.csv")))
         return tuple(parse_capture(p, **labels) for p in paths)
 
-    config = RunConfig(benign_captures=parse_dir("benign"),
-                       attack_capture_groups={k: parse_dir(k, label="attack", attack_kind=k) for k in kinds},
-                       linkages=("average", "ward"), allow_intersection=True)
-    rep = run(config)
+    rep = run(RunConfig(linkages=("average", "ward"), allow_intersection=True), parse_dir("benign"),
+              {k: parse_dir(k, label="attack", attack_kind=k) for k in kinds})
     ward_hits = sum(1 for k in kinds if rep.entries[(k, "ward")]["significant"])
     avg_misses_corr = not rep.entries[("correlated", "average")]["significant"]
     passed = ward_hits == len(kinds) and avg_misses_corr

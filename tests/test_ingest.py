@@ -150,6 +150,28 @@ class TestParseLong:
         p = write(tmp_path, '# "quoted", fine\ntime,signal,value\n0.0,A,1\n# a,"b",c\n0.1,A,2\n')
         assert parse_capture(p, format="long_csv").signals[0].values.tolist() == [1.0, 2.0]
 
+    def test_hash_inside_cells_is_data(self, tmp_path, monkeypatch):
+        # only a '#' that is a line's first non-blank character starts a comment, so blocks
+        # whose signal names hold one are converted whole, without the per-line filter
+        def rows(sep):
+            return "time,signal,value\n" + "".join(f"{i / 100:.2f},ID_{i % 32:03d}{sep}sig,{i % 7}\n"
+                                                   for i in range(3 * BLOCK_LINES))
+        plain = parse_capture(write(tmp_path, rows("_"), "plain.csv"), format="long_csv")
+        calls = []
+        is_data = ingest._is_data
+        monkeypatch.setattr(ingest, "_is_data", lambda line: calls.append(line) or is_data(line))
+        hashed = parse_capture(write(tmp_path, rows("#"), "hashed.csv"), format="long_csv")
+        assert calls == ["time,signal,value"]  # the header line, before the first block
+        assert [s.signal_id for s in hashed.signals] == [s.signal_id.replace("_sig", "#sig") for s in plain.signals]
+        for a, b in zip(plain.signals, hashed.signals):
+            assert np.array_equal(a.timestamps, b.timestamps) and np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("blank", ["\u3000", "\x1c", "\xa0 \t"])
+    def test_comment_after_unicode_blanks(self, tmp_path, blank):
+        # str.lstrip() strips these, so the line is a comment, although it has 3 cells
+        p = write(tmp_path, f"time,signal,value\n0.0,A,1\n{blank}# note, with, commas\n0.1,A,2\n")
+        assert parse_capture(p, format="long_csv").signals[0].values.tolist() == [1.0, 2.0]
+
     def test_memory_bounded_by_blocks(self, tmp_path):
         # a whole-file read holds every line and cell as Python strings at once, over
         # 20x the arrays it returns; blocks keep the peak near 3x whatever the length

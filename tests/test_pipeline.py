@@ -1,5 +1,7 @@
+import builtins
 import json
 import os
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -7,9 +9,8 @@ import pytest
 from canclust import clusim, pipeline
 from canclust.cli import main
 from canclust.errors import ConfigError, DataError
-from canclust.hierarchy import agglomerate
 from canclust.ingest import parse_capture
-from canclust.pipeline import RunConfig, prepare, run, verdict
+from canclust.pipeline import RunConfig, run, summarize, verdict, write_outputs
 from canclust.stats import density_export
 from canclust.synth import AttackSpec, SynthSpec, generate, inject, signal_id, write_wide_csv
 
@@ -47,10 +48,8 @@ def pin(capture, sid):
 
 @pytest.fixture(scope="module")
 def small_report():
-    config = RunConfig(benign_captures=make_benign(5),
-                       attack_capture_groups={"correlated_break": make_attacks("correlated_break", 2)},
-                       linkages=("average", "ward"))
-    return run(config)
+    return run(RunConfig(linkages=("average", "ward")), make_benign(5),
+               {"correlated_break": make_attacks("correlated_break", 2)})
 
 
 class TestRun:
@@ -73,10 +72,8 @@ class TestRun:
             assert d["source_path"] == ""  # in-memory capture
 
     def test_deterministic(self, small_report):
-        config = RunConfig(benign_captures=make_benign(5),
-                           attack_capture_groups={"correlated_break": make_attacks("correlated_break", 2)},
-                           linkages=("average", "ward"))
-        again = run(config)
+        again = run(RunConfig(linkages=("average", "ward")), make_benign(5),
+                    {"correlated_break": make_attacks("correlated_break", 2)})
         assert again.to_dict() == small_report.to_dict()
 
     def test_report_is_json_serializable(self, small_report):
@@ -92,18 +89,17 @@ class TestRun:
             assert all(0.0 <= v <= 1.0 for v in entry["attack_values"])
 
     def test_benign_only_run(self):
-        report = run(RunConfig(benign_captures=make_benign(3), linkages=("ward",)))
+        report = run(RunConfig(linkages=("ward",)), make_benign(3))
         assert report.entries == {}
         summary, tally = verdict(report)
         assert "benign diagnostics only" in summary
         assert tally == {"ward": (0, 0)}
 
     def test_output_files(self, tmp_path):
-        config = RunConfig(benign_captures=make_benign(4),
-                           attack_capture_groups={"correlated_break": make_attacks("correlated_break", 2)},
-                           linkages=("ward",), output_dir=str(tmp_path / "out"))
-        report_obj = run(config)
+        report_obj = run(RunConfig(linkages=("ward",)), make_benign(4),
+                         {"correlated_break": make_attacks("correlated_break", 2)})
         out = tmp_path / "out"
+        write_outputs(report_obj, out)
         report = json.loads((out / "report.json").read_text())
         assert report["results"][0]["attack_kind"] == "correlated_break"
         lines = [json.loads(l) for l in (out / "similarities.jsonl").read_text().splitlines()]
@@ -122,56 +118,57 @@ class TestRun:
 
 
 class TestConfigValidation:
+    """A bad parameter is rejected when its RunConfig is built; a bad attack kind or capture id by run()."""
+
     def test_too_few_benign(self):
         with pytest.raises(ConfigError, match="at least 2 benign"):
-            run(RunConfig(benign_captures=make_benign(1)))
+            run(RunConfig(), make_benign(1))
 
     def test_unknown_linkage(self):
         with pytest.raises(ConfigError, match="unknown linkages"):
-            run(RunConfig(benign_captures=make_benign(2), linkages=("centroid",)))
+            RunConfig(linkages=("centroid",))
 
     def test_empty_linkages(self):
         with pytest.raises(ConfigError):
-            run(RunConfig(benign_captures=make_benign(2), linkages=()))
+            RunConfig(linkages=())
 
     def test_bad_significance(self):
         with pytest.raises(ConfigError):
-            run(RunConfig(benign_captures=make_benign(2), significance=1.5))
+            RunConfig(significance=1.5)
 
     def test_bad_alpha(self):
         with pytest.raises(ConfigError):
-            run(RunConfig(benign_captures=make_benign(2), alpha=1.0))
+            RunConfig(alpha=1.0)
 
     def test_non_finite_r(self):
         with pytest.raises(ConfigError, match="r must be finite"):
-            run(RunConfig(benign_captures=make_benign(2), r=float("inf")))
+            RunConfig(r=float("inf"))
 
     def test_bad_frequency(self):
         with pytest.raises(ConfigError):
-            run(RunConfig(benign_captures=make_benign(2), frequency_hz=0.0))
+            RunConfig(frequency_hz=0.0)
 
     def test_duplicate_linkages(self):
         with pytest.raises(ConfigError, match="duplicate linkages"):
-            run(RunConfig(benign_captures=make_benign(2), linkages=("ward", "ward")))
+            RunConfig(linkages=("ward", "ward"))
 
     @pytest.mark.parametrize("kind", ["x/y", "", "a b", "../up", None])
     def test_bad_attack_kind(self, kind, monkeypatch):
-        # rejected before any capture is prepared
-        monkeypatch.setattr("canclust.pipeline.prepare", None)
+        # rejected before any capture is resampled
+        monkeypatch.setattr("canclust.pipeline.resample", None)
         with pytest.raises(ConfigError, match="attack kinds"):
-            run(RunConfig(benign_captures=make_benign(2), attack_capture_groups={kind: make_attacks("max_value", 1)}))
+            run(RunConfig(), make_benign(2), {kind: make_attacks("max_value", 1)})
 
-    def test_bad_dissimilarity(self, monkeypatch):
-        monkeypatch.setattr("canclust.pipeline.prepare", None)
+    def test_bad_dissimilarity(self):
         with pytest.raises(ConfigError, match="unknown dissimilarity 'bogus'"):
-            run(RunConfig(benign_captures=make_benign(2), dissimilarity="bogus"))
+            RunConfig(dissimilarity="bogus")
 
     def test_duplicate_capture_ids(self, monkeypatch):
-        # rejected before any capture is summarized
-        monkeypatch.setattr("canclust.pipeline.prepare", None)
+        # rejected before any capture is resampled
+        monkeypatch.setattr("canclust.pipeline.resample", None)
         caps = make_benign(2)
         with pytest.raises(DataError, match=r"duplicate capture_id 'benign_0' \(inline and inline\)"):
-            run(RunConfig(benign_captures=(caps[0], caps[0])))
+            run(RunConfig(), (caps[0], caps[0]))
 
     def test_duplicate_capture_ids_name_their_files(self, tmp_path):
         # the same file name in two directories: the error names both files
@@ -181,8 +178,39 @@ class TestConfigValidation:
             path.parent.mkdir()
             write_wide_csv(cap, path)
         with pytest.raises(DataError) as info:
-            run(RunConfig(benign_captures=tuple(parse_capture(p) for p in paths)))
+            run(RunConfig(), tuple(parse_capture(p) for p in paths))
         assert str(info.value) == f"duplicate capture_id 'x' ({paths[0]} and {paths[1]})"
+
+
+class TestOneConfig:
+    """The analysis parameters are RunConfig's fields; only write_outputs() writes."""
+
+    def test_report_config_is_the_fields(self, small_report, tmp_path):
+        write_outputs(small_report, tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert list(doc["config"]) == [f.name for f in fields(RunConfig)]
+        assert doc["config"] == {"frequency_hz": 10.0, "linkages": ["average", "ward"], "r": -5.0, "alpha": 0.9,
+                                 "significance": 0.05, "dissimilarity": "one_minus_abs_rho",
+                                 "allow_intersection": False}
+
+    def test_run_writes_no_files(self, tmp_path, monkeypatch):
+        # one CPU, so that every open() of the run is seen here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.chdir(tmp_path)
+        opened = []
+        real_open = builtins.open
+
+        def recorded(file, mode="r", *args, **kwargs):
+            opened.append((file, mode))
+            return real_open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(builtins, "open", recorded)
+        report = run(RunConfig(linkages=("ward",)), make_benign(3),
+                     {"correlated_break": make_attacks("correlated_break", 1)})
+        monkeypatch.setattr(builtins, "open", real_open)
+        assert [(f, mode) for f, mode in opened if set(mode) & set("wax+")] == []
+        assert list(tmp_path.iterdir()) == []
+        write_outputs(report, "out")
+        assert (tmp_path / "out" / "report.json").exists()
 
 
 class TestPairSamples:
@@ -193,8 +221,7 @@ class TestPairSamples:
     @pytest.fixture(scope="class")
     def report(self, corpus):
         benign, attacks = corpus
-        return run(RunConfig(benign_captures=benign, attack_capture_groups={"correlated_break": attacks},
-                             linkages=("ward",)))
+        return run(RunConfig(linkages=("ward",)), benign, {"correlated_break": attacks})
 
     def test_benign_pair_count(self, report):
         sample = report.benign_samples["ward"]
@@ -208,8 +235,7 @@ class TestPairSamples:
         assert entry["n_attack_pairs"] == len(entry["attack_values"]) == 36
         assert entry["attack_pair_ids"][0] == ["attack_correlated_break_0", "benign_0"]
         assert entry["attack_pair_ids"][-1] == ["attack_correlated_break_2", "benign_11"]
-        dends = {c.capture_id: agglomerate(prepare(c, 10.0, "one_minus_abs_rho")[2], "ward")
-                 for c in benign + attacks}
+        dends = {c.capture_id: summarize(c, RunConfig(linkages=("ward",)))[1][0] for c in benign + attacks}
         alone = [clusim.similarity(dends[a], dends[b], clusim.HierarchyParams()).value
                  for a, b in entry["attack_pair_ids"]]
         assert entry["attack_values"] == alone
@@ -247,9 +273,8 @@ class TestBatchScoring:
         monkeypatch.setattr(clusim, "affinity", lambda dend, params: solved.append(dend) or real_affinity(dend, params))
         monkeypatch.setattr(clusim, "restrict", lambda dend, ids: restricts.append(ids) or real_restrict(dend, ids))
         linkages = ("average", "ward")
-        report = run(RunConfig(benign_captures=benign,
-                               attack_capture_groups={"correlated_break": attacks, "empty": ()},
-                               linkages=linkages, allow_intersection=True))
+        report = run(RunConfig(linkages=linkages, allow_intersection=True), benign,
+                     {"correlated_break": attacks, "empty": ()})
         assert len(solved) == len(linkages) * len(benign_trees | attack_trees)
         assert len(restricts) == len(linkages) * len(restricted)
         assert sorted(report.entries) == [("correlated_break", l) for l in linkages]
@@ -267,13 +292,13 @@ class TestBatchScoring:
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()} {pairs[0][0].linkage}\n")
             return real(pairs, params, **kwargs)
-        config = RunConfig(benign_captures=make_benign(3),
-                           attack_capture_groups={"correlated_break": make_attacks("correlated_break", 1)})
+        config = RunConfig()
+        captures = make_benign(3), {"correlated_break": make_attacks("correlated_break", 1)}
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = run(config).to_dict()
+        serial = run(config, *captures).to_dict()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
         monkeypatch.setattr(pipeline, "similarities", logged)
-        assert run(config).to_dict() == serial
+        assert run(config, *captures).to_dict() == serial
         batches = [line.split() for line in log.read_text().splitlines()]
         assert sorted(linkage for _pid, linkage in batches) == sorted(config.linkages)
         assert len({pid for pid, _linkage in batches}) == n_cpus
@@ -293,8 +318,7 @@ class TestFileInputs:
                    "--linkage", "average,ward", "--out", str(out)])
         assert rc == 0
         from_files = json.loads((out / "report.json").read_text())
-        inline = run(RunConfig(benign_captures=benign, attack_capture_groups={"correlated_break": attacks},
-                               linkages=("average", "ward")))
+        inline = run(RunConfig(linkages=("average", "ward")), benign, {"correlated_break": attacks})
         inline = json.loads(json.dumps(inline.to_dict()))
         assert from_files["benign_samples"] == inline["benign_samples"]
         assert from_files["results"] == inline["results"]
@@ -309,7 +333,7 @@ class TestFileInputs:
         gp = tmp_path / "good.csv"
         write_wide_csv(good, gp)
         with pytest.raises(DataError, match="flat"):
-            run(RunConfig(benign_captures=(parse_capture(gp), parse_capture(p)), linkages=("ward",)))
+            run(RunConfig(linkages=("ward",)), (parse_capture(gp), parse_capture(p)))
 
 
 class TestVerdict:

@@ -184,7 +184,7 @@ class TestDensity:
 
     def test_grid_shape_and_span(self, rng):
         vals = rng.uniform(size=25)
-        curve = density_export(vals, n_points=256)
+        curve = density_export(vals)
         assert curve.shape == (256, 2)
         h = scott_bandwidth(vals)
         assert abs(curve[0, 0] - (vals.min() - 3 * h)) < 1e-12

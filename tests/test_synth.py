@@ -249,9 +249,10 @@ class TestInject:
 
 def test_write_wide_csv_round_trip(tmp_path):
     cap = generate(small_spec(duration_s=3.0))
-    path = tmp_path / "cap.csv"
+    path = tmp_path / f"{cap.capture_id}.csv"
     write_wide_csv(cap, path)
-    back = parse_capture(path, capture_id=cap.capture_id)
+    back = parse_capture(path)
+    assert back.capture_id == cap.capture_id
     assert [s.signal_id for s in back.signals] == [s.signal_id for s in cap.signals]
     for orig, new in zip(cap.signals, back.signals):
         assert np.array_equal(orig.timestamps, new.timestamps)
