@@ -15,16 +15,24 @@ groups); larger r emphasizes fine-grained structure near the leaves.
 
 similarities() scores a batch of pairs. A pair over differing element sets
 compares both trees restricted to their common elements, and each distinct
-(dendrogram, common elements) tree is solved by affinity() once per call.
+(dendrogram, common elements) tree is solved once per call. Trees of one leaf
+count are solved together, a stack of them at a time: one kernel builds a
+stack's transition matrices with 3-D array operations and solves all its
+systems with one np.linalg.solve, which gives each tree the same bits as
+solving it alone. transition_matrix() and affinity() are its one-tree case.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
 from .hierarchy import restrict
+
+# matrix entries (trees x N x N) of one stack of solves in similarities(): 19 trees of 29
+# leaves, which spreads most of the per-call cost, while a 128-leaf tree is solved alone
+STACK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,38 @@ def _layout(dend):
     return np.array((start, size, depth), dtype=float)  # exact: every entry is a small integer
 
 
+def _transitions(trees, r):
+    """transition_matrix() of each of k trees with one leaf count N, as a k x N x N stack."""
+    n = trees[0].n_leaves
+    start, size, depth = np.stack([_layout(tree) for tree in trees], axis=1)  # each k x nodes
+    pos = start[:, :n, None]
+    under = (start[:, None] <= pos) & (pos < (start + size)[:, None])  # tree x leaf x node: node holds the leaf
+    # w(i, C) = exp(r * depth[C] / hops[i]) over the ancestors C of leaf i, normalized per row
+    weights = depth[:, None] / depth[:, :n, None]
+    weights *= r
+    np.copyto(weights, -np.inf, where=~under)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=2, keepdims=True)
+    weights /= size[:, None]
+    return weights @ under.transpose(0, 2, 1).astype(float, order="C")
+
+
+def _affinities(trees, params):
+    """affinity() of each of k trees with one leaf count N, as a k x N x N stack.
+
+    One np.linalg.solve solves all k systems, each to the same bits as a
+    solve of that tree alone.
+    """
+    if trees[0].n_leaves < 2:
+        raise DataError("affinity needs a dendrogram over at least 2 elements")
+    a = _transitions(trees, params.r)
+    eye = np.eye(a.shape[1])
+    np.multiply(a, params.alpha, out=a)
+    np.subtract(eye, a, out=a)  # I - alpha W, in place
+    # the right-hand side has the stack's full shape: numpy 1.x reads a 2-D one as k vectors
+    return np.linalg.solve(a, np.broadcast_to((1.0 - params.alpha) * eye, a.shape))
+
+
 def transition_matrix(dend, r):
     """Element-to-element transition matrix W induced by the dendrogram.
 
@@ -87,17 +127,7 @@ def transition_matrix(dend, r):
     w(i, .) the softmax level weights of element i. Rows sum to 1 by
     construction since each cluster spreads its full weight over its members.
     """
-    start, size, depth = _layout(dend)
-    pos = start[:dend.n_leaves]
-    under = (start <= pos[:, None]) & (pos[:, None] < start + size)  # leaf x node: node holds the leaf
-    # w(i, C) = exp(r * depth[C] / hops[i]) over the ancestors C of leaf i, normalized per row
-    nu = depth / depth[:dend.n_leaves, None]
-    nu *= r
-    weights = np.where(under, nu, -np.inf)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=1, keepdims=True)
-    weights /= size
-    return weights @ under.T.astype(float, order="C")
+    return _transitions([dend], r)[0]
 
 
 def affinity(dend, params):
@@ -110,11 +140,7 @@ def affinity(dend, params):
     strictly diagonally dominant (W is row-stochastic and alpha < 1), so the
     solve is always well posed.
     """
-    if dend.n_leaves < 2:
-        raise DataError("affinity needs a dendrogram over at least 2 elements")
-    w = transition_matrix(dend, params.r)
-    eye = np.eye(w.shape[0])
-    return np.linalg.solve(eye - params.alpha * w, (1.0 - params.alpha) * eye)
+    return _affinities([dend], params)[0]
 
 
 def _common(a, b, allow_intersection):
@@ -133,6 +159,25 @@ def _common(a, b, allow_intersection):
     return tuple(sorted(common))
 
 
+def _solve_next(queue, params):
+    """Matrices of the next stack of queue's trees, by key, rows and columns in id order.
+
+    queue holds (key, dendrogram, common ids) of the unsolved trees of one
+    leaf count N, in order of first use; a stack takes up to
+    STACK_ENTRIES // N^2 of them, at least one.
+    """
+    n = len(queue[0][2])
+    stack = [queue.popleft() for _ in range(min(len(queue), max(1, STACK_ENTRIES // (n * n))))]
+    trees = [dend if dend.n_leaves == n else restrict(dend, order) for _key, dend, order in stack]
+    solved = {}
+    for (key, _dend, _order), tree, p in zip(stack, trees, _affinities(trees, params)):
+        # rows and columns in id order; take keeps the matrix C-ordered, and the row
+        # sums of similarities() depend on that layout down to the last bit
+        idx = np.array(sorted(range(n), key=tree.leaf_ids.__getitem__))
+        solved[key] = p.take(idx, 0).take(idx, 1)
+    return solved
+
+
 def similarities(pairs, params, allow_intersection=False):
     """Element-centric similarity in [0, 1] of each (a, b) dendrogram pair, in order.
 
@@ -140,25 +185,29 @@ def similarities(pairs, params, allow_intersection=False):
     allow_intersection=True they are first restricted to their common
     elements (constant-signal dropping upstream makes small mismatches
     routine). Within one call each distinct (dendrogram, common elements)
-    tree is restricted and solved once, and its matrix is kept only until
-    the last pair that uses it. Every pair's element sets are checked
-    before any tree is solved.
+    tree is restricted and solved once. When a pair needs a tree not solved
+    yet, it is solved in one stack with the call's next unsolved trees of the
+    same leaf count, in order of first use, up to STACK_ENTRIES matrix
+    entries. A tree's matrix is kept only until the last pair that uses it.
+    Every pair's element sets are checked before any tree is solved.
     """
     pairs = list(pairs)  # holds every dendrogram for the call, so its id stays a valid key
     orders = [_common(a, b, allow_intersection) for a, b in pairs]
     keys = [[(id(dend), None if len(order) == dend.n_leaves else order) for dend in pair]
             for pair, order in zip(pairs, orders)]
-    uses = Counter(key for pair_keys in keys for key in pair_keys)
-    solved, out = {}, []
+    uses = Counter()
+    queues = defaultdict(deque)  # leaf count -> (key, dendrogram, common ids) of each tree not solved yet
     for pair, order, pair_keys in zip(pairs, orders, keys):
-        rows = []
         for dend, key in zip(pair, pair_keys):
+            if not uses[key]:  # its first use
+                queues[len(order)].append((key, dend, order))
+            uses[key] += 1
+    solved, out = {}, []
+    for order, pair_keys in zip(orders, keys):
+        rows = []
+        for key in pair_keys:
             if key not in solved:
-                tree = dend if key[1] is None else restrict(dend, order)
-                # rows and columns in id order; take keeps the matrix C-ordered, and the row
-                # sums below depend on that layout down to the last bit
-                idx = np.array(sorted(range(len(order)), key=tree.leaf_ids.__getitem__))
-                solved[key] = affinity(tree, params).take(idx, 0).take(idx, 1)
+                solved.update(_solve_next(queues[len(order)], params))
             rows.append(solved[key])
             uses[key] -= 1
             if not uses[key]:  # its last pair: drop the matrix, so a batch holds only live trees

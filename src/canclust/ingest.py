@@ -230,11 +230,15 @@ def _cut(blocks, signal_ids):
     """(signal id, times, values) of each signal index with samples, sorted by time.
 
     blocks hold (times, values, signal index) arrays; the list is emptied as
-    they are joined.
+    they are joined. Samples are ordered by signal index, then time, then
+    file order, as np.lexsort((times, sids)) orders them, in two stable
+    sorts: by time, which is linear on a file already in time order, then by
+    signal index cast to 8 or 16 bits, which numpy sorts by radix.
     """
     times, values, sids = (np.concatenate(column) for column in zip(*blocks))
     blocks.clear()
-    order = np.lexsort((times, sids))
+    order = np.argsort(times, kind="stable")
+    order = order[np.argsort(sids[order].astype(np.min_scalar_type(len(signal_ids))), kind="stable")]
     ends = np.cumsum(np.bincount(sids, minlength=len(signal_ids)))
     for signal_id, rows in zip(signal_ids, np.split(order, ends[:-1])):
         if rows.size:

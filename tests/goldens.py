@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from canclust.clusim import HierarchyParams, affinity, similarity, transition_matrix
+from canclust.clusim import HierarchyParams, affinity, similarities, similarity, transition_matrix
 from canclust.correlation import DissimilarityMatrix
-from canclust.hierarchy import Dendrogram, agglomerate
+from canclust.hierarchy import LINKAGES, Dendrogram, agglomerate
 from canclust.stats import mann_whitney
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures" / "v1"
@@ -56,6 +56,32 @@ def dendrogram_to_dict(dend):
 def dendrogram_from_dict(doc):
     merges = tuple((int(l), int(r), float(h), int(s)) for l, r, h, s in doc["merges"])
     return Dendrogram(leaf_ids=tuple(doc["leaf_ids"]), merges=merges, linkage=doc["linkage"])
+
+
+def _batch_dendrograms():
+    """Ten seeded trees over the ids s0..s20, each missing up to two of s0, s1, s2.
+
+    Like captures that drop differing constant signals: their pairs compare
+    trees restricted to 18, 19 and 20 common ids as well as whole trees.
+    """
+    rng = np.random.default_rng(14)
+    dends = []
+    for k in range(10):
+        dropped = set(rng.choice(3, int(rng.integers(0, 3)), replace=False).tolist())
+        ids = [f"s{i}" for i in rng.permutation(21).tolist() if i not in dropped]
+        m = rng.uniform(0.05, 1.0, size=(len(ids), len(ids)))
+        d = (m + m.T) / 2.0
+        np.fill_diagonal(d, 0.0)
+        dends.append(dendrogram_to_dict(agglomerate(DissimilarityMatrix(tuple(ids), d), LINKAGES[k % 4])))
+    return dends
+
+
+def _compute_similarities_batch(inputs):
+    params = HierarchyParams(r=inputs["r"], alpha=inputs["alpha"])
+    trees = [dendrogram_from_dict(doc) for doc in inputs["dendrograms"]]
+    pairs = [(trees[i], trees[j]) for i, j in inputs["pairs"]]
+    scores = similarities(pairs, params, allow_intersection=True)
+    return {"values": [s.value for s in scores], "scores": [s.scores.tolist() for s in scores]}
 
 
 def _compute_merge_order_chain(inputs):
@@ -107,6 +133,12 @@ CASES = {
         "inputs": {"dendrogram": _FIG_TREES["b"], "r": -5.0, "alpha": 0.9},
         "compute": _compute_projection,
         "tolerance": 1e-9,
+    },
+    "similarities_batch": {
+        "inputs": {"dendrograms": _batch_dendrograms(), "r": -5.0, "alpha": 0.9,
+                   "pairs": [[i, j] for i in range(10) for j in range(i, 10)]},
+        "compute": _compute_similarities_batch,
+        "tolerance": 0.0,
     },
 }
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from canclust.hierarchy import LINKAGES, Dendrogram, agglomerate, restrict
 
 from conftest import (leaves_under, level_weights, membership_transition, power_iteration_ppr,
                       random_dendrogram, random_dissimilarity)
+from goldens import CASES, FIXTURES_DIR
 
 
 def chain(ids, heights=None):
@@ -218,9 +220,10 @@ class TestSimilarity:
     def test_out_of_range_score_raises(self, rng, monkeypatch):
         # an invariant, not an assert: python -O must not let a broken affinity through
         flips = iter((5.0, -5.0))
-        monkeypatch.setattr(clusim, "affinity", lambda dend, params: next(flips) * np.eye(dend.n_leaves))
+        monkeypatch.setattr(clusim, "_affinities",
+                            lambda trees, params: np.stack([next(flips) * np.eye(t.n_leaves) for t in trees]))
         a = random_dendrogram(rng, 4)
-        b = Dendrogram(a.leaf_ids, a.merges, a.linkage)  # an equal tree, solved on its own
+        b = Dendrogram(a.leaf_ids, a.merges, a.linkage)  # an equal tree, given its own matrix
         with pytest.raises(RuntimeError, match="out of range"):
             similarity(a, b, HierarchyParams())
 
@@ -291,18 +294,31 @@ class TestSimilarities:
         # unrestricted whether its peer has the same ids or more, and a dendrogram restricted
         # to two different sets is solved once for each
         solved = []
-        real = clusim.affinity
-        monkeypatch.setattr(clusim, "affinity", lambda dend, params: solved.append(dend) or real(dend, params))
+        real = clusim._affinities
+        monkeypatch.setattr(clusim, "_affinities", lambda trees, params: solved.extend(trees) or real(trees, params))
         ids = tuple(f"s{i}" for i in range(8))
         d, e = random_tree(rng, ids, "average"), random_tree(rng, ids, "ward")
         f = random_tree(rng, ids + ("x",), "single")
         g = random_tree(rng, ids[1:] + ("x", "y"), "complete")
         pairs = [(d, e), (d, f), (e, f), (f, g), (d, e), (f, d)]
         params = HierarchyParams()
-        self.assert_matches_oracle(pairs, params, similarities(pairs, params, allow_intersection=True))
+        got = similarities(pairs, params, allow_intersection=True)
         common_fg = set(f.leaf_ids) & set(g.leaf_ids)
         assert solved[:3] == [d, e, restrict(f, ids)]
         assert solved[3:] == [restrict(f, common_fg), restrict(g, common_fg)]
+        self.assert_matches_oracle(pairs, params, got)  # the oracle's own solves come after
+
+    @pytest.mark.parametrize("per_stack", [1, 2])
+    def test_stack_bound_keeps_bits(self, monkeypatch, per_stack):
+        # the golden batch's trees have 18-21 leaves, so per_stack * 21^2 entries
+        # stack per_stack trees of each leaf count
+        doc = json.loads((FIXTURES_DIR / "similarities_batch.json").read_text())
+        stacks = []
+        real = clusim._affinities
+        monkeypatch.setattr(clusim, "_affinities", lambda trees, params: stacks.append(len(trees)) or real(trees, params))
+        monkeypatch.setattr(clusim, "STACK_ENTRIES", per_stack * 21 ** 2)
+        assert CASES["similarities_batch"]["compute"](doc["inputs"]) == doc["expected"]
+        assert max(stacks) == per_stack
 
     def test_equal_restricted_trees_score_equal(self, rng):
         # three pairs that restrict to the same two trees, from different dendrograms in one
@@ -324,7 +340,7 @@ class TestSimilarities:
     def test_first_bad_pair_raises(self, rng, monkeypatch):
         # before any tree of the batch is solved
         solved = []
-        monkeypatch.setattr(clusim, "affinity", lambda dend, params: solved.append(dend))
+        monkeypatch.setattr(clusim, "_affinities", lambda trees, params: solved.extend(trees))
         a, b = chain(("a", "b", "c")), chain(("a", "b", "d"))
         with pytest.raises(DataError, match="element sets differ"):
             similarities([(a, a), (a, b), (b, b)], HierarchyParams())

@@ -401,6 +401,32 @@ class TestWideBlocks:
         assert expected[0] is ParseError and "non-finite timestamps" in expected[1]
 
 
+class TestCut:
+    """The per-sample cut against np.lexsort((times, sids)), the order it replaces."""
+
+    @pytest.mark.parametrize("n_ids", [5, 300])  # 300 ids take the 16-bit signal index
+    def test_matches_lexsort(self, rng, n_ids):
+        n = 5000
+        times = rng.integers(0, 40, n).astype(float)  # many ties
+        special = rng.random(n) < 0.2
+        times[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], special.sum())
+        sids = rng.integers(0, n_ids, n)
+        assert n_ids < 256 or sids.max() >= 256
+        values = np.arange(n, dtype=float)  # a sample's row, so the order shows in the values
+        ids = [f"s{k}" for k in range(n_ids)]
+        cuts = np.sort(rng.choice(n, 2, replace=False))
+        blocks = list(zip(*(np.split(a, cuts) for a in (times, values, sids))))
+        got = list(ingest._cut(blocks, ids))
+        order = np.lexsort((times, sids))
+        expected = [(ids[k], times[order[sids[order] == k]], values[order[sids[order] == k]])
+                    for k in range(n_ids) if (sids == k).any()]
+        assert blocks == []
+        assert [sid for sid, _t, _v in got] == [sid for sid, _t, _v in expected]
+        for (_, t, v), (_, et, ev) in zip(got, expected):
+            assert np.array_equal(v, ev)
+            assert np.array_equal(t, et, equal_nan=True) and np.array_equal(np.signbit(t), np.signbit(et))
+
+
 def make_capture(signals):
     return SignalCapture(capture_id="c", signals=tuple(signals))
 

@@ -269,8 +269,9 @@ class TestBatchScoring:
         assert len(benign_trees | attack_trees) < len(benign_trees) + len(attack_trees)
 
         solved, restricts = [], []
-        real_affinity, real_restrict = clusim.affinity, clusim.restrict
-        monkeypatch.setattr(clusim, "affinity", lambda dend, params: solved.append(dend) or real_affinity(dend, params))
+        real_affinities, real_restrict = clusim._affinities, clusim.restrict
+        monkeypatch.setattr(clusim, "_affinities",
+                            lambda trees, params: solved.extend(trees) or real_affinities(trees, params))
         monkeypatch.setattr(clusim, "restrict", lambda dend, ids: restricts.append(ids) or real_restrict(dend, ids))
         linkages = ("average", "ward")
         report = run(RunConfig(linkages=linkages, allow_intersection=True), benign,
