@@ -39,9 +39,9 @@ def _expand(pattern):
     return files
 
 
-def _summarize_files(jobs, format, config):
-    """summarize() each (path, labels) job's capture where it is parsed: the summaries in input order."""
-    return fan_out(lambda job: summarize(parse_capture(job[0], format=format, **job[1]), config), jobs)
+def _summarize_files(paths, format, config):
+    """summarize() each file's capture where it is parsed: the summaries in input order."""
+    return fan_out(lambda path: summarize(parse_capture(path, format=format), config), paths)
 
 
 def _add_shared(parser):
@@ -77,9 +77,8 @@ def _cmd_analyze(args):
     benign = [(Path(f).stem, f) for f in _expand(args.benign)]
     attacks = {kind: [(Path(f).stem, f) for p in pats for f in _expand(p)] for kind, pats in patterns.items()}
     sources = check_sources(benign, attacks)
-    jobs = [(f, {} if kind is None else {"label": "attack", "attack_kind": kind})
-            for kind, group in sources.items() for _cap_id, f in group]
-    report = conclude(config, sources, _summarize_files(jobs, args.format, config))
+    paths = [f for group in sources.values() for _cap_id, f in group]
+    report = conclude(config, sources, _summarize_files(paths, args.format, config))
     write_outputs(report, args.out)
     summary, _tally = verdict(report)
     print(summary)
@@ -87,7 +86,7 @@ def _cmd_analyze(args):
 
 
 def _synth_capture(entry, defaults):
-    """The capture one synth spec entry describes, attack applied; a spec mistake is a ConfigError."""
+    """(capture, attack kind or "") of one synth spec entry, attack applied; a spec mistake is a ConfigError."""
     name = f"capture {entry.get('id')!r}"
     attack = entry.get("attack")
     # TypeError/ValueError: an unknown, missing, mistyped or out-of-range field; DataError: an
@@ -103,7 +102,7 @@ def _synth_capture(entry, defaults):
         raise ConfigError(f"{name}: attack has no {exc} key") from None
     except (TypeError, ValueError, DataError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
-    return cap
+    return cap, attack["kind"] if attack else ""
 
 
 def _cmd_synth(args):
@@ -120,11 +119,11 @@ def _cmd_synth(args):
     for k, entry in enumerate(doc["captures"]):
         if not isinstance(entry, dict):
             raise ConfigError(f"captures[{k}] must be a JSON object, got {entry!r}")
-        cap = _synth_capture(entry, doc.get("defaults", {}))
+        cap, kind = _synth_capture(entry, doc.get("defaults", {}))
         filename = f"{cap.capture_id}.csv"
         write_wide_csv(cap, out / filename)
         manifest.append({"path": filename, "capture_id": cap.capture_id,
-                         "label": cap.label, "attack_kind": cap.attack_kind})
+                         "label": "attack" if kind else "benign", "attack_kind": kind})
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump({"files": manifest}, fh, indent=2)
         fh.write("\n")
@@ -136,7 +135,7 @@ def _cmd_simtest(args):
     # every parameter is checked before either file is parsed
     config = RunConfig(frequency_hz=args.freq, linkages=(args.linkage_single,), r=args.r, alpha=args.alpha,
                        dissimilarity=args.dissimilarity)
-    (_, (dend_a,)), (_, (dend_b,)) = _summarize_files([(args.a, {}), (args.b, {})], args.format, config)
+    (_, (dend_a,)), (_, (dend_b,)) = _summarize_files([args.a, args.b], args.format, config)
     score = similarity(dend_a, dend_b, config.params, allow_intersection=args.allow_intersection)
     print(json.dumps({"capture_a": Path(args.a).stem, "capture_b": Path(args.b).stem,
                       "linkage": args.linkage_single, "r": config.r, "alpha": config.alpha,

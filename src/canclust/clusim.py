@@ -19,7 +19,7 @@ compares both trees restricted to their common elements, and each distinct
 count are solved together, a stack of them at a time: one kernel builds a
 stack's transition matrices with 3-D array operations and solves all its
 systems with one np.linalg.solve, which gives each tree the same bits as
-solving it alone. transition_matrix() and affinity() are its one-tree case.
+solving it alone. affinity() is its one-tree case.
 """
 
 from collections import Counter, defaultdict, deque
@@ -89,7 +89,11 @@ def _layout(dend):
 
 
 def _transitions(trees, r):
-    """transition_matrix() of each of k trees with one leaf count N, as a k x N x N stack."""
+    """The transition matrix W of each of k trees with one leaf count N, as a k x N x N stack.
+
+    W[i, j] = sum over ancestors C of i containing j of w(i, C) / |C|, with w(i, .) the softmax
+    level weights of element i: rows sum to 1, as each cluster spreads its weight over its members.
+    """
     n = trees[0].n_leaves
     start, size, depth = np.stack([_layout(tree) for tree in trees], axis=1)  # each k x nodes
     pos = start[:, :n, None]
@@ -118,16 +122,6 @@ def _affinities(trees, params):
     np.subtract(eye, a, out=a)  # I - alpha W, in place
     # the right-hand side has the stack's full shape: numpy 1.x reads a 2-D one as k vectors
     return np.linalg.solve(a, np.broadcast_to((1.0 - params.alpha) * eye, a.shape))
-
-
-def transition_matrix(dend, r):
-    """Element-to-element transition matrix W induced by the dendrogram.
-
-    W[i, j] = sum over ancestors C of i containing j of w(i, C) / |C|, with
-    w(i, .) the softmax level weights of element i. Rows sum to 1 by
-    construction since each cluster spreads its full weight over its members.
-    """
-    return _transitions([dend], r)[0]
 
 
 def affinity(dend, params):

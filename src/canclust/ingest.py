@@ -42,6 +42,11 @@ CONSTANT_TOL = 1e-12
 # corrupt timestamp from turning into a multi-GB (or impossible) allocation
 MAX_GRID_POINTS = 10_000_000
 
+# largest |value| a signal may hold: an interpolated value and a mean over n <= MAX_GRID_POINTS
+# of them lie in [-M, M], so a centered one in [-2M, 2M], the mean's sum within n * M and the
+# norm's sum of squares within 4 * n * M^2, which this M keeps at half the largest float (about 1.5e150)
+MAX_ABS_VALUE = float(np.sqrt(np.finfo(float).max / (8 * MAX_GRID_POINTS)))
+
 # characters read per block (plus the rest of its last line): about 2,000 lines
 # of a typical long_csv file; bounds the cell strings alive at once to a few MB
 # whatever the file's length or width, while keeping per-block overhead negligible
@@ -81,13 +86,11 @@ class RawSignal:
 
 @dataclass(frozen=True)
 class SignalCapture:
-    """All signals from one drive capture, before resampling."""
+    """All signals from one drive capture, before resampling; its role in a run is the group it is passed in."""
 
     capture_id: str
     signals: tuple
-    source_path: str = ""
-    label: str = "benign"  # "benign" or "attack"
-    attack_kind: str = ""  # set when label == "attack"
+    source_path: str = ""  # the file it was parsed from; "" for an in-memory capture
 
 
 @dataclass(frozen=True)
@@ -305,7 +308,7 @@ def _undecodable_line(path):
     return None
 
 
-def parse_capture(path, format="wide_csv", label="benign", attack_kind=""):
+def parse_capture(path, format="wide_csv"):
     """Parse a capture file into a SignalCapture whose capture_id is the file's stem.
 
     format is "wide_csv" (header ``time,<sig1>,...``) or "long_csv"
@@ -343,8 +346,7 @@ def parse_capture(path, format="wide_csv", label="benign", attack_kind=""):
     signals = _raw_signals(layout.signals(blocks), path) if blocks else []
     if not signals:
         raise DataError(f"{path}: capture contains no signals")
-    return SignalCapture(capture_id=Path(path).stem, signals=tuple(signals), source_path=path,
-                         label=label, attack_kind=attack_kind)
+    return SignalCapture(capture_id=Path(path).stem, signals=tuple(signals), source_path=path)
 
 
 def is_constant(values):
@@ -359,7 +361,7 @@ def resample(capture, frequency_hz=10.0):
     The grid spans the intersection of the signals' observed windows at
     spacing 1/frequency_hz, so interpolation never extrapolates. Constant
     series are dropped; the rest are mean-centered and scaled to unit l2
-    norm.
+    norm. A value above MAX_ABS_VALUE in magnitude is a DataError.
     """
     if not (0.0 < frequency_hz < np.inf):
         raise ValueError("frequency_hz must be positive and finite")
@@ -383,6 +385,9 @@ def resample(capture, frequency_hz=10.0):
 
     kept_ids, rows, dropped = [], [], []
     for sig in capture.signals:
+        if np.max(np.abs(sig.values)) > MAX_ABS_VALUE:  # checked first: the mean or the norm could overflow
+            raise DataError(f"{capture.capture_id}: signal {sig.signal_id!r} holds a value of magnitude "
+                            f"above {MAX_ABS_VALUE:.3g}, the most allowed")
         interp = np.interp(grid, sig.timestamps, sig.values)
         if is_constant(interp):
             dropped.append(sig.signal_id)

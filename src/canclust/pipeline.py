@@ -2,8 +2,9 @@
 
 A RunConfig holds the analysis parameters, checked when it is built.
 check_sources() checks attack kinds and capture ids before any capture is
-touched. summarize() resamples, correlates and clusters one capture, keeping
-only its diagnostics and one dendrogram per linkage. conclude() scores each
+touched, and its sources are the one record of each capture's role.
+summarize() resamples, correlates and clusters one capture, keeping only
+what it measured and one dendrogram per linkage. conclude() scores each
 linkage's benign and attack x benign pairs in one clusim.similarities()
 batch, runs the Mann-Whitney test per (attack kind, linkage) cell and emits
 a self-contained report, which write_outputs() writes to a directory. run()
@@ -71,18 +72,18 @@ class RunConfig:
 def check_sources(benign, attacks):
     """Sources by kind, None first for benign, after checking attack kind names and capture ids.
 
-    benign and each group of attacks (kind -> group) are (capture_id,
-    source) pairs, in run order; a duplicate id is rejected, naming both sources.
+    benign and each group of attacks (kind -> group) are (capture_id, source path or "" in memory)
+    pairs, in run order; a duplicate id is rejected, naming both sources. Nothing else records roles.
     """
-    # a kind names output files (density_<kind>_<linkage>.csv)
-    bad = [k for k in attacks if not (isinstance(k, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", k))]
+    # a kind names output files (density_<kind>_<linkage>.csv), so it cannot be the benign sample's name
+    bad = [k for k in attacks if k == "benign" or not (isinstance(k, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", k))]
     if bad:
-        raise ConfigError(f"attack kinds {bad} are not non-empty names of letters, digits, '_', '-' and '.'")
+        raise ConfigError(f"attack kinds {bad} are not names of letters, digits, '_', '-' and '.' other than 'benign'")
     sources = {None: benign, **attacks}
     seen = {}  # capture_id -> its first source
     for cap_id, source in (s for group in sources.values() for s in group):
         if cap_id in seen:
-            raise DataError(f"duplicate capture_id {cap_id!r} ({seen[cap_id]} and {source})")
+            raise DataError(f"duplicate capture_id {cap_id!r} ({seen[cap_id] or 'inline'} and {source or 'inline'})")
         seen[cap_id] = source
     return sources
 
@@ -99,7 +100,7 @@ class SimilaritySample:
 class VerdictReport:
     schema: int
     config: RunConfig
-    diagnostics: tuple  # per-capture dicts: capture_id, source_path, label, kind, n_signals, t, dropped
+    diagnostics: tuple  # per-capture dicts: capture_id, source_path, label, attack_kind, then summarize()'s fields
     benign_samples: dict  # linkage -> SimilaritySample
     entries: dict  # (attack_kind, linkage) -> entry dict
 
@@ -195,7 +196,7 @@ def fan_out(fn, items):
 
 
 def summarize(capture, config):
-    """One capture's diagnostics entry and its Dendrogram under each of config.linkages, in order.
+    """What resampling one capture measured, and its Dendrogram under each of config.linkages, in order.
 
     A DataError is re-raised naming the capture and the file it came from.
     """
@@ -204,16 +205,14 @@ def summarize(capture, config):
         dm = to_dissimilarity(m, config.dissimilarity)
     except DataError as exc:
         raise DataError(f"capture {capture.capture_id!r} ({capture.source_path or 'inline'}): {exc}") from exc
-    diagnostics = {"capture_id": capture.capture_id, "source_path": capture.source_path, "label": capture.label,
-                   "attack_kind": capture.attack_kind, "n_signals": len(m.signal_ids), "t": int(m.grid.size),
-                   "dropped_constant": list(m.dropped_constant)}
-    return diagnostics, tuple(agglomerate(dm, linkage) for linkage in config.linkages)
+    measured = {"n_signals": len(m.signal_ids), "t": int(m.grid.size), "dropped_constant": list(m.dropped_constant)}
+    return measured, tuple(agglomerate(dm, linkage) for linkage in config.linkages)
 
 
 def run(config, benign, attacks=None):
     """The VerdictReport of in-memory benign captures and attacks, which maps each kind to its captures."""
     def sources(captures):
-        return [(c.capture_id, c.source_path or "inline") for c in captures]
+        return [(c.capture_id, c.source_path) for c in captures]
     attacks = attacks or {}
     checked = check_sources(sources(benign), {kind: sources(caps) for kind, caps in attacks.items()})
     captures = [c for caps in (benign, *attacks.values()) for c in caps]
@@ -223,26 +222,31 @@ def run(config, benign, attacks=None):
 def conclude(config, sources, summaries):
     """The VerdictReport of the summaries of sources' captures, one fan_out() item per linkage.
 
-    sources is what check_sources() returns; summaries are summarize()'s, in the same order.
+    sources is what check_sources() returns; summaries are summarize()'s, one per capture in the same
+    order. Each capture's diagnostics entry is its id, source path and role, then its summary's fields.
     """
-    benign_ids = [cap_id for cap_id, _source in sources[None]]
-    if len(benign_ids) < 2:  # checked after loading, so a bad file is reported first
+    roles = [{"capture_id": cap_id, "source_path": source, "label": "attack" if kind else "benign",
+              "attack_kind": kind or ""} for kind, group in sources.items() for cap_id, source in group]
+    diagnostics = tuple({**role, **measured} for role, (measured, _dends) in zip(roles, summaries, strict=True))
+    benign = range(len(sources[None]))
+    if len(benign) < 2:  # checked after loading, so a bad file is reported first
         raise ConfigError("need at least 2 benign captures")
-    # one batch per linkage: the C(k, 2) benign pairs first, then attack x benign for
-    # each non-empty kind, whose pairs are pair_ids[lo:hi] for its (kind, lo, hi)
-    pair_ids = list(combinations(benign_ids, 2))
-    n_benign = len(pair_ids)
+    # one batch per linkage: the C(k, 2) benign pairs first, then attack x benign for each
+    # non-empty kind, whose pairs are pairs[lo:hi] for its (kind, lo, hi); a pair holds
+    # the positions of its two captures in roles, and so in summaries
+    pairs = list(combinations(benign, 2))
+    n_benign = len(pairs)
     groups = []
     for kind, group in sources.items():
         if kind is not None and group:
-            lo = len(pair_ids)
-            pair_ids += [(cap_id, b) for cap_id, _source in group for b in benign_ids]
-            groups.append((kind, lo, len(pair_ids)))
-    trees = {diag["capture_id"]: dends for diag, dends in summaries}  # capture_id -> a Dendrogram per linkage
+            lo = len(pairs)
+            pairs += [(a, b) for a, role in enumerate(roles) if role["attack_kind"] == kind for b in benign]
+            groups.append((kind, lo, len(pairs)))
+    pair_ids = [(roles[a]["capture_id"], roles[b]["capture_id"]) for a, b in pairs]
     params = config.params
 
     def score(j):
-        batch = [(trees[a][j], trees[b][j]) for a, b in pair_ids]
+        batch = [(summaries[a][1][j], summaries[b][1][j]) for a, b in pairs]
         return tuple(s.value for s in similarities(batch, params, allow_intersection=config.allow_intersection))
 
     benign_samples = {}
@@ -263,8 +267,7 @@ def conclude(config, sources, summaries):
                 "attack_pair_ids": [list(p) for p in pair_ids[lo:hi]],
             }
 
-    return VerdictReport(schema=SCHEMA_VERSION, config=config,
-                         diagnostics=tuple(diag for diag, _dends in summaries),
+    return VerdictReport(schema=SCHEMA_VERSION, config=config, diagnostics=diagnostics,
                          benign_samples=benign_samples, entries=entries)
 
 

@@ -11,7 +11,8 @@ drift, and members carry distinct noise levels. The resulting correlation
 gaps are far larger than sampling noise, so every benign capture clusters
 the same way while attacks visibly rewire the tree. inject() applies
 masquerade-style attacks that alter values inside a time window but never
-touch timestamps.
+touch timestamps. Neither records a role: whether a capture is benign or an
+attack is the group its caller analyzes it in.
 
 Randomness comes from a self-contained xoshiro256** generator seeded through
 splitmix64 (see docs/prng.md), so fixtures are reproducible bit-for-bit
@@ -19,7 +20,7 @@ across platforms and reimplementable in other languages.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,7 +168,7 @@ def pair_coupling(group, n_groups):
 
 
 def generate(spec, capture_id=None):
-    """Generate one benign capture from a SynthSpec, reproducible from seed.
+    """Generate one capture from a SynthSpec, reproducible from seed.
 
     Group g's latent drift mixes the capture-wide drift, its pair's drift
     and its own AR(1) path; member j is latent * gain + offset +
@@ -210,8 +211,7 @@ def generate(spec, capture_id=None):
 
     if capture_id is None:
         capture_id = f"synth_{spec.seed:016x}"
-    return SignalCapture(capture_id=capture_id, signals=tuple(signals),
-                         source_path="", label="benign")
+    return SignalCapture(capture_id=capture_id, signals=tuple(signals))
 
 
 def inject(capture, attack, seed=0):
@@ -257,9 +257,7 @@ def inject(capture, attack, seed=0):
             # a one-valued signal flips to itself; leave unchanged
         new_signals.append(RawSignal(sig.signal_id, sig.timestamps, values))
 
-    return SignalCapture(capture_id=capture.capture_id, signals=tuple(new_signals),
-                         source_path=capture.source_path, label="attack",
-                         attack_kind=attack.kind)
+    return replace(capture, signals=tuple(new_signals))
 
 
 def write_wide_csv(capture, path):

@@ -46,7 +46,7 @@ def leaves_under(dend, node):
 
 
 def level_weights(dend, element, r):
-    """Oracle for clusim.transition_matrix: softmax weights over one element's ancestor clusters.
+    """Oracle for clusim._transitions: softmax weights over one element's ancestor clusters.
 
     Returns a list of (node, depth, weight) from root to leaf, where node is
     a tree node index (leaf < N, merge >= N), depth runs linearly from 0 at
@@ -72,7 +72,7 @@ def level_weights(dend, element, r):
 
 
 def membership_transition(dend, r):
-    """Oracle for clusim.transition_matrix, bit for bit: W from a node x leaf membership matrix.
+    """Oracle for clusim._transitions, bit for bit: W from a node x leaf membership matrix.
 
     Membership is built bottom-up and depth top-down by looping over the
     merges; W is the same float expression clusim evaluates on its

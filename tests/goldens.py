@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from canclust.clusim import HierarchyParams, affinity, similarities, similarity, transition_matrix
+from canclust.clusim import HierarchyParams, _transitions, affinity, similarities, similarity
 from canclust.correlation import DissimilarityMatrix
 from canclust.hierarchy import LINKAGES, Dendrogram, agglomerate
 from canclust.stats import mann_whitney
@@ -105,7 +105,7 @@ def _compute_mw_exact(inputs):
 def _compute_projection(inputs):
     dend = dendrogram_from_dict(inputs["dendrogram"])
     params = HierarchyParams(r=inputs["r"], alpha=inputs["alpha"])
-    w = transition_matrix(dend, params.r)
+    w = _transitions([dend], params.r)[0]
     p = affinity(dend, params)
     return {"transition": w.tolist(), "stationary": p.tolist()}
 

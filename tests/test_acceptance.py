@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from canclust.clusim import HierarchyParams, affinity, similarity, transition_matrix
+from canclust.clusim import HierarchyParams, _transitions, affinity, similarity
 from goldens import verify_goldens
 from canclust.hierarchy import agglomerate
 from canclust.ingest import parse_capture
@@ -129,7 +129,7 @@ def test_criterion_06_ppr_linear_solve(rng, capsys):
         n = int(rng.integers(2, 7))
         dend = random_dendrogram(rng, n)
         params = HierarchyParams(r=float(rng.uniform(-8, 8)), alpha=float(rng.uniform(0.5, 0.95)))
-        iterated = power_iteration_ppr(transition_matrix(dend, params.r), params.alpha)
+        iterated = power_iteration_ppr(_transitions([dend], params.r)[0], params.alpha)
         worst = max(worst, float(np.max(np.abs(affinity(dend, params) - iterated))))
     passed = worst <= 1e-10
     report(capsys, 6, passed,
@@ -185,12 +185,12 @@ def test_criterion_10_road_reproduction(capsys):
     kinds = ["correlated", "max_speedometer", "max_engine_coolant", "reverse_light_on",
              "reverse_light_off"]
 
-    def parse_dir(name, **labels):
+    def parse_dir(name):
         paths = sorted(glob.glob(os.path.join(road_dir, name, "*.csv")))
-        return tuple(parse_capture(p, **labels) for p in paths)
+        return tuple(parse_capture(p) for p in paths)
 
     rep = run(RunConfig(linkages=("average", "ward"), allow_intersection=True), parse_dir("benign"),
-              {k: parse_dir(k, label="attack", attack_kind=k) for k in kinds})
+              {k: parse_dir(k) for k in kinds})
     ward_hits = sum(1 for k in kinds if rep.entries[(k, "ward")]["significant"])
     avg_misses_corr = not rep.entries[("correlated", "average")]["significant"]
     passed = ward_hits == len(kinds) and avg_misses_corr

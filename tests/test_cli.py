@@ -46,6 +46,20 @@ def huge_span_csv(tmp_path):
 
 
 @pytest.fixture
+def huge_value_csv(tmp_path):
+    # 3e200 is finite, but its square is not
+    p = tmp_path / "huge_value.csv"
+    p.write_text("time,s0,s1\n0.0,1.0,2.0\n0.1,3e200,1.0\n0.2,3.0,5.0\n0.3,4.0,4.0\n")
+    return p
+
+
+def assert_huge_value_error(err, path):
+    """The error names the file, the signal and the limit, and nothing warned."""
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert str(path) in err and "signal 's0' holds a value of magnitude above 1.5e+150, the most allowed" in err
+
+
+@pytest.fixture
 def latin1_csv(tmp_path):
     # 0xff (a Latin-1 'ÿ') is never valid UTF-8; it sits on line 3
     p = tmp_path / "latin1.csv"
@@ -203,8 +217,9 @@ class TestAnalyze:
         assert rc == 2
         assert "duplicate linkages" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["x/y", ""])
+    @pytest.mark.parametrize("kind", ["x/y", "", "benign"])
     def test_bad_attack_kind(self, tmp_path, kind, capsys):
+        # "benign" would write its densities over the benign sample's density_benign_<linkage>.csv
         # rejected before parsing: the corrupt capture would otherwise exit 3
         (tmp_path / "a.csv").write_text("time,x,y\n0.0,1.0,2.0\n0.1,2.0\n")
         rc = main(["analyze", "--benign", str(tmp_path / "*.csv"), "--attack", f"{kind}={tmp_path / 'a.csv'}",
@@ -230,6 +245,12 @@ class TestAnalyze:
         assert rc == 3
         err = capsys.readouterr().err
         assert "huge_span.csv" in err and "grid points" in err
+
+    def test_huge_value(self, corpus, huge_value_csv, tmp_path, capsys):
+        rc = main(["analyze", "--benign", str(corpus / "benign_*.csv"),
+                   "--attack", f"correlated_break={huge_value_csv}", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert_huge_value_error(capsys.readouterr().err, huge_value_csv)
 
     @pytest.mark.parametrize("flag,value", [("--linkage", "centroid"), ("--alpha", "1.5"),
                                             ("--r", "inf"), ("--significance", "2"),
@@ -354,6 +375,11 @@ class TestSimtest:
         err = capsys.readouterr().err
         assert "huge_span.csv" in err and "grid points" in err
 
+    def test_huge_value(self, corpus, huge_value_csv, capsys):
+        rc = main(["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(huge_value_csv)])
+        assert rc == 3
+        assert_huge_value_error(capsys.readouterr().err, huge_value_csv)
+
     def test_not_utf8_capture(self, corpus, latin1_csv, capsys):
         rc = main(["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(latin1_csv)])
         assert rc == 3
@@ -378,7 +404,7 @@ class TestSimtest:
 
 def same_capture(a, b):
     """Whether two captures are equal, their sample arrays bit for bit."""
-    return ((a.capture_id, a.source_path, a.label, a.attack_kind) == (b.capture_id, b.source_path, b.label, b.attack_kind)
+    return ((a.capture_id, a.source_path) == (b.capture_id, b.source_path)
             and len(a.signals) == len(b.signals)
             and all(x.signal_id == y.signal_id and x.timestamps.tobytes() == y.timestamps.tobytes()
                     and x.values.tobytes() == y.values.tobytes() for x, y in zip(a.signals, b.signals)))
@@ -386,22 +412,21 @@ def same_capture(a, b):
 
 def load(jobs):
     """The jobs' captures, each parsed by the CLI's parse_capture through fan_out."""
-    return pipeline.fan_out(lambda job: cli.parse_capture(job[0], format="wide_csv", **job[1]), jobs)
+    return pipeline.fan_out(lambda path: cli.parse_capture(path, format="wide_csv"), jobs)
 
 
 def serial_outcome(jobs):
     """What parsing the jobs one after another gives: the captures, or the first exception."""
     try:
-        return [parse_capture(path, format="wide_csv", **labels) for path, labels in jobs]
+        return [parse_capture(path, format="wide_csv") for path in jobs]
     except Exception as exc:
         return exc
 
 
 @pytest.fixture
 def jobs(corpus):
-    """The corpus as loader jobs: four benign files, then the attack file."""
-    benign = [(str(corpus / f"benign_{i}.csv"), {}) for i in range(4)]
-    return benign + [(str(corpus / "attack_0.csv"), {"label": "attack", "attack_kind": "correlated_break"})]
+    """The corpus's files as loader jobs: four benign files, then the attack file."""
+    return [str(corpus / f"benign_{i}.csv") for i in range(4)] + [str(corpus / "attack_0.csv")]
 
 
 @pytest.mark.parametrize("n_files,n_cpus,fork", [(1, 4, True), (3, 1, True), (3, 4, False)])
@@ -433,7 +458,7 @@ class TestLoadCaptures:
         serial = serial_outcome(jobs)
         assert len(captures) == len(serial) == 5
         assert all(same_capture(a, b) for a, b in zip(captures, serial))
-        assert [c.label for c in captures] == ["benign"] * 4 + ["attack"]
+        assert [c.capture_id for c in captures] == [f"benign_{i}" for i in range(4)] + ["attack_0"]
 
     def test_summaries_same_as_serial(self, jobs):
         # the children run BLAS after forking this process, whose OpenBLAS threads run:
@@ -453,7 +478,7 @@ class TestLoadCaptures:
             return parse_capture(path, **kwargs)
         monkeypatch.setattr(cli, "parse_capture", counted)
         load(jobs)
-        assert calls == [path for path, _labels in jobs[0::cpus]]  # children's calls stay in the children
+        assert calls == jobs[0::cpus]  # children's calls stay in the children
 
     @pytest.mark.parametrize("bad", [(0,), (1,), (1, 4), (0, 1)])
     def test_first_failure_in_input_order(self, jobs, tmp_path, bad):
@@ -461,14 +486,14 @@ class TestLoadCaptures:
         for k, i in enumerate(bad):
             path = tmp_path / f"bad_{i}.csv"
             path.write_text("time,x\n0.0,1.0\n" * (k + 1) + "0.1,banana\n")
-            jobs[i] = (str(path), jobs[i][1])
+            jobs[i] = str(path)
         expected = serial_outcome(jobs)
         with pytest.raises(ParseError) as info:
             load(jobs)
         got = info.value
         assert type(got) is type(expected)
         assert (str(got), got.path, got.line) == (str(expected), expected.path, expected.line)
-        assert got.path == jobs[bad[0]][0]
+        assert got.path == jobs[bad[0]]
 
     def test_first_bad_file_across_stages(self, corpus, tmp_path, capsys):
         # file 1 parses but cannot be summarized (every signal constant), file 3 does not parse:
@@ -485,11 +510,11 @@ class TestLoadCaptures:
         assert str(tmp_path / "c1.csv") in err and "c3.csv" not in err
 
     def test_missing_file(self, jobs, tmp_path):
-        jobs[1] = (str(tmp_path / "nope.csv"), {})
+        jobs[1] = str(tmp_path / "nope.csv")
         with pytest.raises(FileNotFoundError) as info:
             load(jobs)
         assert str(info.value) == str(serial_outcome(jobs))
-        assert main(["simtest", "--a", jobs[0][0], "--b", jobs[1][0]]) == 3
+        assert main(["simtest", "--a", jobs[0], "--b", jobs[1]]) == 3
 
     def test_internal_error_in_child(self, corpus, monkeypatch):
         # a bug in a child surfaces as itself, not as exit 3
@@ -504,7 +529,7 @@ class TestLoadCaptures:
     def test_child_dies_without_result(self, jobs, monkeypatch):
         # index 1 is the first child's; with 4 CPUs two more children are still to be read
         def dies(path, **kwargs):
-            if path == jobs[1][0]:
+            if path == jobs[1]:
                 os._exit(1)
             return parse_capture(path, **kwargs)
 

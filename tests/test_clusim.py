@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from canclust import clusim
-from canclust.clusim import HierarchyParams, affinity, similarities, similarity, transition_matrix
+from canclust.clusim import HierarchyParams, _transitions, affinity, similarities, similarity
 from canclust.errors import DataError
 from canclust.hierarchy import LINKAGES, Dendrogram, agglomerate, restrict
 
@@ -71,17 +71,17 @@ class TestLevelWeights:
 class TestTransitionMatrix:
     def test_row_stochastic(self, rng):
         for r in (-5.0, 0.0, 5.0):
-            w = transition_matrix(random_dendrogram(rng, 8), r)
+            w = _transitions([random_dendrogram(rng, 8)], r)[0]
             assert np.all(w >= 0)
             assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
     def test_r_very_negative_approaches_uniform(self, rng):
         # all the weight piles onto the root, whose cluster is every element
-        w = transition_matrix(random_dendrogram(rng, 6), -50.0)
+        w = _transitions([random_dendrogram(rng, 6)], -50.0)[0]
         assert np.max(np.abs(w - 1.0 / 6.0)) < 1e-4
 
     def test_r_very_positive_approaches_identity(self, rng):
-        w = transition_matrix(random_dendrogram(rng, 6), 50.0)
+        w = _transitions([random_dendrogram(rng, 6)], 50.0)[0]
         assert np.max(np.abs(w - np.eye(6))) < 1e-4
 
     @pytest.mark.parametrize("linkage", LINKAGES)
@@ -95,7 +95,7 @@ class TestTransitionMatrix:
                     for node, _nu, weight in level_weights(dend, lid, r):
                         leaves = sorted(leaves_under(dend, node))
                         expected[i, leaves] += weight / len(leaves)
-                w = transition_matrix(dend, r)
+                w = _transitions([dend], r)[0]
                 assert np.max(np.abs(w - expected)) <= 1e-15
                 assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-15
 
@@ -105,7 +105,7 @@ class TestTransitionMatrix:
         for n in (2, 3, 5, 17, 40, 70):
             dend = random_dendrogram(rng, n, linkage)
             r = float(rng.uniform(-8, 8))
-            assert np.array_equal(transition_matrix(dend, r), membership_transition(dend, r))
+            assert np.array_equal(_transitions([dend], r)[0], membership_transition(dend, r))
 
 
 class TestAffinity:
@@ -114,7 +114,7 @@ class TestAffinity:
         for _ in range(5):
             dend = random_dendrogram(rng, int(rng.integers(3, 10)))
             params = HierarchyParams(r=float(rng.uniform(-8, 8)), alpha=float(rng.uniform(0.5, 0.95)))
-            expected = power_iteration_ppr(transition_matrix(dend, params.r), params.alpha)
+            expected = power_iteration_ppr(_transitions([dend], params.r)[0], params.alpha)
             got = affinity(dend, params)
             assert np.max(np.abs(got - expected)) < 1e-9
 

@@ -529,6 +529,22 @@ class TestResample:
                 with pytest.raises(DataError, match="more than the 50 allowed"):
                     resample(cap, 10.0)
 
+    def test_value_limit(self):
+        # at the limit the mean and the norm of a full grid stay finite; beyond it, a value is rejected first
+        limit = ingest.MAX_ABS_VALUE
+        assert 4 * ingest.MAX_GRID_POINTS * limit ** 2 <= (0.5 + 1e-12) * np.finfo(float).max  # half, up to rounding
+        ts = np.arange(1000) / 10.0
+        wave = np.where(np.arange(1000) % 2, limit, -limit)
+        other = RawSignal("b", ts, np.arange(1000.0))
+        m = resample(make_capture([RawSignal("a", ts, wave), other]), 10.0)
+        assert abs(np.dot(m.data[0], m.data[0]) - 1.0) < 1e-12
+        for big in (np.nextafter(limit, np.inf), 3e200, -np.finfo(float).max):
+            values = wave.copy()
+            values[500] = big
+            message = r"^c: signal 'a' holds a value of magnitude above 1\.5e\+150, the most allowed$"
+            with pytest.raises(DataError, match=message):
+                resample(make_capture([other, RawSignal("a", ts, values)]), 10.0)
+
     def test_grid_uniform_spacing(self, rng):
         sigs = [RawSignal(f"s{i}", np.arange(77) / 7.0, rng.normal(size=77)) for i in range(2)]
         m = resample(make_capture(sigs), 7.0)

@@ -71,6 +71,16 @@ class TestRun:
             assert d["n_signals"] == 9 and d["t"] == 400
             assert d["source_path"] == ""  # in-memory capture
 
+    def test_roles_are_the_groups(self):
+        # an inject()ed capture passed as benign is benign, a generate()d one passed as an attack is of its kind
+        benign = make_benign(3)
+        benign = (pin(benign[0], signal_id(0, 0)), *benign[1:])
+        spoof = generate(SynthSpec(**{**SPEC.__dict__, "seed": 900}), capture_id="spoof_0")
+        report = run(RunConfig(linkages=("ward",), allow_intersection=True), benign, {"spoof": (spoof,)})
+        assert [(d["capture_id"], d["label"], d["attack_kind"]) for d in report.diagnostics] == [
+            ("benign_0", "benign", ""), ("benign_1", "benign", ""), ("benign_2", "benign", ""),
+            ("spoof_0", "attack", "spoof")]
+
     def test_deterministic(self, small_report):
         again = run(RunConfig(linkages=("average", "ward")), make_benign(5),
                     {"correlated_break": make_attacks("correlated_break", 2)})
@@ -152,9 +162,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="duplicate linkages"):
             RunConfig(linkages=("ward", "ward"))
 
-    @pytest.mark.parametrize("kind", ["x/y", "", "a b", "../up", None])
+    @pytest.mark.parametrize("kind", ["x/y", "", "a b", "../up", None, "benign"])
     def test_bad_attack_kind(self, kind, monkeypatch):
-        # rejected before any capture is resampled
+        # rejected before any capture is resampled; "benign" names the benign sample's density files
         monkeypatch.setattr("canclust.pipeline.resample", None)
         with pytest.raises(ConfigError, match="attack kinds"):
             run(RunConfig(), make_benign(2), {kind: make_attacks("max_value", 1)})
