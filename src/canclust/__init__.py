@@ -7,22 +7,31 @@ element-centric diffusion measure, and decides benign vs. attack with a
 Mann-Whitney U test on the similarity distributions.
 """
 
-from .ingest import RawSignal, SignalCapture, SignalMatrix, parse_capture, resample
-from .correlation import DissimilarityMatrix, to_dissimilarity
-from .hierarchy import LINKAGES, Dendrogram, agglomerate
-from .clusim import HierarchyParams, SimilarityScore, affinity, similarity
-from .stats import TestResult, density_export, mann_whitney
-from .synth import AttackSpec, SynthSpec, generate, inject, signal_id
-from .pipeline import RunConfig, SimilaritySample, VerdictReport, run, verdict, write_outputs
+from importlib import import_module
 
-__all__ = [
-    "RawSignal", "SignalCapture", "SignalMatrix", "parse_capture", "resample",
-    "DissimilarityMatrix", "to_dissimilarity",
-    "LINKAGES", "Dendrogram", "agglomerate",
-    "HierarchyParams", "SimilarityScore", "affinity", "similarity",
-    "TestResult", "density_export", "mann_whitney",
-    "AttackSpec", "SynthSpec", "generate", "inject", "signal_id",
-    "RunConfig", "SimilaritySample", "VerdictReport", "run", "verdict", "write_outputs",
-]
+# public name -> the module that defines it; each is imported on first access (PEP 562), so that
+# `import canclust.cli` loads only the modules the command it runs needs
+_HOMES = {
+    "ingest": ("RawSignal", "SignalCapture", "SignalMatrix", "parse_capture", "resample"),
+    "correlation": ("DissimilarityMatrix", "to_dissimilarity"),
+    "hierarchy": ("LINKAGES", "Dendrogram", "agglomerate"),
+    "clusim": ("HierarchyParams", "SimilarityScore", "affinity", "similarity"),
+    "stats": ("TestResult", "density_export", "mann_whitney"),
+    "synth": ("AttackSpec", "SynthSpec", "generate", "inject", "signal_id"),
+    "pipeline": ("RunConfig",),
+    "report": ("SimilaritySample", "VerdictReport", "run", "verdict", "write_outputs"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without calling this
+    return value
+
 
 __version__ = "0.1.0"

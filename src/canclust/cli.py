@@ -17,8 +17,7 @@ from .clusim import similarity
 from .errors import ConfigError, DataError
 from .hierarchy import LINKAGES
 from .ingest import parse_capture
-from .pipeline import RunConfig, check_sources, conclude, fan_out, summarize, verdict, write_outputs
-from .synth import AttackSpec, SynthSpec, generate, inject, write_wide_csv
+from .pipeline import RunConfig, fan_out, summarize
 
 DISSIMILARITY_ALIASES = {
     "abs": "one_minus_abs_rho",
@@ -57,6 +56,8 @@ def _add_shared(parser):
 
 
 def _cmd_analyze(args):
+    from .report import check_sources, conclude, verdict, write_outputs  # only analyze compares many captures
+
     # every parameter, attack kinds included, is checked before any file is parsed
     patterns = {}  # kind -> its patterns, in command-line order
     for spec in args.attack:
@@ -87,6 +88,8 @@ def _cmd_analyze(args):
 
 def _synth_capture(entry, defaults):
     """(capture, attack kind or "") of one synth spec entry, attack applied; a spec mistake is a ConfigError."""
+    from .synth import AttackSpec, SynthSpec, generate, inject
+
     name = f"capture {entry.get('id')!r}"
     attack = entry.get("attack")
     # TypeError/ValueError: an unknown, missing, mistyped or out-of-range field; DataError: an
@@ -106,6 +109,8 @@ def _synth_capture(entry, defaults):
 
 
 def _cmd_synth(args):
+    from .synth import write_wide_csv
+
     try:
         with open(args.spec, encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -76,11 +76,11 @@ class RawSignal:
             raise DataError(f"signal {self.signal_id}: timestamps and values must be 1-D and equal length")
         if ts.size == 0:
             raise DataError(f"signal {self.signal_id}: empty signal")
-        if not np.all(np.isfinite(ts)):
+        if not np.isfinite(ts).all():
             raise DataError(f"signal {self.signal_id}: non-finite timestamps")
-        if not np.all(np.isfinite(vs)):
+        if not np.isfinite(vs).all():
             raise DataError(f"signal {self.signal_id}: non-finite values")
-        if ts.size > 1 and not np.all(np.diff(ts) > 0):
+        if not (ts[1:] > ts[:-1]).all():  # the times are finite: a comparison is the sign of a difference
             raise DataError(f"signal {self.signal_id}: timestamps not strictly increasing")
 
 
@@ -280,15 +280,21 @@ def _parse_block(layout, text, first_line, path):
 
 
 def _raw_signals(samples, path):
-    """One RawSignal per (signal id, times, values) with samples; a repeated time is an error."""
+    """One RawSignal per (signal id, times, values) with samples; a repeated time is an error.
+
+    Times are sorted, nan last, so a repeated finite time is a difference of 0, checked before
+    RawSignal's checks. A repeated inf or a nan gives a nan difference, not a repeat: RawSignal
+    names it a non-finite time. Finite times far apart may give an inf difference.
+    """
     signals = []
-    for signal_id, ts, vs in samples:
-        if ts.size > 1 and np.any(np.diff(ts) <= 0):
-            raise ParseError(f"duplicate timestamp in signal {signal_id!r}", path=path)
-        try:
-            signals.append(RawSignal(signal_id, ts, vs))
-        except DataError as exc:
-            raise ParseError(str(exc), path=path) from None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for signal_id, ts, vs in samples:
+            if (ts[1:] - ts[:-1] <= 0).any():
+                raise ParseError(f"duplicate timestamp in signal {signal_id!r}", path=path)
+            try:
+                signals.append(RawSignal(signal_id, ts, vs))
+            except DataError as exc:
+                raise ParseError(str(exc), path=path) from None
     return signals
 
 
@@ -349,12 +355,6 @@ def parse_capture(path, format="wide_csv"):
     return SignalCapture(capture_id=Path(path).stem, signals=tuple(signals), source_path=path)
 
 
-def is_constant(values):
-    vmax = float(np.max(values))
-    vmin = float(np.min(values))
-    return (vmax - vmin) < CONSTANT_TOL * max(1.0, abs(vmax))
-
-
 def resample(capture, frequency_hz=10.0):
     """Resample all signals of a capture onto a shared uniform grid.
 
@@ -383,20 +383,22 @@ def resample(capture, frequency_hz=10.0):
             f"{capture.capture_id}: common window [{start}, {end}] holds fewer than 2 grid points at {frequency_hz} Hz")
     grid = start + np.arange(int(n_points)) * step
 
-    kept_ids, rows, dropped = [], [], []
-    for sig in capture.signals:
-        if np.max(np.abs(sig.values)) > MAX_ABS_VALUE:  # checked first: the mean or the norm could overflow
+    for sig in capture.signals:  # before any arithmetic: the mean or the norm could overflow
+        if np.abs(sig.values).max() > MAX_ABS_VALUE:
             raise DataError(f"{capture.capture_id}: signal {sig.signal_id!r} holds a value of magnitude "
                             f"above {MAX_ABS_VALUE:.3g}, the most allowed")
-        interp = np.interp(grid, sig.timestamps, sig.values)
-        if is_constant(interp):
-            dropped.append(sig.signal_id)
-            continue
-        centered = interp - interp.mean()
-        rows.append(centered / np.linalg.norm(centered))
-        kept_ids.append(sig.signal_id)
-
-    if not rows:
+    data = np.empty((len(capture.signals), grid.size))
+    for k, sig in enumerate(capture.signals):
+        data[k] = np.interp(grid, sig.timestamps, sig.values)
+    vmax = data.max(axis=1)
+    constant = vmax - data.min(axis=1) < CONSTANT_TOL * np.maximum(1.0, np.abs(vmax))
+    if constant.all():
         raise DegenerateCaptureError(f"{capture.capture_id}: all signals constant on the common grid")
-    return SignalMatrix(capture_id=capture.capture_id, signal_ids=tuple(kept_ids),
-                        grid=grid, data=np.vstack(rows), dropped_constant=tuple(dropped))
+    if constant.any():
+        data = data[~constant]
+    data -= data.mean(axis=1, keepdims=True)
+    # each row's norm is the BLAS dot np.linalg.norm takes of a vector, which a batched sum would not match
+    data /= np.sqrt([row.dot(row) for row in data])[:, None]
+    ids = [sig.signal_id for sig in capture.signals]
+    return SignalMatrix(capture_id=capture.capture_id, signal_ids=tuple(compress(ids, ~constant)),
+                        grid=grid, data=data, dropped_constant=tuple(compress(ids, constant)))

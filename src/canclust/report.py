@@ -1,0 +1,200 @@
+"""Across captures: from checked sources and capture summaries to a verdict report.
+
+check_sources() checks attack kinds and capture ids before any capture is
+touched, and its sources are the one record of each capture's role.
+conclude() scores each linkage's benign and attack x benign pairs of
+pipeline.summarize()'s dendrograms in one clusim.similarities() batch, runs
+the Mann-Whitney test per (attack kind, linkage) cell and emits a
+self-contained VerdictReport, which write_outputs() writes to a directory.
+run() does all of this for in-memory captures. verdict() condenses a report
+into a tally. The CLI imports this module only for `analyze`.
+"""
+
+import json
+import re
+from dataclasses import asdict, dataclass
+from itertools import combinations
+from pathlib import Path
+
+from .clusim import similarities
+from .errors import ConfigError, DataError
+from .pipeline import RunConfig, fan_out, summarize
+from .stats import density_export, mann_whitney
+
+SCHEMA_VERSION = 1
+
+
+def check_sources(benign, attacks):
+    """Sources by kind, None first for benign, after checking attack kind names and capture ids.
+
+    benign and each group of attacks (kind -> group) are (capture_id, source path or "" in memory)
+    pairs, in run order; a duplicate id is rejected, naming both sources. Nothing else records roles.
+    """
+    # a kind names output files (density_<kind>_<linkage>.csv), so it cannot be the benign sample's name
+    bad = [k for k in attacks if k == "benign" or not (isinstance(k, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", k))]
+    if bad:
+        raise ConfigError(f"attack kinds {bad} are not names of letters, digits, '_', '-' and '.' other than 'benign'")
+    sources = {None: benign, **attacks}
+    seen = {}  # capture_id -> its first source
+    for cap_id, source in (s for group in sources.values() for s in group):
+        if cap_id in seen:
+            raise DataError(f"duplicate capture_id {cap_id!r} ({seen[cap_id] or 'inline'} and {source or 'inline'})")
+        seen[cap_id] = source
+    return sources
+
+
+@dataclass(frozen=True)
+class SimilaritySample:
+    """Similarities of one comparison group, one per (capture_id, capture_id) pair."""
+
+    values: tuple
+    pair_ids: tuple
+
+
+@dataclass(frozen=True)
+class VerdictReport:
+    schema: int
+    config: RunConfig
+    diagnostics: tuple  # per-capture dicts: capture_id, source_path, label, attack_kind, then summarize()'s fields
+    benign_samples: dict  # linkage -> SimilaritySample
+    entries: dict  # (attack_kind, linkage) -> entry dict
+
+    def to_dict(self):
+        return {
+            "schema": self.schema,
+            "config": asdict(self.config),
+            "diagnostics": list(self.diagnostics),
+            "benign_samples": {
+                linkage: {"values": list(s.values), "pair_ids": [list(p) for p in s.pair_ids]}
+                for linkage, s in self.benign_samples.items()
+            },
+            "results": [
+                {"attack_kind": kind, "linkage": linkage, **entry}
+                for (kind, linkage), entry in sorted(self.entries.items())
+            ],
+        }
+
+
+def run(config, benign, attacks=None):
+    """The VerdictReport of in-memory benign captures and attacks, which maps each kind to its captures."""
+    def sources(captures):
+        return [(c.capture_id, c.source_path) for c in captures]
+    attacks = attacks or {}
+    checked = check_sources(sources(benign), {kind: sources(caps) for kind, caps in attacks.items()})
+    captures = [c for caps in (benign, *attacks.values()) for c in caps]
+    return conclude(config, checked, fan_out(lambda cap: summarize(cap, config), captures))
+
+
+def conclude(config, sources, summaries):
+    """The VerdictReport of the summaries of sources' captures, one fan_out() item per linkage.
+
+    sources is what check_sources() returns; summaries are summarize()'s, one per capture in the same
+    order. Each capture's diagnostics entry is its id, source path and role, then its summary's fields.
+    """
+    roles = [{"capture_id": cap_id, "source_path": source, "label": "attack" if kind else "benign",
+              "attack_kind": kind or ""} for kind, group in sources.items() for cap_id, source in group]
+    diagnostics = tuple({**role, **measured} for role, (measured, _dends) in zip(roles, summaries, strict=True))
+    benign = range(len(sources[None]))
+    if len(benign) < 2:  # checked after loading, so a bad file is reported first
+        raise ConfigError("need at least 2 benign captures")
+    # one batch per linkage: the C(k, 2) benign pairs first, then attack x benign for each
+    # non-empty kind, whose pairs are pairs[lo:hi] for its (kind, lo, hi); a pair holds
+    # the positions of its two captures in roles, and so in summaries
+    pairs = list(combinations(benign, 2))
+    n_benign = len(pairs)
+    groups = []
+    for kind, group in sources.items():
+        if kind is not None and group:
+            lo = len(pairs)
+            pairs += [(a, b) for a, role in enumerate(roles) if role["attack_kind"] == kind for b in benign]
+            groups.append((kind, lo, len(pairs)))
+    pair_ids = [(roles[a]["capture_id"], roles[b]["capture_id"]) for a, b in pairs]
+    params = config.params
+
+    def score(j):
+        batch = [(summaries[a][1][j], summaries[b][1][j]) for a, b in pairs]
+        return tuple(s.value for s in similarities(batch, params, allow_intersection=config.allow_intersection))
+
+    benign_samples = {}
+    entries = {}
+    for linkage, values in zip(config.linkages, fan_out(score, range(len(config.linkages)))):
+        benign_samples[linkage] = bsample = SimilaritySample(values=values[:n_benign],
+                                                             pair_ids=tuple(pair_ids[:n_benign]))
+        for kind, lo, hi in groups:
+            t = mann_whitney(bsample.values, values[lo:hi], significance=config.significance)
+            entries[(kind, linkage)] = {
+                "u": t.u_statistic,
+                "p_value": t.p_value,
+                "method": t.method,
+                "significant": t.significant,
+                "n_benign_pairs": t.n1,
+                "n_attack_pairs": t.n2,
+                "attack_values": list(values[lo:hi]),
+                "attack_pair_ids": [list(p) for p in pair_ids[lo:hi]],
+            }
+
+    return VerdictReport(schema=SCHEMA_VERSION, config=config, diagnostics=diagnostics,
+                         benign_samples=benign_samples, entries=entries)
+
+
+def write_outputs(report, output_dir):
+    """Write report.json, similarities.jsonl and the density CSVs of a report to output_dir."""
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(report.to_dict(), fh, indent=2)
+        fh.write("\n")
+
+    r, alpha = report.config.r, report.config.alpha
+    with open(out / "similarities.jsonl", "w", encoding="utf-8") as fh:
+        for linkage, sample in report.benign_samples.items():
+            for (a, b), v in zip(sample.pair_ids, sample.values):
+                fh.write(json.dumps({"capture_a": a, "capture_b": b, "linkage": linkage,
+                                     "r": r, "alpha": alpha, "similarity": v}) + "\n")
+        for (kind, linkage), entry in sorted(report.entries.items()):
+            for (a, b), v in zip(entry["attack_pair_ids"], entry["attack_values"]):
+                fh.write(json.dumps({"capture_a": a, "capture_b": b, "linkage": linkage,
+                                     "r": r, "alpha": alpha, "similarity": v,
+                                     "attack_kind": kind}) + "\n")
+
+    for linkage, sample in report.benign_samples.items():
+        _write_density(out / f"density_benign_{linkage}.csv", sample.values)
+    for (kind, linkage), entry in report.entries.items():
+        _write_density(out / f"density_{kind}_{linkage}.csv", entry["attack_values"])
+
+
+def _write_density(path, values):
+    if len(values) < 2 or len(set(values)) < 2:
+        return  # degenerate sample: no curve to export
+    rows = "".join(f"{x!r},{dens!r}\n" for x, dens in density_export(values).tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,density\n" + rows)
+
+
+def verdict(report):
+    """Condense a report into the per-attack detection tally.
+
+    Returns (summary_text, tally) where tally maps each linkage to
+    (detected, total attack kinds).
+    """
+    kinds = sorted({kind for kind, _ in report.entries})
+    linkages = report.config.linkages
+    lines = []
+    tally = {linkage: 0 for linkage in linkages}
+    for kind in kinds:
+        detected_by = [l for l in linkages
+                       if report.entries.get((kind, l), {}).get("significant")]
+        for l in detected_by:
+            tally[l] += 1
+        ps = ", ".join(f"{l}={report.entries[(kind, l)]['p_value']:.3f}"
+                       for l in linkages if (kind, l) in report.entries)
+        lines.append(f"{kind}: detected by {{{', '.join(detected_by) or 'none'}}} ({ps})")
+    if kinds:
+        for l in linkages:
+            lines.append(f"{l.capitalize()} detected {tally[l]} of {len(kinds)}")
+    else:
+        lines.append("no attack groups supplied; benign diagnostics only")
+        for diag in report.diagnostics:
+            lines.append(f"  {diag['capture_id']}: {diag['n_signals']} signals, "
+                         f"T={diag['t']}, dropped={len(diag['dropped_constant'])}")
+    return "\n".join(lines), {l: (tally[l], len(kinds)) for l in linkages}

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from canclust.correlation import DissimilarityMatrix
-from canclust.errors import DataError, ParseError
+from canclust.errors import DataError, DegenerateCaptureError, InsufficientOverlapError, ParseError
 from canclust.hierarchy import LINKAGES, agglomerate
-from canclust.ingest import RawSignal
+from canclust.ingest import CONSTANT_TOL, MAX_ABS_VALUE, MAX_GRID_POINTS, RawSignal, SignalMatrix
 
 
 def random_dissimilarity(rng, n, ids=None):
@@ -158,6 +158,50 @@ def list_agglomerate(dm, linkage):
     return tuple(merges)
 
 
+def loop_resample(capture, frequency_hz=10.0):
+    """Oracle for ingest.resample: one signal at a time, each row built, tested and scaled on its own.
+
+    Each signal's values are checked against MAX_ABS_VALUE just before it is
+    interpolated; a row is constant when its range is below CONSTANT_TOL of
+    max(1, |its maximum|); a kept row is centered by its mean and divided by
+    np.linalg.norm, and the kept rows are stacked.
+    """
+    if not (0.0 < frequency_hz < np.inf):
+        raise ValueError("frequency_hz must be positive and finite")
+    if not capture.signals:
+        raise DataError(f"{capture.capture_id}: empty capture")
+    start = max(float(s.timestamps[0]) for s in capture.signals)
+    end = min(float(s.timestamps[-1]) for s in capture.signals)
+    step = 1.0 / frequency_hz
+    n_points = np.floor((end - start) / step + 1e-9) + 1
+    if n_points > MAX_GRID_POINTS:
+        raise DataError(
+            f"{capture.capture_id}: common window [{start}, {end}] needs {n_points:.3g} grid points "
+            f"at {frequency_hz} Hz, more than the {MAX_GRID_POINTS} allowed")
+    if n_points < 2:
+        raise InsufficientOverlapError(
+            f"{capture.capture_id}: common window [{start}, {end}] holds fewer than 2 grid points at {frequency_hz} Hz")
+    grid = start + np.arange(int(n_points)) * step
+
+    kept_ids, rows, dropped = [], [], []
+    for sig in capture.signals:
+        if np.max(np.abs(sig.values)) > MAX_ABS_VALUE:
+            raise DataError(f"{capture.capture_id}: signal {sig.signal_id!r} holds a value of magnitude "
+                            f"above {MAX_ABS_VALUE:.3g}, the most allowed")
+        interp = np.interp(grid, sig.timestamps, sig.values)
+        vmax, vmin = float(np.max(interp)), float(np.min(interp))
+        if (vmax - vmin) < CONSTANT_TOL * max(1.0, abs(vmax)):
+            dropped.append(sig.signal_id)
+            continue
+        centered = interp - interp.mean()
+        rows.append(centered / np.linalg.norm(centered))
+        kept_ids.append(sig.signal_id)
+    if not rows:
+        raise DegenerateCaptureError(f"{capture.capture_id}: all signals constant on the common grid")
+    return SignalMatrix(capture_id=capture.capture_id, signal_ids=tuple(kept_ids),
+                        grid=grid, data=np.vstack(rows), dropped_constant=tuple(dropped))
+
+
 def csv_reader_signals(path, format="wide_csv"):
     """Oracle for ingest.parse_capture: the RawSignals of a file read row by row with csv.reader.
 
@@ -175,7 +219,9 @@ def csv_reader_signals(path, format="wide_csv"):
     def finish(signal_id, samples):
         samples.sort(key=lambda tv: tv[0])
         ts = np.array([t for t, _ in samples])
-        if ts.size > 1 and np.any(np.diff(ts) <= 0):
+        with np.errstate(invalid="ignore"):  # inf - inf is nan: a repeated inf is a non-finite time, not a repeat
+            repeated = ts.size > 1 and np.any(np.diff(ts) <= 0)
+        if repeated:
             raise ParseError(f"duplicate timestamp in signal {signal_id!r}", path=path)
         try:
             return RawSignal(signal_id, ts, np.array([v for _, v in samples]))

@@ -17,7 +17,8 @@ from canclust.clusim import HierarchyParams, _transitions, affinity, similarity
 from goldens import verify_goldens
 from canclust.hierarchy import agglomerate
 from canclust.ingest import parse_capture
-from canclust.pipeline import RunConfig, run
+from canclust.pipeline import RunConfig
+from canclust.report import run
 from canclust.stats import exact_u_counts, mann_whitney, u_statistic
 from canclust.synth import AttackSpec, SynthSpec, generate, inject, signal_id
 

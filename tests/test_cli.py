@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import canclust
-from canclust import cli, pipeline
+from canclust import cli, pipeline, report
 from canclust.cli import main
 from canclust.errors import ParseError
 from canclust.ingest import parse_capture
@@ -314,7 +314,7 @@ class TestAnalyze:
         # a bug inside run() must surface as itself, not as exit 2 or 3
         def broken(*args, **kwargs):
             raise error("internal bug")
-        monkeypatch.setattr(pipeline, "mann_whitney", broken)
+        monkeypatch.setattr(report, "mann_whitney", broken)
         with pytest.raises(error, match="internal bug"):
             main(["analyze", "--benign", str(corpus / "benign_*.csv"),
                   "--attack", f"correlated_break={corpus / 'attack_0.csv'}", "--out", str(tmp_path / "o")])
@@ -400,6 +400,31 @@ class TestSimtest:
             assert rc == 0
             values.append(json.loads(capsys.readouterr().out)["similarity"])
         assert values[0] == values[1]
+
+
+@pytest.fixture
+def flat_csv(tmp_path):
+    p = tmp_path / "flat.csv"
+    p.write_text("time,a,b\n" + "".join(f"{i / 10},1.0,2.0\n" for i in range(50)))
+    return p
+
+
+@pytest.mark.parametrize("command", ["simtest", "analyze"])
+@pytest.mark.parametrize("bad, message", [
+    ("huge_value_csv", "signal 's0' holds a value of magnitude above 1.5e+150, the most allowed"),
+    ("flat_csv", "all signals constant on the common grid"),
+    ("huge_span_csv", "common window [0.0, 1000000000000000.0] needs 1e+16 grid points at 10.0 Hz, "
+                      "more than the 10000000 allowed"),
+])
+def test_data_error_names_capture_and_file_once(corpus, tmp_path, capsys, request, command, bad, message):
+    path = request.getfixturevalue(bad)
+    if command == "simtest":
+        argv = ["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(path)]
+    else:
+        argv = ["analyze", "--benign", str(corpus / "benign_*.csv"), "--attack", f"k={path}",
+                "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"data error: {path}: {path.stem}: {message}\n"
 
 
 def same_capture(a, b):
@@ -579,3 +604,52 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# the canclust modules each command loads; every command loads these first
+LOADED_BY_IMPORT = ["canclust", "canclust.cli", "canclust.clusim", "canclust.correlation", "canclust.errors",
+                    "canclust.hierarchy", "canclust.ingest", "canclust.pipeline"]
+
+
+def loaded_modules(statements):
+    """The canclust modules a fresh interpreter holds after running statements, whose output is dropped."""
+    src = str(Path(canclust.__file__).parent.parent)
+    code = ("import contextlib, io, json, sys\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    {statements}\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'canclust')))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def test_each_command_loads_only_its_modules(corpus, tmp_path):
+    def command(argv):  # a failed assert fails the interpreter, and check=True this test
+        return f"import canclust.cli; assert canclust.cli.main({argv!r}) == 0"
+
+    assert loaded_modules("import canclust") == ["canclust"]
+    assert loaded_modules("import canclust.cli") == LOADED_BY_IMPORT
+    simtest = ["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(corpus / "attack_0.csv")]
+    assert loaded_modules(command(simtest)) == LOADED_BY_IMPORT
+    analyze = ["analyze", "--benign", str(corpus / "benign_*.csv"),
+               "--attack", f"correlated_break={corpus / 'attack_0.csv'}", "--out", str(tmp_path / "o")]
+    assert loaded_modules(command(analyze)) == sorted(LOADED_BY_IMPORT + ["canclust.report", "canclust.stats"])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(synth_spec_doc(n_benign=1, attack=False)))
+    synth = ["synth", "--spec", str(spec), "--out", str(tmp_path / "s")]
+    assert loaded_modules(command(synth)) == sorted(LOADED_BY_IMPORT + ["canclust.synth"])
+
+
+@pytest.mark.parametrize("command", ["simtest", "analyze"])
+def test_module_entry_point(corpus, tmp_path, capsys, command):
+    # `python -m canclust.cli` runs cli as __main__ under a lazily resolved package: same output, no warning
+    if command == "simtest":
+        argv = ["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(corpus / "attack_0.csv")]
+    else:
+        argv = ["analyze", "--benign", str(corpus / "benign_*.csv"),
+                "--attack", f"correlated_break={corpus / 'attack_0.csv'}", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(canclust.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "canclust.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", expected)

@@ -6,8 +6,9 @@ import pytest
 
 from canclust import ingest
 from canclust.errors import DataError, DegenerateCaptureError, InsufficientOverlapError, ParseError
-from canclust.ingest import BLOCK_CHARS, RawSignal, SignalCapture, parse_capture, resample
-from conftest import csv_reader_signals
+from canclust.ingest import BLOCK_CHARS, CONSTANT_TOL, MAX_ABS_VALUE, RawSignal, SignalCapture, parse_capture, resample
+from canclust.synth import AttackSpec, SynthSpec, generate, inject, signal_id
+from conftest import csv_reader_signals, loop_resample
 
 BLOCK_LINES = BLOCK_CHARS // 8  # most lines a block holds when every line has 8 characters or more
 
@@ -304,6 +305,35 @@ class TestParseParity:
         assert "non-finite values" in expected[1]
         assert outcome(block_parser, path, "long_csv") == expected
 
+    @pytest.mark.parametrize("lines_of, layout, sid", [
+        (lambda rnd, n: dense_lines(rnd, n), "wide_csv", "s0"),
+        (lambda rnd, n: capture_lines(rnd, "wide_csv", n), "wide_csv", "a"),
+        (lambda rnd, n: capture_lines(rnd, "long_csv", n), "long_csv", "ID_100_a"),
+    ], ids=["dense_wide", "sparse_wide", "long"])
+    @pytest.mark.parametrize("fault", ["inf_twice", "repeat_and_nan"])
+    def test_repeated_and_non_finite(self, tmp_path, lines_of, layout, sid, fault):
+        # inf - inf is nan, so a repeated inf time is a non-finite time, not a repeated one;
+        # a repeated time is reported before a nan value; both faults are in the first signal, sid
+        rnd = random.Random(f"{layout}-{sid}-{fault}")
+        lines = lines_of(rnd, self.N_ROWS)
+        # rows holding a sample of sid: every wide row (its column is dense), some long ones
+        rows = [k for k in range(1, len(lines)) if layout == "wide_csv" or lines[k].split(",")[1].strip() == sid]
+        k1, k2, k3 = rnd.sample(rows, 3)
+        cells = {k: lines[k].split(",") for k in (k1, k2, k3)}
+        if fault == "inf_twice":
+            cells[k1][0] = cells[k2][0] = " inf"
+            message = f"signal {sid}: non-finite timestamps"
+        else:
+            cells[k2][0] = cells[k1][0]
+            cells[k3][2 if layout == "long_csv" else 1] = "nan"
+            message = f"duplicate timestamp in signal {sid!r}"
+        for k, row in cells.items():
+            lines[k] = ",".join(row)
+        path = write_capture(tmp_path, rnd, lines)
+        expected = outcome(csv_reader_signals, path, layout)
+        assert expected[:2] == (ParseError, f"{path}: {message}")
+        assert outcome(block_parser, path, layout) == expected
+
 
 @pytest.fixture
 def small_blocks(monkeypatch):
@@ -550,6 +580,84 @@ class TestResample:
         m = resample(make_capture(sigs), 7.0)
         spacing = np.diff(m.grid)
         assert np.all(np.abs(spacing - 1.0 / 7.0) < 1e-9 / 7.0)
+
+
+
+def resampled(fn, capture, frequency_hz):
+    """A resampled capture as bytes and ids, or its error as (class, message)."""
+    try:
+        m = fn(capture, frequency_hz)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return (m.capture_id, m.signal_ids, m.dropped_constant, m.grid.tobytes(), m.data.shape, m.data.tobytes())
+
+
+class TestResampleParity:
+    """resample() against the one-signal-at-a-time loop oracle (tests/conftest.py), bit for bit."""
+
+    def same(self, capture, frequency_hz=10.0):
+        expected = resampled(loop_resample, capture, frequency_hz)
+        assert resampled(resample, capture, frequency_hz) == expected
+        return expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("frequency_hz", [10.0, 7.3])
+    def test_dense_synth(self, seed, frequency_hz):
+        spec = SynthSpec(n_groups=6, signals_per_group=4, duration_s=60.0, rate_hz=10.0, seed=seed)
+        capture = generate(spec, capture_id=f"synth_{seed}")
+        # a max_value attack holds its targets constant: they are dropped
+        pinned = inject(capture, AttackSpec("max_value", (signal_id(1, 0), signal_id(4, 2)), 0.0, 60.0))
+        for cap in (capture, pinned):
+            expected = self.same(cap, frequency_hz)
+            assert len(expected[1]) == 24 - 2 * (cap is pinned)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_mixed_rates(self, seed):
+        # ROAD-like: each signal at its own rate with jittered stamps and its own window; some constant
+        rng = np.random.default_rng(seed)
+        signals = []
+        for k in range(40):
+            rate = (20, 10, 4, 2)[k % 4]
+            ts = np.cumsum(rng.uniform(0.5, 1.5, size=int(180 * rate)) / rate) + rng.uniform(0, 2)
+            vs = np.full(ts.size, 3.0) if k % 9 == 4 else rng.normal(size=ts.size).cumsum() * 10.0 ** (k % 7 - 3)
+            signals.append(RawSignal(f"s{k}", ts, vs))
+        expected = self.same(SignalCapture("sparse", tuple(signals)), 10.0)
+        assert len(expected[2]) == 4 and expected[4][1] > 1000
+
+    def test_constant_tolerance_boundary(self):
+        # sampled on the grid, so each row is its samples; ranges just below, at and above the tolerance
+        ts = np.arange(20) / 10.0
+        signals = []
+        for level in (0.25, 1.0, 5.0, -40.0):
+            tol = CONSTANT_TOL * max(1.0, abs(level))
+            for k, spread in enumerate((0.5 * tol, np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0), 2 * tol)):
+                signals.append(RawSignal(f"l{level}_{k}", ts, level - spread * (np.arange(20) % 2)))
+        expected = self.same(make_capture(signals))
+        assert 0 < len(expected[1]) < len(signals) and 0 < len(expected[2])
+
+    def test_one_kept_signal(self):
+        ts = np.arange(30) / 10.0
+        signals = [RawSignal("flat0", ts, np.full(30, 2.0)), RawSignal("kept", ts, np.sin(ts)),
+                   RawSignal("flat1", ts, np.full(30, -1e6))]
+        expected = self.same(make_capture(signals))
+        assert expected[1:3] == (("kept",), ("flat0", "flat1")) and expected[4] == (1, 30)
+
+    def test_all_constant(self):
+        ts = np.arange(30) / 10.0
+        expected = self.same(make_capture([RawSignal(f"flat{k}", ts, np.full(30, float(k))) for k in range(3)]))
+        assert expected == (DegenerateCaptureError, "c: all signals constant on the common grid")
+
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_huge_value_in_signal_k(self, rng, k):
+        # the first offender is named, whatever the signals before it; a later one is not reached
+        ts = np.arange(50) / 10.0
+        signals = [RawSignal(f"s{j}", ts, rng.normal(size=50) if j % 2 else np.full(50, 1.0)) for j in range(8)]
+        for j, big in ((k, -np.nextafter(MAX_ABS_VALUE, np.inf)), (7, 3e200)):
+            values = signals[j].values.copy()
+            values[25] = big
+            signals[j] = RawSignal(f"s{j}", ts, values)
+        expected = self.same(make_capture(signals))
+        assert expected[0] is DataError and expected[1].startswith(f"c: signal 's{k}' holds a value")
 
 
 class TestRawSignalInvariants:

@@ -6,11 +6,12 @@ from itertools import combinations
 
 import pytest
 
-from canclust import clusim, pipeline
+from canclust import clusim
 from canclust.cli import main
 from canclust.errors import ConfigError, DataError
 from canclust.ingest import parse_capture
-from canclust.pipeline import RunConfig, run, summarize, verdict, write_outputs
+from canclust.pipeline import RunConfig, summarize
+from canclust.report import run, verdict, write_outputs
 from canclust.stats import density_export
 from canclust.synth import AttackSpec, SynthSpec, generate, inject, signal_id, write_wide_csv
 
@@ -297,7 +298,7 @@ class TestBatchScoring:
     def test_each_linkage_scored_once_across_processes(self, tmp_path, monkeypatch, n_cpus):
         # a child's calls are not seen here, so each batch appends its linkage and process to a file
         log = tmp_path / "batches"
-        real = pipeline.similarities
+        real = clusim.similarities
 
         def logged(pairs, params, **kwargs):
             with open(log, "a", encoding="utf-8") as fh:
@@ -308,7 +309,7 @@ class TestBatchScoring:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = run(config, *captures).to_dict()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
-        monkeypatch.setattr(pipeline, "similarities", logged)
+        monkeypatch.setattr("canclust.report.similarities", logged)
         assert run(config, *captures).to_dict() == serial
         batches = [line.split() for line in log.read_text().splitlines()]
         assert sorted(linkage for _pid, linkage in batches) == sorted(config.linkages)
