@@ -10,14 +10,19 @@ contains ``"`` raises ParseError naming its line (comment lines may contain
 anything). Time and value cells are read with Python's ``float()``.
 
 Files are read in blocks of BLOCK_CHARS characters, each finished at the end
-of its last line. A block of well-formed data lines is checked from the
-positions of its commas and newlines and converted a whole column at a time
-(a wide block without blank cells as one table); only a block that fails is
-walked line by line, to name the first bad line as a row-by-row reader
-would. The cell strings of one block, a few MB whatever the file's length
-or width, are the only per-cell Python objects alive at once. Until they
-are cut into signals, parsed blocks hold 24 bytes per sample, or 8 per cell
-of a wide file without a blank cell.
+of its last line. A block without a comment line, a ``"``, a blank wide cell,
+a leading empty line or a character U+001C-U+001F goes to numpy's C reader
+(``np.loadtxt``), which hands each numeral, stripped of blanks, to the
+conversion ``float()`` uses: those characters are the only blanks it strips
+that ``float()`` rejects. A block it refuses (a numeral only ``float()``
+reads: ``1_0``, non-ASCII digits or blanks) or reads short of an empty line
+is checked from the positions of its commas and newlines and read by
+``float()`` a whole column at a time (a wide block without blank cells as one
+table); only a block that still fails is walked line by line, to name the
+first bad line as a row-by-row reader would. The cell strings of one block,
+a few MB whatever the file's length or width, are the only per-cell Python
+objects alive at once. Until they are cut into signals, parsed blocks hold
+24 bytes per sample, or 8 per cell of a wide file without a blank cell.
 
 Resampling puts every signal of a capture onto a shared uniform grid by
 linear interpolation (never extrapolation), drops constant signals, and
@@ -25,6 +30,7 @@ normalizes each remaining series to zero mean and unit l2 norm so that row
 dot products downstream are exactly Pearson correlations.
 """
 
+import io
 import re
 from dataclasses import dataclass
 from itertools import compress
@@ -53,8 +59,9 @@ MAX_ABS_VALUE = float(np.sqrt(np.finfo(float).max / (8 * MAX_GRID_POINTS)))
 BLOCK_CHARS = 1 << 16
 
 # a newline, then a line whose first non-blank character is '#' (re's \s is str.isspace(), what
-# str.lstrip() strips); re finds the literal newline fast, unlike a multi-line "^"
-_COMMENT_LINE = re.compile(r"\n\s*#")
+# str.lstrip() strips); re finds the literal newline fast, unlike a multi-line "^". The blanks
+# exclude the newline, so a run of k empty lines costs k steps, not k^2 / 2
+_COMMENT_LINE = re.compile(r"\n[^\S\n]*#")
 
 _QUOTE_ERROR = "quote character '\"': cells are split on commas, without CSV quoting"
 
@@ -164,6 +171,20 @@ class _Wide:
         table[present] = np.array(list(compress(values, present.tolist())), dtype=float)
         return self._samples(table.reshape(n, self.ncols), present.reshape(n, self.ncols))
 
+    def read(self, text):
+        """(lines in a block not starting with an empty line, their table read by numpy's C reader), or
+        None; None at once for a blank cell (a ',' first or before a ',' or a newline), which it refuses."""
+        first = text[:text.index("\n") + 1]  # where a sparse file's blank cells nearly always show
+        if first[0] == "," or ",," in first or ",\n" in first:
+            return None
+        raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)  # ',' and '\n' are single utf-8 bytes
+        ends = raw[1:] == ord("\n")
+        if np.any((raw[:-1] == ord(",")) & (ends | (raw[1:] == ord(",")))):
+            return None
+        n = int(np.count_nonzero(ends))
+        table = np.loadtxt(io.StringIO(text), dtype=float, delimiter=",", comments=None, ndmin=2)
+        return (n, table) if table.shape == (n, self.ncols) else None
+
     @staticmethod
     def _samples(table, present):
         rows, sids = np.nonzero(present[:, 1:])
@@ -200,6 +221,7 @@ class _Long:
     """``time,signal,value``: one sample per row; signals in order of first appearance."""
 
     ncols = 3
+    _ROW = np.dtype([("time", float), ("signal", object), ("value", float)])  # a signal cell as written
 
     def __init__(self, header):
         if header != ["time", "signal", "value"]:
@@ -207,17 +229,27 @@ class _Long:
         self.signal_ids = {}  # signal id -> its index, in order of first appearance
         self._index = {}  # signal cell as written -> index of its signal id
 
+    def read(self, text):
+        """(lines in text, (times, values, signal index) of their samples read by numpy's C reader) or None."""
+        n = text.count("\n")
+        rows = np.loadtxt(io.StringIO(text), dtype=self._ROW, delimiter=",", comments=None, ndmin=1)
+        if len(rows) != n:
+            return None
+        return n, (rows["time"].copy(), rows["value"].copy(), self._ids(rows["signal"].tolist(), n))
+
     def columns(self, cells, n):
         """(times, values, signal index) of the n samples in n rows of cells."""
-        names = cells[1::3]
+        return np.array(cells[0::3], dtype=float), np.array(cells[2::3], dtype=float), self._ids(cells[1::3], n)
+
+    def _ids(self, names, n):
+        """Index of the signal id of each of n signal cells; new ids are registered in order of appearance."""
         try:
-            sids = np.fromiter(map(self._index.__getitem__, names), dtype=np.intp, count=n)
+            return np.fromiter(map(self._index.__getitem__, names), dtype=np.intp, count=n)
         except KeyError:  # a signal cell not seen before
             for name in dict.fromkeys(names):  # each distinct cell of the block, in order of appearance
                 if name not in self._index:
                     self._index[name] = self.signal_ids.setdefault(name.strip(), len(self.signal_ids))
-            sids = np.fromiter(map(self._index.__getitem__, names), dtype=np.intp, count=n)
-        return np.array(cells[0::3], dtype=float), np.array(cells[2::3], dtype=float), sids
+            return np.fromiter(map(self._index.__getitem__, names), dtype=np.intp, count=n)
 
     def signals(self, blocks):
         return _cut(blocks, self.signal_ids)
@@ -251,14 +283,23 @@ def _cut(blocks, signal_ids):
 def _parse_block(layout, text, first_line, path):
     """(lines in text, the layout's columns of its samples or None) for one block of whole lines.
 
-    The common case, a block of well-formed data lines, is checked and
-    converted a whole column at a time; comment and empty lines are filtered
-    out only when the block has a comment line or fails the check, and only a
-    block that still fails is walked line by line to name the first bad line.
+    The common case, a block of well-formed data lines, is read by numpy's C
+    reader, or else checked and converted a whole column at a time; comment and
+    empty lines are filtered out only when the block has a comment line or fails
+    the check, and only a block that still fails is walked line by line.
     """
+    commented = "#" in text and _COMMENT_LINE.search("\n" + text)
+    # U+001C-U+001F are blanks to the C reader but not to float(); it warns of a block of empty lines
+    if not (commented or text.startswith("\n") or '"' in text or any(c in text for c in "\x1c\x1d\x1e\x1f")):
+        try:
+            read = layout.read(text)  # None for a blank wide cell, or a table short of the block's lines
+        except ValueError:  # a cell the C reader refuses, or a row of another cell count
+            read = None
+        if read is not None:
+            return read
     n, ok = _shape(text, layout.ncols)
     data, rows = text, n
-    if not ok or ("#" in text and _COMMENT_LINE.search("\n" + text)):
+    if not ok or commented:
         kept = [line for line in text.split("\n")[:-1] if _is_data(line)]
         if not kept:
             return n, None

@@ -207,6 +207,7 @@ def csv_reader_signals(path, format="wide_csv"):
 
     Every cell goes through float() on its own and each signal's (t, v)
     tuples are sorted by time; the errors are those parse_capture raises.
+    Cells are split on commas only: a header or data line holding '"' is an error.
     """
     path = str(path)
 
@@ -228,9 +229,16 @@ def csv_reader_signals(path, format="wide_csv"):
         except DataError as exc:
             raise ParseError(str(exc), path=path) from None
 
+    def data_rows(fh):
+        for lineno, row in enumerate(csv.reader(fh, quoting=csv.QUOTE_NONE), start=1):
+            if row and not row[0].lstrip().startswith("#"):
+                if any('"' in cell for cell in row):
+                    raise ParseError("quote character '\"': cells are split on commas, without CSV quoting",
+                                     path=path, line=lineno)
+                yield lineno, row
+
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
-                if row and not row[0].lstrip().startswith("#"))
+        rows = data_rows(fh)
         try:
             header_lineno, header = next(rows)
         except StopIteration:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import canclust
-from canclust import cli, pipeline, report
+from canclust import cli, ingest, pipeline, report
 from canclust.cli import main
 from canclust.errors import ParseError
 from canclust.ingest import parse_capture
@@ -653,3 +653,28 @@ def test_module_entry_point(corpus, tmp_path, capsys, command):
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "canclust.cli", *argv],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", expected)
+
+
+@pytest.mark.parametrize("format", ["wide_csv", "long_csv"])
+def test_run_of_empty_lines(corpus, tmp_path, capsys, format):
+    # a run of empty lines over two blocks long holds a block without data, which numpy's C reader
+    # would warn about: both commands read it without a warning, as if the run were not there
+    def write(out, run):
+        out.mkdir()
+        for path in sorted(corpus.glob("*.csv")):
+            lines = path.read_text().splitlines()
+            if format == "long_csv":
+                ids, rows = lines[0].split(",")[1:], [line.split(",") for line in lines[1:]]
+                lines = ["time,signal,value"] + [f"{row[0]},{sid},{value}" for row in rows for sid, value in zip(ids, row[1:])]
+            half = len(lines) // 2
+            (out / path.name).write_text("\n".join(lines[:half]) + "\n" * (run + 1) + "\n".join(lines[half:]) + "\n")
+        return [["simtest", "--a", str(out / "benign_0.csv"), "--b", str(out / "attack_0.csv"), "--format", format],
+                ["analyze", "--benign", str(out / "benign_*.csv"), "--attack", f"correlated_break={out / 'attack_0.csv'}",
+                 "--out", str(out / "o"), "--format", format]]
+
+    src = str(Path(canclust.__file__).parent.parent)
+    for plain, with_run in zip(write(tmp_path / "plain", 0), write(tmp_path / "run", 2 * ingest.BLOCK_CHARS + 400)):
+        assert main(plain) == 0
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "canclust.cli", *with_run],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", capsys.readouterr().out)

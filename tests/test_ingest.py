@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -258,6 +259,33 @@ def corrupt(rnd, lines, kind):
     return k
 
 
+# what a mutation inserts or puts in place of one character: the blanks U+001C-U+001F that numpy's C
+# reader strips and float() rejects, numerals and blanks that only float() reads, and line structure
+MUTATION_TOKENS = ("\x1c", "\x1f", "1_0", "\u0663", "\xa0", "\u3000", "\x00", "\x0b", "#", '"', ",", "\n", " ")
+
+
+def mutate(rnd, text):
+    """text with one character inserted, replaced or deleted after its header line, or an empty
+    line or a line of blanks inserted; a token may be several characters long."""
+    k = rnd.randrange(re.search("[\r\n]", text).end(), len(text))
+    kind = rnd.choice(("insert", "replace", "delete", "line"))
+    if kind == "line":
+        k = max(text.rfind("\n", 0, k), text.rfind("\r", 0, k)) + 1
+        return text[:k] + rnd.choice(("\n", "  \t\n")) + text[k:]
+    token = "" if kind == "delete" else rnd.choice(MUTATION_TOKENS)
+    return text[:k] + token + text[k + (kind != "insert"):]
+
+
+def small_capture(rnd):
+    """(layout, text) of a valid file of a few rows: dense or sparse wide, or long; plain or decorated."""
+    layout = rnd.choice(("long_csv", "wide_csv"))
+    if layout == "wide_csv" and rnd.random() < 0.5:
+        lines = dense_lines(rnd, 40, n_signals=3)
+    else:
+        lines = capture_lines(rnd, layout, 40)
+    return layout, decorate(rnd, lines) if rnd.random() < 0.3 else "\n".join(lines) + "\n"
+
+
 class TestParseParity:
     """The block parser against the row-by-row csv.reader oracle (tests/conftest.py)."""
 
@@ -304,6 +332,34 @@ class TestParseParity:
         expected = outcome(csv_reader_signals, path, "long_csv")
         assert "non-finite values" in expected[1]
         assert outcome(block_parser, path, "long_csv") == expected
+
+    def test_mutated_input(self, tmp_path):
+        # one character changed in a small file, by tokens that numpy's C reader and float() read differently
+        rnd = random.Random("mutations")
+        path = tmp_path / "cap.csv"
+        for _ in range(1500):
+            layout, text = small_capture(rnd)
+            path.write_text(mutate(rnd, text), newline="")
+            assert outcome(block_parser, path, layout) == outcome(csv_reader_signals, path, layout)
+
+    @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
+    def test_run_of_empty_lines(self, tmp_path, layout, monkeypatch):
+        # a block of only empty lines, which numpy's C reader would warn holds no data
+        rnd = random.Random(layout)
+        lines = dense_lines(rnd, 600) if layout == "wide_csv" else capture_lines(rnd, layout, 600)
+        path = tmp_path / "cap.csv"
+        path.write_text("\n".join(lines[:300]) + "\n" * (2 * ingest.BLOCK_CHARS + 400) + "\n".join(lines[300:]) + "\n")
+        empty = []
+        parse_block = ingest._parse_block
+
+        def spy(layout, text, *args):
+            empty.append(not text.strip("\n"))
+            return parse_block(layout, text, *args)
+
+        monkeypatch.setattr(ingest, "_parse_block", spy)
+        expected = outcome(csv_reader_signals, path, layout)
+        assert isinstance(expected, list) and outcome(block_parser, path, layout) == expected
+        assert any(empty)
 
     @pytest.mark.parametrize("lines_of, layout, sid", [
         (lambda rnd, n: dense_lines(rnd, n), "wide_csv", "s0"),
@@ -372,15 +428,22 @@ class TestWideBlocks:
         return expected
 
     def test_dense_and_sparse_blocks_alternate(self, tmp_path, monkeypatch, small_blocks):
-        masked = []
-        columns = ingest._Wide.columns
+        # dense blocks are tables from the C reader; blocks with a blank cell are masked per cell
+        routes = []
+        read, columns = ingest._Wide.read, ingest._Wide.columns
 
-        def spy(layout, cells, n):
-            block = columns(layout, cells, n)
-            masked.append(isinstance(block, tuple))
+        def read_spy(layout, text):
+            block = read(layout, text)
+            routes.append("declined" if block is None else "C reader")
             return block
 
-        monkeypatch.setattr(ingest._Wide, "columns", spy)
+        def columns_spy(layout, cells, n):
+            block = columns(layout, cells, n)
+            routes.append("masked" if isinstance(block, tuple) else "table")
+            return block
+
+        monkeypatch.setattr(ingest._Wide, "read", read_spy)
+        monkeypatch.setattr(ingest._Wide, "columns", columns_spy)
         rnd = random.Random(21)
         lines = dense_lines(rnd, 400)
         for k in range(1, len(lines)):
@@ -389,7 +452,7 @@ class TestWideBlocks:
                 cells[1 + k % 5] = ""
                 lines[k] = ",".join(cells)
         assert isinstance(self.same_outcome(tmp_path, lines), list)
-        assert 5 <= masked.count(True) and 5 <= masked.count(False)
+        assert 5 <= routes.count("masked") and 5 <= routes.count("C reader")
 
     @pytest.mark.parametrize("blank", ["\u3000", "\xa0", " \u3000\t"])
     def test_unicode_blank_is_no_sample(self, tmp_path, blank):
@@ -414,6 +477,13 @@ class TestWideBlocks:
         lines[150] = ",".join(["\x1c7.5", ""] + lines[150].split(",")[2:])
         expected = self.same_outcome(tmp_path, lines)
         assert expected[1:] == (f"{tmp_path / 'cap.csv'}:151: non-numeric time '\\x1c7.5'", 151)
+
+    def test_every_row_one_cell_too_many(self, tmp_path):
+        # rows of equal length, so numpy's C reader reads them as a table, one column too wide
+        lines = dense_lines(random.Random(26), 300)
+        lines[1:] = [line + ",1.0" for line in lines[1:]]
+        expected = self.same_outcome(tmp_path, lines)
+        assert expected[1:] == (f"{tmp_path / 'cap.csv'}:2: expected 6 cells, got 7", 2)
 
     def test_dense_rows_out_of_time_order(self, tmp_path):
         rnd = random.Random(24)

@@ -91,6 +91,24 @@ class TestMannWhitney:
             expected = sum(c for u, c in enumerate(counts) if abs(2 * u - mu2) >= dev) / sum(counts)
             assert abs(res.p_value - expected) < 1e-12
 
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 4), (2, 3), (3, 3), (3, 5), (4, 4), (2, 7)])
+    def test_exact_p_of_every_u(self, n1, n2):
+        # every placement of x's ranks among n1 + n2, so every u in 0..n1*n2, with dev = 0 when n1*n2 is even;
+        # p has the bits of the brute-force tail sum over the enumerated counts
+        counts = brute_counts(n1, n2)
+        mu2 = n1 * n2
+        seen = set()
+        for ranks in combinations(range(n1 + n2), n1):
+            x = [float(r) for r in ranks]
+            y = [float(r) for r in range(n1 + n2) if r not in ranks]
+            res = mann_whitney(x, y)
+            u = int(res.u_statistic)
+            dev = abs(2 * u - mu2)
+            assert res.method == "exact"
+            assert res.p_value == sum(c for uu, c in enumerate(counts) if abs(2 * uu - mu2) >= dev) / sum(counts)
+            seen.add(u)
+        assert seen == set(range(mu2 + 1))
+
     def test_pinned_small_case(self):
         res = mann_whitney([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
         assert res.u_statistic == 0.0
