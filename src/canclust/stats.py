@@ -1,10 +1,10 @@
 """Mann-Whitney U verdict machinery and KDE export, on plain sequences of similarities.
 
-mann_whitney() compares two samples with a two-sided test: exact
+mann_whitney() compares two finite samples with a two-sided test: exact
 enumeration of the null distribution when n1*n2 <= 10000 and there are no
 ties, otherwise a tie-corrected normal approximation with continuity
-correction. density_export() produces Gaussian KDE curves for external
-plotting; verdicts never depend on it.
+correction; sorted neighbours closer than TIE_TOL tie. density_export()
+produces Gaussian KDE curves for external plotting; verdicts never depend on it.
 """
 
 import functools
@@ -18,6 +18,7 @@ from .errors import DataError
 
 EXACT_LIMIT = 10_000
 DENSITY_POINTS = 256  # points of an exported density curve
+TIE_TOL = 1e-9  # far above float noise in a similarity in [0, 1]
 
 
 @dataclass(frozen=True)
@@ -30,23 +31,31 @@ class TestResult:
     significant: bool
 
 
+def _tie_groups(values):
+    """(stable sort order of finite values, bounds b of their tie groups in that order): the one tie rule.
+
+    Sorted positions b[k]..b[k+1]-1 are one group, a run of sorted neighbours each closer than TIE_TOL.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    return order, np.flatnonzero(np.concatenate(([True], ordered[1:] - ordered[:-1] >= TIE_TOL, [True])))
+
+
 def average_ranks(values):
     """1-based ranks of finite values, each tie group sharing its mean rank.
 
-    Sorted positions s..e-1 of one group of equal values all get (s + e + 1) / 2,
-    a half-integer, so the ranks are exact in floating point.
+    Sorted positions s..e-1 of one group all get (s + e + 1) / 2, a half-integer,
+    so the ranks are exact in floating point.
     """
     values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    order, bounds = _tie_groups(values)
     ranks = np.empty(len(values))
     ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
     return ranks
 
 
 def u_statistic(x, y):
-    """U = number of (xi, yj) pairs with xi > yj, ties counting 1/2."""
+    """U = number of (xi, yj) pairs with xi > yj, pairs tied under TIE_TOL counting 1/2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n1, n2 = len(x), len(y)
@@ -88,24 +97,24 @@ def mann_whitney(x, y, significance=0.05):
     Exact enumeration is used
     when n1*n2 <= 10000 and the pooled sample is tie-free; otherwise a
     normal approximation with tie-corrected variance and 0.5 continuity
-    correction. Two samples with all values identical degenerate to p = 1.
+    correction. Two samples whose values all tie degenerate to p = 1.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     n1, n2 = len(xv), len(yv)
     if n1 == 0 or n2 == 0:
         raise DataError("mann_whitney requires two non-empty samples")
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise DataError("mann_whitney requires finite samples")
 
     u = u_statistic(xv, yv)
-    pooled = np.concatenate([xv, yv])
-    # the one tie decision: values tie when exactly equal
-    _, tie_counts = np.unique(pooled, return_counts=True)
+    tie_counts = np.diff(_tie_groups(np.concatenate([xv, yv]))[1])
     if len(tie_counts) == 1:
-        # all values identical: no location information at all
+        # all values tie: no location information at all
         return TestResult(u_statistic=u, p_value=1.0, n1=n1, n2=n2,
                           method="normal_approx", significant=False)
 
-    if len(tie_counts) == len(pooled) and n1 * n2 <= EXACT_LIMIT:
+    if len(tie_counts) == n1 + n2 and n1 * n2 <= EXACT_LIMIT:
         tails = _lower_tails(n1, n2)
         mu2 = n1 * n2  # 2 * mean, kept integral
         dev = abs(2 * int(round(u)) - mu2)  # of mu2's parity
@@ -115,12 +124,10 @@ def mann_whitney(x, y, significance=0.05):
         method = "exact"
     else:
         n = n1 + n2
+        # two groups or more: the tie term is at most that of groups (n - 1, 1), so var >= n1 * n2 / 4 > 0
         tie_term = float(np.sum(tie_counts ** 3 - tie_counts))
         var = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
         mu = n1 * n2 / 2.0
-        if var <= 0:
-            return TestResult(u_statistic=u, p_value=1.0, n1=n1, n2=n2,
-                              method="normal_approx", significant=False)
         z = max(0.0, abs(u - mu) - 0.5) / math.sqrt(var)
         p = math.erfc(z / math.sqrt(2.0))
         method = "normal_approx"

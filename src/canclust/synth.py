@@ -48,32 +48,15 @@ class Xoshiro256StarStar:
         sm = _splitmix64(int(seed))
         self._s = [next(sm) for _ in range(4)]
 
-    def next_u64(self):
-        s0, s1, s2, s3 = self._s
-        x = (s1 * 5) & _MASK
-        result = ((((x << 7) | (x >> 57)) & _MASK) * 9) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
-        self._s = [s0, s1, s2, s3]
-        return result
-
-    def uniforms(self, n):
-        """n doubles in the open interval (0, 1).
-
-        next_u64's arithmetic inlined on local state, written back once.
-        """
-        mask, scale = _MASK, 2.0 ** -53
+    def _words(self, n):
+        """The next n outputs as Python ints; the state is read once and written back once."""
+        mask = _MASK
         s0, s1, s2, s3 = self._s
         out = []
         append = out.append
         for _ in range(n):
             x = (s1 * 5) & mask
-            append(((((((x << 7) | (x >> 57)) & mask) * 9 & mask) >> 11) + 0.5) * scale)
+            append((((x << 7) | (x >> 57)) & mask) * 9 & mask)
             t = (s1 << 17) & mask
             s2 ^= s0
             s3 ^= s1
@@ -82,13 +65,19 @@ class Xoshiro256StarStar:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & mask
         self._s = [s0, s1, s2, s3]
-        return np.array(out)
+        return out
+
+    def next_u64(self):
+        return self._words(1)[0]
+
+    def uniforms(self, n):
+        """n doubles in the open interval (0, 1): ((w >> 11) + 0.5) * 2^-53 of each word w (w >> 11 < 2^53 is exact)."""
+        words = np.array(self._words(n), dtype=np.uint64)
+        return ((words >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
 
     def normals(self, n, sigma=1.0):
         """n standard-normal draws (Box-Muller), scaled by sigma."""
-        m = (n + 1) // 2
-        u1 = self.uniforms(m)
-        u2 = self.uniforms(m)
+        u1, u2 = np.split(self.uniforms(2 * ((n + 1) // 2)), 2)
         radius = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * math.pi * u2
         out = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:n]

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,23 @@ def loop_resample(capture, frequency_hz=10.0):
         raise DegenerateCaptureError(f"{capture.capture_id}: all signals constant on the common grid")
     return SignalMatrix(capture_id=capture.capture_id, signal_ids=tuple(kept_ids),
                         grid=grid, data=np.vstack(rows), dropped_constant=tuple(dropped))
+
+
+# what a mutation inserts or puts in place of one character: the blanks U+001C-U+001F that numpy's C
+# reader strips and float() rejects, numerals and blanks that only float() reads, and line structure
+MUTATION_TOKENS = ("\x1c", "\x1f", "1_0", "\u0663", "\xa0", "\u3000", "\x00", "\x0b", "#", '"', ",", "\n", " ")
+
+
+def mutate(rnd, text):
+    """text with one character inserted, replaced or deleted after its header line, or an empty
+    line or a line of blanks inserted; a token may be several characters long."""
+    k = rnd.randrange(re.search("[\r\n]", text).end(), len(text))
+    kind = rnd.choice(("insert", "replace", "delete", "line"))
+    if kind == "line":
+        k = max(text.rfind("\n", 0, k), text.rfind("\r", 0, k)) + 1
+        return text[:k] + rnd.choice(("\n", "  \t\n")) + text[k:]
+    token = "" if kind == "delete" else rnd.choice(MUTATION_TOKENS)
+    return text[:k] + token + text[k + (kind != "insert"):]
 
 
 def csv_reader_signals(path, format="wide_csv"):

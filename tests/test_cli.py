@@ -1,9 +1,11 @@
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from canclust import cli, ingest, pipeline, report
 from canclust.cli import main
 from canclust.errors import ParseError
 from canclust.ingest import parse_capture
+from conftest import mutate
 
 
 def synth_spec_doc(n_benign=4, attack=True):
@@ -425,6 +428,64 @@ def test_data_error_names_capture_and_file_once(corpus, tmp_path, capsys, reques
                 "--out", str(tmp_path / "o")]
     assert main(argv) == 3
     assert capsys.readouterr().err == f"data error: {path}: {path.stem}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["simtest", "analyze"])
+@pytest.mark.parametrize("text, message", [
+    ("a,time\n0.0,1.0\n", ":1: wide_csv header must be 'time,<signal>,...'"),
+    ("time,a,b,a\n0.0,1.0,2.0,3.0\n", ":1: duplicate signal column in header"),
+    ('# a note\n"time",a,b\n0.0,1.0,2.0\n', ":2: quote character '\"': cells are split on commas, without CSV quoting"),
+    ("# only a comment\n\n", ": empty file"),
+], ids=["header_order", "header_duplicate", "header_quote", "empty_file"])
+def test_bad_header_names_file(corpus, tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    if command == "simtest":
+        argv = ["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(path)]
+    else:
+        argv = ["analyze", "--benign", str(corpus / "benign_*.csv"), "--attack", f"k={path}",
+                "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"data error: {path}{message}\n"
+
+
+def small_capture_text(rnd, layout, ids=("a", "b", "c", "d"), n_rows=30):
+    """A valid capture of a few signals sampled together at 10 Hz, in either layout."""
+    rows = [(k / 10, [rnd.gauss(0, 1) for _ in ids]) for k in range(n_rows)]
+    if layout == "wide_csv":
+        return "time," + ",".join(ids) + "\n" + "".join(
+            f"{t!r}," + ",".join(f"{v:.6f}" for v in vs) + "\n" for t, vs in rows)
+    return "time,signal,value\n" + "".join(f"{t!r},{sid},{v:.6f}\n" for t, vs in rows for sid, v in zip(ids, vs))
+
+
+@pytest.mark.parametrize("layout", ["wide_csv", "long_csv"])
+@pytest.mark.parametrize("command", ["analyze", "simtest"])
+def test_mutated_input(tmp_path, capsys, monkeypatch, command, layout):
+    # one file of a run with one character changed as TestParseParity::test_mutated_input changes it: the run
+    # exits 0, or 3 naming that file, and raises and warns nothing
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    rnd = random.Random(f"{command}-{layout}")
+    paths = [tmp_path / f"{name}.csv" for name in ("benign_0", "benign_1", "benign_2", "attack_0")]
+    if command == "analyze":
+        argv = ["analyze", "--benign", str(tmp_path / "benign_*.csv"), "--attack", f"k={paths[3]}",
+                "--out", str(tmp_path / "o"), "--format", layout]
+    else:
+        paths = paths[:2]
+        argv = ["simtest", "--a", str(paths[0]), "--b", str(paths[1]), "--format", layout]
+    codes = set()
+    for _ in range(150):
+        for path in paths:
+            path.write_text(small_capture_text(rnd, layout))
+        bad = rnd.choice(paths)
+        bad.write_text(mutate(rnd, bad.read_text()), newline="")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert (rc, err) == (0, "") or (rc == 3 and err.startswith(f"data error: {bad}")), (rc, err)
+        codes.add(rc)
+    assert codes == {0, 3}
 
 
 def same_capture(a, b):

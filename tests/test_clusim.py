@@ -135,6 +135,10 @@ class TestAffinity:
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-10)
 
 
+    def test_one_leaf_dendrogram(self):
+        with pytest.raises(DataError, match="^affinity needs a dendrogram over at least 2 elements$"):
+            affinity(Dendrogram(("a",), (), "single"), HierarchyParams())
+
 class TestSimilarity:
     def test_identity(self, rng):
         for _ in range(5):

@@ -1,5 +1,4 @@
 import random
-import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,7 @@ from canclust import ingest
 from canclust.errors import DataError, DegenerateCaptureError, InsufficientOverlapError, ParseError
 from canclust.ingest import BLOCK_CHARS, CONSTANT_TOL, MAX_ABS_VALUE, RawSignal, SignalCapture, parse_capture, resample
 from canclust.synth import AttackSpec, SynthSpec, generate, inject, signal_id
-from conftest import csv_reader_signals, loop_resample
+from conftest import csv_reader_signals, loop_resample, mutate
 
 BLOCK_LINES = BLOCK_CHARS // 8  # most lines a block holds when every line has 8 characters or more
 
@@ -67,6 +66,10 @@ class TestParseWide:
         p = write(tmp_path, "time,a\n0.0,\n0.1,\n")
         with pytest.raises(DataError, match="no signals"):
             parse_capture(p)
+
+    def test_unknown_format(self, tmp_path):
+        with pytest.raises(ValueError, match="^unknown format 'json'$"):
+            parse_capture(write(tmp_path, "time,a\n0.0,1.0\n"), format="json")
 
     def test_unsorted_rows_sorted(self, tmp_path):
         p = write(tmp_path, "time,a\n0.2,3.0\n0.0,1.0\n0.1,2.0\n")
@@ -244,7 +247,20 @@ def block_parser(path, layout):
 
 
 def corrupt(rnd, lines, kind):
-    """Break one data line past the first block; return its index in lines."""
+    """Break one data line past the first block, or the header line, or comment out every line;
+    return the index in lines of the broken line."""
+    if kind == "header_order":  # the time column is not first
+        lines[0] = ",".join(reversed(lines[0].split(",")))
+        return 0
+    if kind == "header_duplicate":
+        lines[0] += "," + lines[0].split(",")[1]
+        return 0
+    if kind == "header_quote":
+        lines[0] = lines[0].replace("time", '"time"')
+        return 0
+    if kind == "comments_only":  # an empty file
+        lines[:] = [f"# {line}" for line in lines]
+        return None
     k = rnd.randrange(BLOCK_LINES + 100, len(lines))
     cells = lines[k].split(",")
     if kind == "cell_count":
@@ -257,23 +273,6 @@ def corrupt(rnd, lines, kind):
         cells = lines[k - 1].split(",")
     lines[k] = ",".join(cells)
     return k
-
-
-# what a mutation inserts or puts in place of one character: the blanks U+001C-U+001F that numpy's C
-# reader strips and float() rejects, numerals and blanks that only float() reads, and line structure
-MUTATION_TOKENS = ("\x1c", "\x1f", "1_0", "\u0663", "\xa0", "\u3000", "\x00", "\x0b", "#", '"', ",", "\n", " ")
-
-
-def mutate(rnd, text):
-    """text with one character inserted, replaced or deleted after its header line, or an empty
-    line or a line of blanks inserted; a token may be several characters long."""
-    k = rnd.randrange(re.search("[\r\n]", text).end(), len(text))
-    kind = rnd.choice(("insert", "replace", "delete", "line"))
-    if kind == "line":
-        k = max(text.rfind("\n", 0, k), text.rfind("\r", 0, k)) + 1
-        return text[:k] + rnd.choice(("\n", "  \t\n")) + text[k:]
-    token = "" if kind == "delete" else rnd.choice(MUTATION_TOKENS)
-    return text[:k] + token + text[k + (kind != "insert"):]
 
 
 def small_capture(rnd):
@@ -301,7 +300,8 @@ class TestParseParity:
         assert outcome(block_parser, path, layout) == expected
 
     @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
-    @pytest.mark.parametrize("kind", ["cell_count", "time", "value", "duplicate"])
+    @pytest.mark.parametrize("kind", ["cell_count", "time", "value", "duplicate",
+                                      "header_order", "header_duplicate", "header_quote", "comments_only"])
     def test_same_errors(self, tmp_path, layout, kind):
         rnd = random.Random(f"{layout}-{kind}")
         lines = capture_lines(rnd, layout, self.N_ROWS)
@@ -310,8 +310,21 @@ class TestParseParity:
         expected = outcome(csv_reader_signals, path, layout)
         assert isinstance(expected, tuple)
         assert outcome(block_parser, path, layout) == expected
-        if kind != "duplicate":
+        if kind in ("cell_count", "time", "value"):
             assert expected[2] > BLOCK_LINES
+        elif kind == "comments_only":
+            assert expected[1:] == (f"{path}: empty file", None)
+        elif kind.startswith("header"):
+            assert expected[2] < BLOCK_LINES
+
+    @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
+    def test_last_line_without_newline(self, tmp_path, layout):
+        rnd = random.Random(f"{layout}-unterminated")
+        path = write_capture(tmp_path, rnd, capture_lines(rnd, layout, self.N_ROWS))
+        terminated = outcome(block_parser, path, layout)
+        path.write_bytes(path.read_bytes().rstrip(b"\r\n"))
+        assert isinstance(terminated, list)
+        assert outcome(csv_reader_signals, path, layout) == outcome(block_parser, path, layout) == terminated
 
     def test_first_error_of_a_block_wins(self, tmp_path):
         rnd = random.Random(11)
@@ -610,6 +623,16 @@ class TestResample:
         cap = make_capture([RawSignal("a", [0.0, 1.0, 2.0], [1.0, 1.0, 1.0])])
         with pytest.raises(DegenerateCaptureError):
             resample(cap, 2.0)
+
+    @pytest.mark.parametrize("frequency_hz", [0.0, -10.0, np.inf, np.nan])
+    def test_bad_frequency(self, frequency_hz):
+        cap = make_capture([RawSignal("a", [0.0, 1.0, 2.0], [1.0, 3.0, 2.0])])
+        with pytest.raises(ValueError, match="^frequency_hz must be positive and finite$"):
+            resample(cap, frequency_hz)
+
+    def test_empty_capture(self):
+        with pytest.raises(DataError, match=r"^c: empty capture$"):
+            resample(make_capture([]))
 
     def test_grid_point_cap(self, monkeypatch):
         # a corrupt stamp 1e15 s out would otherwise ask for 1e16 grid points

@@ -8,8 +8,8 @@ import pytest
 
 from canclust import clusim
 from canclust.cli import main
-from canclust.errors import ConfigError, DataError
-from canclust.ingest import parse_capture
+from canclust.errors import ConfigError, DataError, DegenerateCaptureError
+from canclust.ingest import RawSignal, SignalCapture, parse_capture
 from canclust.pipeline import RunConfig, summarize
 from canclust.report import run, verdict, write_outputs
 from canclust.stats import density_export
@@ -347,6 +347,15 @@ class TestFileInputs:
         with pytest.raises(DataError, match="flat"):
             run(RunConfig(linkages=("ward",)), (parse_capture(gp), parse_capture(p)))
 
+
+    def test_in_memory_capture_error_unchanged(self):
+        # no source file to name: resample's error surfaces as it was raised
+        flat = SignalCapture("flat", (RawSignal("a", [0.0, 1.0, 2.0], [1.0] * 3),
+                                      RawSignal("b", [0.0, 1.0, 2.0], [2.0] * 3)))
+        with pytest.raises(DegenerateCaptureError) as info:
+            summarize(flat, RunConfig())
+        assert str(info.value) == "flat: all signals constant on the common grid"
+        assert info.value.__cause__ is None and info.value.__context__ is None
 
 class TestVerdict:
     def test_tally_lines(self, small_report):

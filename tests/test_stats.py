@@ -6,8 +6,8 @@ import pytest
 from scipy.stats import mannwhitneyu, rankdata
 
 from canclust.errors import DataError
-from canclust.stats import (average_ranks, density_export, exact_u_counts, mann_whitney, scott_bandwidth,
-                            u_statistic)
+from canclust.stats import (TIE_TOL, average_ranks, density_export, exact_u_counts, mann_whitney,
+                            scott_bandwidth, u_statistic)
 
 
 def brute_counts(n1, n2):
@@ -175,9 +175,51 @@ class TestMannWhitney:
         assert mann_whitney(x, y, significance=0.2).significant
         assert not mann_whitney(x, y, significance=0.05).significant
 
+    def test_heaviest_ties_keep_a_positive_variance(self):
+        # two tie groups of sizes (n - 1, 1), the largest tie term with more than one group
+        for n1, n2 in [(2, 1), (1, 5), (4, 3), (30, 40)]:
+            x, y = [1.0] + [0.0] * (n1 - 1), [0.0] * n2
+            res = mann_whitney(x, y)
+            ref = mannwhitneyu(x, y, alternative="two-sided", method="asymptotic")
+            assert res.method == "normal_approx" and abs(res.p_value - ref.pvalue) < 1e-9
+
     def test_errors(self):
         with pytest.raises(DataError):
             mann_whitney([], [1.0])
+
+    @pytest.mark.parametrize("sample", ["x", "y"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample(self, sample, bad):
+        x, y = [0.1, 0.2, 0.3], [0.4, 0.5]
+        (x if sample == "x" else y)[1] = bad
+        with pytest.raises(DataError, match="^mann_whitney requires finite samples$"):
+            mann_whitney(x, y)
+        with pytest.raises(DataError, match="^mann_whitney requires finite samples$"):
+            mann_whitney([bad] * 2, [bad] * 3)  # no sample of one repeated value either
+
+
+class TestTieRule:
+    def test_near_neighbours_tie(self):
+        # a run of sorted neighbours each closer than TIE_TOL is one group; 2 * TIE_TOL apart is not
+        values = [0.7, 0.5 + 0.8 * TIE_TOL, 0.5, 0.7 + 2 * TIE_TOL, 0.5 + 0.4 * TIE_TOL]
+        assert average_ranks(values).tolist() == [4.0, 2.0, 2.0, 5.0, 2.0]
+        assert u_statistic([0.5], [0.5 + 0.4 * TIE_TOL]) == 0.5
+
+    def test_noise_far_below_the_tolerance_moves_nothing(self):
+        # similarities on a grid (exact ties for coarse grids) moved by up to 1e-12, as an equivalent
+        # computation may move them: every tie group stays whole, so U, p, verdict and method stay
+        rnd = np.random.default_rng(1947)
+        outcomes = set()
+        for _ in range(150):
+            n1, n2 = (int(n) for n in rnd.integers(2, 31, size=2))
+            levels = int(rnd.choice([8, 64, 10 ** 6]))
+            shift = int(rnd.integers(0, levels // 2))
+            x = rnd.integers(0, levels, size=n1) / levels
+            y = rnd.integers(shift, levels, size=n2) / levels
+            res = mann_whitney(x, y)
+            assert mann_whitney(x + rnd.uniform(-1e-12, 1e-12, n1), y + rnd.uniform(-1e-12, 1e-12, n2)) == res
+            outcomes.add((res.method, res.significant))
+        assert outcomes == {(m, s) for m in ("exact", "normal_approx") for s in (True, False)}
 
 
 class TestDensity:

@@ -1,10 +1,11 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from canclust.errors import DataError
-from canclust.ingest import parse_capture
+from canclust.ingest import RawSignal, parse_capture
 from canclust.synth import (AttackSpec, SynthSpec, Xoshiro256StarStar, generate, inject,
                             pair_coupling, signal_id, write_wide_csv)
 
@@ -256,3 +257,13 @@ def test_write_wide_csv_round_trip(tmp_path):
     for orig, new in zip(cap.signals, back.signals):
         assert np.array_equal(orig.timestamps, new.timestamps)
         assert np.array_equal(orig.values, new.values)
+
+
+def test_write_wide_csv_needs_a_shared_grid(tmp_path):
+    cap = generate(small_spec(duration_s=3.0))
+    first = cap.signals[0]
+    moved = RawSignal(first.signal_id, first.timestamps + 0.05, first.values)
+    shifted = replace(cap, signals=(moved, *cap.signals[1:]))
+    with pytest.raises(DataError, match="^write_wide_csv requires a shared timestamp grid$"):
+        write_wide_csv(shifted, tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
