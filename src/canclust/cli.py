@@ -86,53 +86,10 @@ def _cmd_analyze(args):
     return 0
 
 
-def _synth_capture(entry, defaults):
-    """(capture, attack kind or "") of one synth spec entry, attack applied; a spec mistake is a ConfigError."""
-    from .synth import AttackSpec, SynthSpec, generate, inject
-
-    name = f"capture {entry.get('id')!r}"
-    attack = entry.get("attack")
-    # TypeError/ValueError: an unknown, missing, mistyped or out-of-range field; DataError: an
-    # attack that does not fit the generated capture (unknown target, late window, non-binary flip)
-    try:
-        fields = {**defaults, **{k: v for k, v in entry.items() if k not in ("id", "attack")}}
-        cap = generate(SynthSpec(**fields), capture_id=entry.get("id"))
-        if attack:
-            aspec = AttackSpec(kind=attack["kind"], target_signals=attack["targets"],
-                               start_s=attack["start_s"], end_s=attack["end_s"])
-            cap = inject(cap, aspec, seed=attack.get("seed", 0))
-    except KeyError as exc:  # attack[...] is the only key lookup
-        raise ConfigError(f"{name}: attack has no {exc} key") from None
-    except (TypeError, ValueError, DataError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-    return cap, attack["kind"] if attack else ""
-
-
 def _cmd_synth(args):
-    from .synth import write_wide_csv
+    from .synth import write_spec_corpus
 
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise DataError(f"{args.spec}: not a JSON document ({exc})") from None
-    if not (isinstance(doc, dict) and isinstance(doc.get("captures"), list)):
-        raise DataError(f"{args.spec}: a spec is a JSON object with a 'captures' list")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    for k, entry in enumerate(doc["captures"]):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"captures[{k}] must be a JSON object, got {entry!r}")
-        cap, kind = _synth_capture(entry, doc.get("defaults", {}))
-        filename = f"{cap.capture_id}.csv"
-        write_wide_csv(cap, out / filename)
-        manifest.append({"path": filename, "capture_id": cap.capture_id,
-                         "label": "attack" if kind else "benign", "attack_kind": kind})
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump({"files": manifest}, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {len(manifest)} captures to {out}")
+    print(f"wrote {write_spec_corpus(args.spec, args.out)} captures to {Path(args.out)}")
     return 0
 
 
@@ -141,7 +98,11 @@ def _cmd_simtest(args):
     config = RunConfig(frequency_hz=args.freq, linkages=(args.linkage_single,), r=args.r, alpha=args.alpha,
                        dissimilarity=args.dissimilarity)
     (_, (dend_a,)), (_, (dend_b,)) = _summarize_files([args.a, args.b], args.format, config)
-    score = similarity(dend_a, dend_b, config.params, allow_intersection=args.allow_intersection)
+    try:
+        score = similarity(dend_a, dend_b, config.params, allow_intersection=args.allow_intersection)
+    except DataError as exc:  # element sets that cannot be compared
+        named = (f"{Path(path).stem!r} ({path})" for path in (args.a, args.b))
+        raise DataError(f"captures {' and '.join(named)}: {exc}") from None
     print(json.dumps({"capture_a": Path(args.a).stem, "capture_b": Path(args.b).stem,
                       "linkage": args.linkage_single, "r": config.r, "alpha": config.alpha,
                       "similarity": score.value}))

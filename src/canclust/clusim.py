@@ -137,7 +137,7 @@ def affinity(dend, params):
     return _affinities([dend], params)[0]
 
 
-def _common(a, b, allow_intersection):
+def common_ids(a, b, allow_intersection):
     """Sorted ids both dendrograms cover, or DataError when the pair cannot be compared."""
     set_a, set_b = set(a.leaf_ids), set(b.leaf_ids)
     common = set_a & set_b
@@ -186,7 +186,7 @@ def similarities(pairs, params, allow_intersection=False):
     Every pair's element sets are checked before any tree is solved.
     """
     pairs = list(pairs)  # holds every dendrogram for the call, so its id stays a valid key
-    orders = [_common(a, b, allow_intersection) for a, b in pairs]
+    orders = [common_ids(a, b, allow_intersection) for a, b in pairs]
     keys = [[(id(dend), None if len(order) == dend.n_leaves else order) for dend in pair]
             for pair, order in zip(pairs, orders)]
     uses = Counter()

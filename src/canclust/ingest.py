@@ -9,20 +9,19 @@ Cells are split on commas, without CSV quoting: a header or data line that
 contains ``"`` raises ParseError naming its line (comment lines may contain
 anything). Time and value cells are read with Python's ``float()``.
 
-Files are read in blocks of BLOCK_CHARS characters, each finished at the end
-of its last line. A block without a comment line, a ``"``, a blank wide cell,
-a leading empty line or a character U+001C-U+001F goes to numpy's C reader
-(``np.loadtxt``), which hands each numeral, stripped of blanks, to the
-conversion ``float()`` uses: those characters are the only blanks it strips
-that ``float()`` rejects. A block it refuses (a numeral only ``float()``
-reads: ``1_0``, non-ASCII digits or blanks) or reads short of an empty line
-is checked from the positions of its commas and newlines and read by
-``float()`` a whole column at a time (a wide block without blank cells as one
-table); only a block that still fails is walked line by line, to name the
-first bad line as a row-by-row reader would. The cell strings of one block,
-a few MB whatever the file's length or width, are the only per-cell Python
-objects alive at once. Until they are cut into signals, parsed blocks hold
-24 bytes per sample, or 8 per cell of a wide file without a blank cell.
+A regular file is read by one call of numpy's C reader (``np.loadtxt``) on its
+path, which hands each numeral, stripped of blanks, to the conversion ``float()``
+uses, and each ``long_csv`` signal cell to a converter giving its signal's index.
+A file it would read otherwise than ``float()`` (with a non-UTF-8 byte, a ``"``,
+a comment line, or U+001C-U+001F: blanks to it, not to ``float()``) or refuses
+(a blank wide cell, a row of another cell count, an empty signal id, a numeral
+only ``float()`` reads, such as ``1_0``) or that is no regular file is read in
+blocks of BLOCK_CHARS characters finished at the end of their last line: a wide
+block without those by the C reader, any other checked from the positions of
+its commas and newlines and read by ``float()`` a column at a time, and only a
+block that still fails walked line by line, to name its first bad line as a
+row-by-row reader would. The cell strings of one block are the only per-cell
+Python objects alive at once.
 
 Resampling puts every signal of a capture onto a shared uniform grid by
 linear interpolation (never extrapolation), drops constant signals, and
@@ -31,6 +30,7 @@ dot products downstream are exactly Pearson correlations.
 """
 
 import io
+import os
 import re
 from dataclasses import dataclass
 from itertools import compress
@@ -128,7 +128,7 @@ def _line_error(layout, line):
             float(cell)
         except ValueError:
             return f"non-numeric {what} {cell!r}"
-    return None
+    return "empty signal id" if isinstance(layout, _Long) and not cells[1].strip() else None
 
 
 def _shape(text, ncols):
@@ -151,6 +151,8 @@ class _Wide:
     def __init__(self, header):
         if len(header) < 2 or header[0] != "time":
             raise ValueError("wide_csv header must be 'time,<signal>,...'")
+        if "" in header[1:]:
+            raise ValueError("empty signal id in header")
         if len(set(header[1:])) != len(header) - 1:
             raise ValueError("duplicate signal column in header")
         self.ncols = len(header)
@@ -172,18 +174,18 @@ class _Wide:
         return self._samples(table.reshape(n, self.ncols), present.reshape(n, self.ncols))
 
     def read(self, text):
-        """(lines in a block not starting with an empty line, their table read by numpy's C reader), or
-        None; None at once for a blank cell (a ',' first or before a ',' or a newline), which it refuses."""
-        first = text[:text.index("\n") + 1]  # where a sparse file's blank cells nearly always show
-        if first[0] == "," or ",," in first or ",\n" in first:
-            return None
+        """(lines, table) of a block not starting with an empty line, by numpy's C reader; None for a blank cell."""
         raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)  # ',' and '\n' are single utf-8 bytes
         ends = raw[1:] == ord("\n")
-        if np.any((raw[:-1] == ord(",")) & (ends | (raw[1:] == ord(",")))):
-            return None
+        if text[0] == "," or np.any((raw[:-1] == ord(",")) & (ends | (raw[1:] == ord(",")))):
+            return None  # a blank cell: a ',' first or before a ',' or a newline
         n = int(np.count_nonzero(ends))
         table = np.loadtxt(io.StringIO(text), dtype=float, delimiter=",", comments=None, ndmin=2)
         return (n, table) if table.shape == (n, self.ncols) else None
+
+    def read_file(self, path, skip):  # see _read_file
+        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
+        return [table] if table.shape[1] == self.ncols else None
 
     @staticmethod
     def _samples(table, present):
@@ -217,39 +219,33 @@ class _Wide:
         return [("time", cells[0])] + [("value", c.strip()) for c in cells[1:] if c.strip()]
 
 
-class _Long:
-    """``time,signal,value``: one sample per row; signals in order of first appearance."""
+class _Long(dict):
+    """``time,signal,value``: one sample per row; signals in order of first appearance. As a dict, it maps
+    each signal cell as written to the index of its signal id, the cell stripped of blanks."""
 
     ncols = 3
-    _ROW = np.dtype([("time", float), ("signal", object), ("value", float)])  # a signal cell as written
 
     def __init__(self, header):
         if header != ["time", "signal", "value"]:
             raise ValueError("long_csv header must be 'time,signal,value'")
         self.signal_ids = {}  # signal id -> its index, in order of first appearance
-        self._index = {}  # signal cell as written -> index of its signal id
 
-    def read(self, text):
-        """(lines in text, (times, values, signal index) of their samples read by numpy's C reader) or None."""
-        n = text.count("\n")
-        rows = np.loadtxt(io.StringIO(text), dtype=self._ROW, delimiter=",", comments=None, ndmin=1)
-        if len(rows) != n:
-            return None
-        return n, (rows["time"].copy(), rows["value"].copy(), self._ids(rows["signal"].tolist(), n))
+    def __missing__(self, cell):  # a signal cell not seen before registers its id; none is empty
+        if not cell.strip():
+            raise ValueError("empty signal id")
+        self[cell] = index = self.signal_ids.setdefault(cell.strip(), len(self.signal_ids))
+        return index
+
+    def read_file(self, path, skip):  # see _read_file
+        rows = np.loadtxt(path, dtype=[("time", float), ("signal", np.intp), ("value", float)], delimiter=",",
+                          comments=None, skiprows=skip, ndmin=1, encoding="utf-8",
+                          converters={1: self.__getitem__})
+        return [(rows["time"], rows["value"], rows["signal"])]
 
     def columns(self, cells, n):
         """(times, values, signal index) of the n samples in n rows of cells."""
-        return np.array(cells[0::3], dtype=float), np.array(cells[2::3], dtype=float), self._ids(cells[1::3], n)
-
-    def _ids(self, names, n):
-        """Index of the signal id of each of n signal cells; new ids are registered in order of appearance."""
-        try:
-            return np.fromiter(map(self._index.__getitem__, names), dtype=np.intp, count=n)
-        except KeyError:  # a signal cell not seen before
-            for name in dict.fromkeys(names):  # each distinct cell of the block, in order of appearance
-                if name not in self._index:
-                    self._index[name] = self.signal_ids.setdefault(name.strip(), len(self.signal_ids))
-            return np.fromiter(map(self._index.__getitem__, names), dtype=np.intp, count=n)
+        return (np.array(cells[0::3], dtype=float), np.array(cells[2::3], dtype=float),
+                np.fromiter(map(self.__getitem__, cells[1::3]), dtype=np.intp, count=n))
 
     def signals(self, blocks):
         return _cut(blocks, self.signal_ids)
@@ -283,14 +279,13 @@ def _cut(blocks, signal_ids):
 def _parse_block(layout, text, first_line, path):
     """(lines in text, the layout's columns of its samples or None) for one block of whole lines.
 
-    The common case, a block of well-formed data lines, is read by numpy's C
-    reader, or else checked and converted a whole column at a time; comment and
-    empty lines are filtered out only when the block has a comment line or fails
-    the check, and only a block that still fails is walked line by line.
+    A wide block of well-formed data lines is read by numpy's C reader, any other checked and converted a
+    whole column at a time; comment and empty lines are filtered out only when the block has a comment line
+    or fails the check, and only a block that still fails is walked line by line.
     """
     commented = "#" in text and _COMMENT_LINE.search("\n" + text)
     # U+001C-U+001F are blanks to the C reader but not to float(); it warns of a block of empty lines
-    if not (commented or text.startswith("\n") or '"' in text or any(c in text for c in "\x1c\x1d\x1e\x1f")):
+    if isinstance(layout, _Wide) and not (commented or text[0] == "\n" or any(c in text for c in '"\x1c\x1d\x1e\x1f')):
         try:
             read = layout.read(text)  # None for a blank wide cell, or a table short of the block's lines
         except ValueError:  # a cell the C reader refuses, or a row of another cell count
@@ -355,6 +350,32 @@ def _undecodable_line(path):
     return None
 
 
+def _blocks(fh):
+    """The rest of fh's text in blocks of BLOCK_CHARS characters, each finished at the end of its last line."""
+    while text := fh.read(BLOCK_CHARS):
+        text += "" if text.endswith("\n") else fh.readline()
+        yield text if text.endswith("\n") else text + "\n"  # the file's last line
+
+
+def _read_file(layout, fh, path, skip):
+    """signals()' blocks of the lines after the first skip of the regular file fh, by layout.read_file's one
+    numpy C-reader call on its path (numpy reads other input line by line), or None; fh is left where it was.
+    numpy decompresses a name ending in .bz2, .gz, .lzma or .xz, and may take a relative path for a URL."""
+    if path.endswith((".bz2", ".gz", ".lzma", ".xz")) or not os.path.isfile(path):
+        return None
+    start, data = fh.tell(), False
+    try:
+        for text in _blocks(fh):
+            if any(c in text for c in '"\x1c\x1d\x1e\x1f') or "#" in text and _COMMENT_LINE.search("\n" + text):
+                return None
+            data = data or text.lstrip("\n") != ""  # numpy warns of a file without data lines
+        return layout.read_file(os.path.abspath(path), skip) if data else []
+    except ValueError:  # a byte that is not UTF-8, or a line the C reader refuses
+        return None
+    finally:
+        fh.seek(start)
+
+
 def parse_capture(path, format="wide_csv"):
     """Parse a capture file into a SignalCapture whose capture_id is the file's stem.
 
@@ -367,27 +388,26 @@ def parse_capture(path, format="wide_csv"):
     path = str(path)
     try:
         with open(path, encoding="utf-8") as fh:  # universal newlines: '\r\n' and '\r' end lines too
-            for lineno, line in enumerate(fh, start=1):
+            for lineno, line in enumerate(iter(fh.readline, ""), start=1):  # next(fh) would disable fh.tell()
                 if _is_data(line.rstrip("\n")):
                     break
             else:
                 raise ParseError("empty file", path=path)
             if '"' in line:
                 raise ParseError(_QUOTE_ERROR, path=path, line=lineno)
+            header = [c.strip() for c in line.split(",")]
             try:
-                layout = _LAYOUTS[format]([c.strip() for c in line.split(",")])
+                layout = _LAYOUTS[format](header)
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=lineno) from None
-            blocks = []
-            while text := fh.read(BLOCK_CHARS):
-                if not text.endswith("\n"):
-                    text += fh.readline()  # the rest of the block's last line
-                if not text.endswith("\n"):
-                    text += "\n"  # the file's last line
-                n, columns = _parse_block(layout, text, lineno + 1, path)
-                if columns is not None:
-                    blocks.append(columns)
-                lineno += n
+            blocks = _read_file(layout, fh, path, lineno)
+            if blocks is None:
+                layout, blocks = _LAYOUTS[format](header), []  # afresh: the C reader may have registered ids
+                for text in _blocks(fh):
+                    n, columns = _parse_block(layout, text, lineno + 1, path)
+                    if columns is not None:
+                        blocks.append(columns)
+                    lineno += n
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=path, line=_undecodable_line(path)) from None
     signals = _raw_signals(layout.signals(blocks), path) if blocks else []

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 
-from .clusim import similarities
+from .clusim import common_ids, similarities
 from .errors import ConfigError, DataError
 from .pipeline import RunConfig, fan_out, summarize
 from .stats import density_export, mann_whitney
@@ -109,6 +109,12 @@ def conclude(config, sources, summaries):
             pairs += [(a, b) for a, role in enumerate(roles) if role["attack_kind"] == kind for b in benign]
             groups.append((kind, lo, len(pairs)))
     pair_ids = [(roles[a]["capture_id"], roles[b]["capture_id"]) for a, b in pairs]
+    for a, b in pairs:  # element sets are the same under every linkage: each pair is checked once, naming it
+        try:
+            common_ids(summaries[a][1][0], summaries[b][1][0], config.allow_intersection)
+        except DataError as exc:
+            named = (f"{roles[k]['capture_id']!r} ({roles[k]['source_path'] or 'in memory'})" for k in (a, b))
+            raise DataError(f"captures {' and '.join(named)}: {exc}") from None
     params = config.params
 
     def score(j):

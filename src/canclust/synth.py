@@ -12,19 +12,22 @@ gaps are far larger than sampling noise, so every benign capture clusters
 the same way while attacks visibly rewire the tree. inject() applies
 masquerade-style attacks that alter values inside a time window but never
 touch timestamps. Neither records a role: whether a capture is benign or an
-attack is the group its caller analyzes it in.
+attack is the group its caller analyzes it in. write_spec_corpus() writes the
+captures a JSON spec describes, for `canclust synth`.
 
 Randomness comes from a self-contained xoshiro256** generator seeded through
 splitmix64 (see docs/prng.md), so fixtures are reproducible bit-for-bit
 across platforms and reimplementable in other languages.
 """
 
+import json
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .ingest import RawSignal, SignalCapture
 
 _MASK = (1 << 64) - 1
@@ -264,3 +267,55 @@ def write_wide_csv(capture, path):
         for k, t in enumerate(ts):
             fh.write(repr(float(t)) + "," +
                      ",".join(repr(float(s.values[k])) for s in capture.signals) + "\n")
+
+
+def _spec_capture(entry, defaults):
+    """(capture, attack kind or "") of one spec entry, attack applied; a spec mistake is a ConfigError."""
+    name = f"capture {entry.get('id')!r}"
+    attack = entry.get("attack")
+    # TypeError/ValueError: an unknown, missing, mistyped or out-of-range field; DataError: an
+    # attack that does not fit the generated capture (unknown target, late window, non-binary flip)
+    try:
+        fields = {**defaults, **{k: v for k, v in entry.items() if k not in ("id", "attack")}}
+        cap = generate(SynthSpec(**fields), capture_id=entry.get("id"))
+        if attack:
+            aspec = AttackSpec(kind=attack["kind"], target_signals=attack["targets"],
+                               start_s=attack["start_s"], end_s=attack["end_s"])
+            cap = inject(cap, aspec, seed=attack.get("seed", 0))
+    except KeyError as exc:  # attack[...] is the only key lookup
+        raise ConfigError(f"{name}: attack has no {exc} key") from None
+    except (TypeError, ValueError, DataError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    return cap, attack["kind"] if attack else ""
+
+
+def write_spec_corpus(spec_path, out):
+    """Write the captures of a JSON spec file to the directory out, with a manifest.json of each one's
+    file, id and role; the number written.
+
+    A spec is an object with a 'captures' list and optional 'defaults': each entry holds an 'id',
+    SynthSpec fields and optionally an 'attack' block (kind, targets, start_s, end_s, seed). A file that
+    is not such a document is a DataError; a mistake in an entry is a ConfigError naming it.
+    """
+    try:
+        with open(spec_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise DataError(f"{spec_path}: not a JSON document ({exc})") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("captures"), list)):
+        raise DataError(f"{spec_path}: a spec is a JSON object with a 'captures' list")
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = []
+    for k, entry in enumerate(doc["captures"]):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"captures[{k}] must be a JSON object, got {entry!r}")
+        cap, kind = _spec_capture(entry, doc.get("defaults", {}))
+        filename = f"{cap.capture_id}.csv"
+        write_wide_csv(cap, out / filename)
+        manifest.append({"path": filename, "capture_id": cap.capture_id,
+                         "label": "attack" if kind else "benign", "attack_kind": kind})
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump({"files": manifest}, fh, indent=2)
+        fh.write("\n")
+    return len(manifest)

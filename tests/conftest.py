@@ -267,6 +267,8 @@ def csv_reader_signals(path, format="wide_csv"):
             if len(header) < 2 or header[0] != "time":
                 raise ParseError("wide_csv header must be 'time,<signal>,...'", path=path, line=header_lineno)
             sig_ids = header[1:]
+            if "" in sig_ids:
+                raise ParseError("empty signal id in header", path=path, line=header_lineno)
             if len(set(sig_ids)) != len(sig_ids):
                 raise ParseError("duplicate signal column in header", path=path, line=header_lineno)
             samples = {sid: [] for sid in sig_ids}
@@ -286,6 +288,8 @@ def csv_reader_signals(path, format="wide_csv"):
                     raise ParseError(f"expected 3 cells, got {len(row)}", path=path, line=lineno)
                 t = parse_float(row[0], lineno, "time")
                 v = parse_float(row[2], lineno, "value")
+                if not row[1].strip():
+                    raise ParseError("empty signal id", path=path, line=lineno)
                 samples.setdefault(row[1].strip(), []).append((t, v))
     signals = [finish(sid, s) for sid, s in samples.items() if s]
     if not signals:

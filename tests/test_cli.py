@@ -434,9 +434,10 @@ def test_data_error_names_capture_and_file_once(corpus, tmp_path, capsys, reques
 @pytest.mark.parametrize("text, message", [
     ("a,time\n0.0,1.0\n", ":1: wide_csv header must be 'time,<signal>,...'"),
     ("time,a,b,a\n0.0,1.0,2.0,3.0\n", ":1: duplicate signal column in header"),
+    ("time,a,b,c,\n0.0,1.0,2.0,3.0,4.0\n", ":1: empty signal id in header"),
     ('# a note\n"time",a,b\n0.0,1.0,2.0\n', ":2: quote character '\"': cells are split on commas, without CSV quoting"),
     ("# only a comment\n\n", ": empty file"),
-], ids=["header_order", "header_duplicate", "header_quote", "empty_file"])
+], ids=["header_order", "header_duplicate", "header_empty_id", "header_quote", "empty_file"])
 def test_bad_header_names_file(corpus, tmp_path, capsys, command, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -447,6 +448,43 @@ def test_bad_header_names_file(corpus, tmp_path, capsys, command, text, message)
                 "--out", str(tmp_path / "o")]
     assert main(argv) == 3
     assert capsys.readouterr().err == f"data error: {path}{message}\n"
+
+
+@pytest.mark.parametrize("command", ["simtest", "analyze"])
+def test_empty_long_signal_id_names_line(tmp_path, capsys, command):
+    # a blank signal cell is no signal id: before, its rows made a signal named ''
+    rnd = random.Random(command)
+    paths = [tmp_path / f"{name}.csv" for name in ("benign_0", "benign_1", "benign_2")]
+    for path in paths:
+        path.write_text(small_capture_text(rnd, "long_csv"))
+    lines = paths[1].read_text().splitlines(keepends=True)
+    cells = lines[7].split(",")
+    lines[7] = ",".join([cells[0], "  ", cells[2]])
+    paths[1].write_text("".join(lines))
+    if command == "simtest":
+        argv = ["simtest", "--a", str(paths[0]), "--b", str(paths[1]), "--format", "long_csv"]
+    else:
+        argv = ["analyze", "--benign", str(tmp_path / "benign_*.csv"), "--out", str(tmp_path / "o"),
+                "--format", "long_csv"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"data error: {paths[1]}:8: empty signal id\n"
+
+
+@pytest.mark.parametrize("command", ["simtest", "analyze"])
+def test_element_sets_differ_names_both_captures(tmp_path, capsys, command):
+    rnd = random.Random(command)
+    a, c = tmp_path / "benign_a.csv", tmp_path / "benign_c.csv"
+    a.write_text(small_capture_text(rnd, "wide_csv", ids=("s0", "s1", "s2", "s3")))
+    c.write_text(small_capture_text(rnd, "wide_csv", ids=("s0", "s1", "s2", "s9")))
+    if command == "simtest":
+        argv = ["simtest", "--a", str(a), "--b", str(c)]
+    else:
+        argv = ["analyze", "--benign", str(tmp_path / "benign_*.csv"), "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"data error: captures 'benign_a' ({a}) and 'benign_c' ({c}): element sets differ "
+        "(only in a: ['s3'], only in b: ['s9']); pass allow_intersection=True to compare the overlap\n")
+    assert main(argv + ["--allow-intersection"]) == 0
 
 
 def small_capture_text(rnd, layout, ids=("a", "b", "c", "d"), n_rows=30):

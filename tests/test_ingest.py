@@ -1,4 +1,6 @@
+import os
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -246,6 +248,19 @@ def block_parser(path, layout):
     return parse_capture(path, format=layout).signals
 
 
+def spy_blocks(monkeypatch):
+    """The list of the blocks that ingest._parse_block is given from now on."""
+    blocks = []
+    parse_block = ingest._parse_block
+
+    def spy(layout, text, *args):
+        blocks.append(text)
+        return parse_block(layout, text, *args)
+
+    monkeypatch.setattr(ingest, "_parse_block", spy)
+    return blocks
+
+
 def corrupt(rnd, lines, kind):
     """Break one data line past the first block, or the header line, or comment out every line;
     return the index in lines of the broken line."""
@@ -357,22 +372,19 @@ class TestParseParity:
 
     @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
     def test_run_of_empty_lines(self, tmp_path, layout, monkeypatch):
-        # a block of only empty lines, which numpy's C reader would warn holds no data
+        # a block of only empty lines, which numpy's C reader would warn holds no data; the whole-file
+        # read skips them, and a comment line declines it, so that the block reaches _parse_block
         rnd = random.Random(layout)
         lines = dense_lines(rnd, 600) if layout == "wide_csv" else capture_lines(rnd, layout, 600)
+        text = "\n".join(lines[:300]) + "\n" * (2 * ingest.BLOCK_CHARS + 400) + "\n".join(lines[300:]) + "\n"
         path = tmp_path / "cap.csv"
-        path.write_text("\n".join(lines[:300]) + "\n" * (2 * ingest.BLOCK_CHARS + 400) + "\n".join(lines[300:]) + "\n")
-        empty = []
-        parse_block = ingest._parse_block
-
-        def spy(layout, text, *args):
-            empty.append(not text.strip("\n"))
-            return parse_block(layout, text, *args)
-
-        monkeypatch.setattr(ingest, "_parse_block", spy)
-        expected = outcome(csv_reader_signals, path, layout)
-        assert isinstance(expected, list) and outcome(block_parser, path, layout) == expected
-        assert any(empty)
+        blocks = spy_blocks(monkeypatch)
+        for comment in ("", "# the end\n"):
+            path.write_text(text + comment)
+            blocks.clear()
+            expected = outcome(csv_reader_signals, path, layout)
+            assert isinstance(expected, list) and outcome(block_parser, path, layout) == expected
+            assert any(not block.strip("\n") for block in blocks) if comment else blocks == []
 
     @pytest.mark.parametrize("lines_of, layout, sid", [
         (lambda rnd, n: dense_lines(rnd, n), "wide_csv", "s0"),
@@ -512,6 +524,123 @@ class TestWideBlocks:
         lines[1200] = ",".join(["nan"] + cells[1:])
         expected = self.same_outcome(tmp_path, lines)
         assert expected[0] is ParseError and "non-finite timestamps" in expected[1]
+
+
+def road_lines(rnd, duration_s=180.0):
+    """Header and rows of a ROAD-shaped long capture in time order: 32 signals, 4 per CAN id, each id sent
+    at 20, 10, 4 or 2 Hz from its own phase (about 52k rows, 1.8 MB)."""
+    rows = []
+    for group in range(8):
+        rate = (20, 10, 4, 2)[group % 4]
+        phase = rnd.random() / rate
+        for k in range(int(duration_s * rate)):
+            rows += [(phase + k / rate, f"ID_{0x100 + group:03X}_sig_{m}", rnd.gauss(0, 1)) for m in range(4)]
+    rows.sort(key=lambda row: row[0])
+    return ["time,signal,value"] + [f"{t:.6f},{sid},{v:.6g}" for t, sid, v in rows]
+
+
+class TestWholeFileRead:
+    """A well-formed regular file is read by one numpy C-reader call on its path; every other
+    file by the block route, with the same outcome."""
+
+    @pytest.mark.parametrize("layout, lines_of", [
+        ("long_csv", road_lines),
+        ("wide_csv", lambda rnd: dense_lines(rnd, 600, n_signals=128)),
+    ], ids=["road_long", "dense_wide"])
+    def test_same_bits_as_block_route(self, tmp_path, monkeypatch, layout, lines_of):
+        path = write(tmp_path, "\n".join(lines_of(random.Random(0))) + "\n")
+        blocks = spy_blocks(monkeypatch)
+        whole = outcome(block_parser, path, layout)
+        assert blocks == []
+        monkeypatch.setattr(ingest, "_read_file", lambda *args: None)
+        assert outcome(block_parser, path, layout) == whole
+        assert isinstance(whole, list) and len(whole) in (32, 128) and len(blocks) > 1
+
+    @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_is_plain_text(self, tmp_path, monkeypatch, layout, suffix):
+        # numpy would decompress a file so named: it is read in blocks, as the text it is
+        rnd = random.Random(1)
+        text = "\n".join(dense_lines(rnd, 300) if layout == "wide_csv" else capture_lines(rnd, layout, 300)) + "\n"
+        expected = outcome(block_parser, write(tmp_path, text, "plain.csv"), layout)
+        blocks = spy_blocks(monkeypatch)
+        named = write(tmp_path, text, "cap" + suffix)
+        assert isinstance(expected, list) and outcome(block_parser, named, layout) == expected
+        assert blocks and parse_capture(named, format=layout).capture_id == "cap"
+
+    def test_fifo(self, tmp_path, monkeypatch):
+        # a pass over a FIFO's text would use it up: it is read in blocks, once
+        text = "\n".join(dense_lines(random.Random(2), 3000)) + "\n"
+        expected = outcome(block_parser, write(tmp_path, text, "plain.csv"), "wide_csv")
+        fifo = tmp_path / "cap.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        blocks = spy_blocks(monkeypatch)
+        try:
+            got = outcome(block_parser, fifo, "wide_csv")
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert isinstance(expected, list) and got == expected and blocks
+
+    def test_relative_path_shaped_like_a_url(self, tmp_path, monkeypatch):
+        # "http://localhost/cap.csv" is also the file cap.csv in the directory http:/localhost
+        text = "\n".join(dense_lines(random.Random(3), 300)) + "\n"
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        expected = outcome(block_parser, write(tmp_path / "http:" / "localhost", text), "wide_csv")
+        monkeypatch.chdir(tmp_path)
+        blocks = spy_blocks(monkeypatch)
+        assert isinstance(expected, list) and outcome(block_parser, "http://localhost/cap.csv", "wide_csv") == expected
+        assert blocks == []
+
+    @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
+    @pytest.mark.parametrize("fault", ["comment", "quote", "blank_1c", "not_utf8", "numeral", "cell_count"])
+    def test_late_fault_declines_whole_file(self, tmp_path, monkeypatch, layout, fault):
+        # a fault in the last line sends the whole file to the block route, which starts afresh
+        rnd = random.Random(f"{layout}-{fault}")
+        lines = dense_lines(rnd, 3000) if layout == "wide_csv" else capture_lines(rnd, layout, 3000)
+        cells = lines[-1].split(",")
+        if fault == "comment":
+            lines.insert(-1, "  # a late note")
+        elif fault == "quote":
+            cells[1] = f'"{cells[1]}"'
+        elif fault == "blank_1c":
+            cells[-1] = "\x1c" + cells[-1]
+        elif fault == "numeral":
+            cells[-1] = "1_0"
+        elif fault == "cell_count":
+            cells.append("1.0")
+        lines[-1] = ",".join(cells)
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        if fault == "not_utf8":
+            path.write_bytes(path.read_bytes() + b"9999.0,\xff,1\n")
+        blocks = spy_blocks(monkeypatch)
+        if fault == "not_utf8":  # named by the line it is on, which the oracle does not read
+            expected = (ParseError, f"{path}:{len(lines) + 1}: not UTF-8 text (invalid start byte)", len(lines) + 1)
+        else:
+            expected = outcome(csv_reader_signals, path, layout)
+        assert outcome(block_parser, path, layout) == expected and blocks
+
+
+class TestEmptySignalId:
+    """A signal id that is empty, or only blanks, is a ParseError naming its line."""
+
+    def test_wide_header(self, tmp_path):
+        p = write(tmp_path, "# exported\ntime,s0,s1,s2,\n0.0,1,2,3,4\n0.1,2,3,4,5\n")
+        with pytest.raises(ParseError, match="empty signal id in header") as exc:
+            parse_capture(p)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("cell", ["", "  ", "\t", "\u3000"])
+    @pytest.mark.parametrize("at", [5, BLOCK_LINES + 50])
+    def test_long_row(self, tmp_path, cell, at):
+        rows = [f"{i / 10},ID_{i % 3},{i}" for i in range(BLOCK_LINES + 100)]
+        rows[at] = f"{at / 10},{cell},1.5"
+        p = write(tmp_path, "time,signal,value\n" + "\n".join(rows) + "\n")
+        expected = outcome(csv_reader_signals, p, "long_csv")
+        assert expected[1:] == (f"{p}:{at + 2}: empty signal id", at + 2)
+        assert outcome(block_parser, p, "long_csv") == expected
 
 
 class TestCut:
