@@ -8,7 +8,6 @@ Exit codes: 0 = ran, 2 = configuration error, 3 = data error.
 """
 
 import argparse
-import glob
 import json
 import sys
 from pathlib import Path
@@ -28,6 +27,8 @@ DISSIMILARITY_ALIASES = {
 
 
 def _expand(pattern):
+    import glob  # only analyze expands patterns
+
     p = Path(pattern)
     if p.is_dir():
         files = sorted(str(f) for f in p.glob("*.csv"))

@@ -23,11 +23,11 @@ solving it alone. affinity() is its one-tree case.
 """
 
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, checked
 from .hierarchy import restrict
 
 # matrix entries (trees x N x N) of one stack of solves in similarities(): 19 trees of 29
@@ -35,22 +35,22 @@ from .hierarchy import restrict
 STACK_ENTRIES = 1 << 14
 
 
-@dataclass(frozen=True)
-class HierarchyParams:
+@checked
+class HierarchyParams(NamedTuple):
     """Scaling r across dendrogram levels and diffusion strength alpha."""
 
     r: float = -5.0
     alpha: float = 0.9
 
-    def __post_init__(self):
+    def _check(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not np.isfinite(self.r):
             raise ValueError("r must be finite")
+        return self
 
 
-@dataclass(frozen=True)
-class SimilarityScore:
+class SimilarityScore(NamedTuple):
     """A pair's similarity and each compared element's score.
 
     The scores are one read-only array per pair, not a tuple of (id, score)
@@ -61,7 +61,16 @@ class SimilarityScore:
 
     value: float
     elements: tuple  # the compared element ids, sorted
-    scores: np.ndarray = field(compare=False)  # in elements order
+    scores: np.ndarray  # in elements order
+
+    def __eq__(self, other):
+        return isinstance(other, SimilarityScore) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
     @property
     def per_element(self):

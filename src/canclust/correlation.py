@@ -7,7 +7,7 @@ by default d = 1 - |rho|, which treats strongly anti-correlated signals
 for sign-sensitive analysis.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .errors import DataError
 DISSIMILARITIES = ("one_minus_abs_rho", "half_one_minus_rho")
 
 
-@dataclass(frozen=True)
-class DissimilarityMatrix:
+class DissimilarityMatrix(NamedTuple):
     signal_ids: tuple
     d: np.ndarray  # N x N, symmetric, zero diagonal, entries in [0, 1]
 

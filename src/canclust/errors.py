@@ -1,7 +1,22 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and checked(), for records that raise it when built.
 
 ConfigError maps to CLI exit code 2, DataError to exit code 3.
 """
+
+
+def checked(fields):
+    """fields, a NamedTuple class, as a subclass of the same name that builds every instance through _check().
+
+    _check() raises on bad fields, or returns the record to keep: itself, or one holding its fields converted.
+    A call, _make(), _replace(), a copy and unpickling all build through it.
+    """
+    def __new__(cls, *args, **kwargs):
+        return fields.__new__(cls, *args, **kwargs)._check()
+    __new__.__wrapped__ = fields.__new__  # inspect.signature() shows the fields and their defaults
+
+    return type(fields.__name__, (fields,), {"__slots__": (), "__new__": __new__, "__doc__": fields.__doc__,
+                                            "__module__": fields.__module__,
+                                            "_make": classmethod(lambda cls, iterable: cls(*iterable))})
 
 
 class CanclustError(Exception):

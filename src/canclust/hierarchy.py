@@ -23,7 +23,7 @@ operands in the same order.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .errors import DataError
 LINKAGES = ("single", "complete", "average", "ward")
 
 
-@dataclass(frozen=True)
-class Dendrogram:
+class Dendrogram(NamedTuple):
     """Full merge tree over N leaves: exactly N-1 merges with monotone heights."""
 
     leaf_ids: tuple

@@ -32,13 +32,13 @@ dot products downstream are exactly Pearson correlations.
 import io
 import os
 import re
-from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, DegenerateCaptureError, InsufficientOverlapError, ParseError
+from .errors import DataError, DegenerateCaptureError, InsufficientOverlapError, ParseError, checked
 
 # relative float-noise tolerance for "this signal never moves"
 CONSTANT_TOL = 1e-12
@@ -66,19 +66,17 @@ _COMMENT_LINE = re.compile(r"\n[^\S\n]*#")
 _QUOTE_ERROR = "quote character '\"': cells are split on commas, without CSV quoting"
 
 
-@dataclass(frozen=True)
-class RawSignal:
+@checked
+class RawSignal(NamedTuple):
     """One signal's irregularly-timestamped samples."""
 
     signal_id: str
     timestamps: np.ndarray  # seconds, strictly increasing
     values: np.ndarray
 
-    def __post_init__(self):
+    def _check(self):
         ts = np.asarray(self.timestamps, dtype=float)
         vs = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "values", vs)
         if ts.shape != vs.shape or ts.ndim != 1:
             raise DataError(f"signal {self.signal_id}: timestamps and values must be 1-D and equal length")
         if ts.size == 0:
@@ -89,10 +87,10 @@ class RawSignal:
             raise DataError(f"signal {self.signal_id}: non-finite values")
         if not (ts[1:] > ts[:-1]).all():  # the times are finite: a comparison is the sign of a difference
             raise DataError(f"signal {self.signal_id}: timestamps not strictly increasing")
+        return tuple.__new__(type(self), (self.signal_id, ts, vs))
 
 
-@dataclass(frozen=True)
-class SignalCapture:
+class SignalCapture(NamedTuple):
     """All signals from one drive capture, before resampling; its role in a run is the group it is passed in."""
 
     capture_id: str
@@ -100,8 +98,7 @@ class SignalCapture:
     source_path: str = ""  # the file it was parsed from; "" for an in-memory capture
 
 
-@dataclass(frozen=True)
-class SignalMatrix:
+class SignalMatrix(NamedTuple):
     """Resampled capture: N centered unit-norm rows on a uniform grid."""
 
     capture_id: str

@@ -10,17 +10,17 @@ step, and canclust.report scores each linkage's pairs of captures.
 import math
 import os
 import pickle
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .clusim import HierarchyParams
 from .correlation import DISSIMILARITIES, to_dissimilarity
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, checked
 from .hierarchy import LINKAGES, agglomerate
 from .ingest import resample
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@checked
+class RunConfig(NamedTuple):
     """The analysis parameters, checked when built; report.json echoes these fields as its config."""
 
     frequency_hz: float = 10.0
@@ -31,7 +31,7 @@ class RunConfig:
     dissimilarity: str = "one_minus_abs_rho"
     allow_intersection: bool = False
 
-    def __post_init__(self):
+    def _check(self):
         if not self.linkages:
             raise ConfigError("need at least one linkage")
         bad = [l for l in self.linkages if l not in LINKAGES]
@@ -46,6 +46,7 @@ class RunConfig:
         if not (0.0 < self.frequency_hz < math.inf):
             raise ConfigError("frequency_hz must be positive and finite")
         self.params  # checks r and alpha
+        return self
 
     @property
     def params(self):

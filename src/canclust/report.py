@@ -12,9 +12,9 @@ into a tally. The CLI imports this module only for `analyze`.
 
 import json
 import re
-from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 from .clusim import common_ids, similarities
 from .errors import ConfigError, DataError
@@ -43,16 +43,14 @@ def check_sources(benign, attacks):
     return sources
 
 
-@dataclass(frozen=True)
-class SimilaritySample:
+class SimilaritySample(NamedTuple):
     """Similarities of one comparison group, one per (capture_id, capture_id) pair."""
 
     values: tuple
     pair_ids: tuple
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     schema: int
     config: RunConfig
     diagnostics: tuple  # per-capture dicts: capture_id, source_path, label, attack_kind, then summarize()'s fields
@@ -62,7 +60,7 @@ class VerdictReport:
     def to_dict(self):
         return {
             "schema": self.schema,
-            "config": asdict(self.config),
+            "config": self.config._asdict(),
             "diagnostics": list(self.diagnostics),
             "benign_samples": {
                 linkage: {"values": list(s.values), "pair_ids": [list(p) for p in s.pair_ids]}

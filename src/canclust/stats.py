@@ -10,7 +10,7 @@ produces Gaussian KDE curves for external plotting; verdicts never depend on it.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ DENSITY_POINTS = 256  # points of an exported density curve
 TIE_TOL = 1e-9  # far above float noise in a similarity in [0, 1]
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     u_statistic: float
     p_value: float
     n1: int

@@ -22,12 +22,12 @@ across platforms and reimplementable in other languages.
 
 import json
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, checked
 from .ingest import RawSignal, SignalCapture
 
 _MASK = (1 << 64) - 1
@@ -87,8 +87,8 @@ class Xoshiro256StarStar:
         return sigma * out
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+@checked
+class SynthSpec(NamedTuple):
     n_groups: int
     signals_per_group: int
     duration_s: float
@@ -97,7 +97,7 @@ class SynthSpec:
     noise_sigma: float = 1.0
     seed: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_groups < 1 or self.signals_per_group < 1:
             raise ValueError("need at least one group and one signal per group")
         if self.duration_s * self.rate_hz < 2:
@@ -106,21 +106,22 @@ class SynthSpec:
             raise ValueError("intra_group_rho must be in (0, 1]")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class AttackSpec:
+@checked
+class AttackSpec(NamedTuple):
     kind: str  # correlated_break | max_value | binary_flip
     target_signals: tuple
     start_s: float
     end_s: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in ("correlated_break", "max_value", "binary_flip"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if not (0.0 <= self.start_s < self.end_s):
             raise ValueError("attack window must satisfy 0 <= start < end")
-        object.__setattr__(self, "target_signals", tuple(self.target_signals))
+        return tuple.__new__(type(self), (self.kind, tuple(self.target_signals), self.start_s, self.end_s))
 
 
 def signal_id(group, member):
@@ -249,7 +250,7 @@ def inject(capture, attack, seed=0):
             # a one-valued signal flips to itself; leave unchanged
         new_signals.append(RawSignal(sig.signal_id, sig.timestamps, values))
 
-    return replace(capture, signals=tuple(new_signals))
+    return capture._replace(signals=tuple(new_signals))
 
 
 def write_wide_csv(capture, path):

@@ -496,12 +496,12 @@ def small_capture_text(rnd, layout, ids=("a", "b", "c", "d"), n_rows=30):
     return "time,signal,value\n" + "".join(f"{t!r},{sid},{v:.6f}\n" for t, vs in rows for sid, v in zip(ids, vs))
 
 
-@pytest.mark.parametrize("layout", ["wide_csv", "long_csv"])
-@pytest.mark.parametrize("command", ["analyze", "simtest"])
-def test_mutated_input(tmp_path, capsys, monkeypatch, command, layout):
-    # one file of a run with one character changed as TestParseParity::test_mutated_input changes it: the run
-    # exits 0, or 3 naming that file, and raises and warns nothing
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+def mutated_runs(tmp_path, command, layout):
+    """(argv, the changed file, the bytes of all files) of 150 runs of command over a few small captures.
+
+    Before each run is yielded its files are written anew, one of them with one character changed as
+    TestParseParity::test_mutated_input changes it; the runs are the same for the same command and layout.
+    """
     rnd = random.Random(f"{command}-{layout}")
     paths = [tmp_path / f"{name}.csv" for name in ("benign_0", "benign_1", "benign_2", "attack_0")]
     if command == "analyze":
@@ -510,12 +510,21 @@ def test_mutated_input(tmp_path, capsys, monkeypatch, command, layout):
     else:
         paths = paths[:2]
         argv = ["simtest", "--a", str(paths[0]), "--b", str(paths[1]), "--format", layout]
-    codes = set()
     for _ in range(150):
         for path in paths:
             path.write_text(small_capture_text(rnd, layout))
         bad = rnd.choice(paths)
         bad.write_text(mutate(rnd, bad.read_text()), newline="")
+        yield argv, bad, sum(path.stat().st_size for path in paths)
+
+
+@pytest.mark.parametrize("layout", ["wide_csv", "long_csv"])
+@pytest.mark.parametrize("command", ["analyze", "simtest"])
+def test_mutated_input(tmp_path, capsys, monkeypatch, command, layout):
+    # each mutated run exits 0, or 3 naming the changed file, and raises and warns nothing
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    codes = set()
+    for argv, bad, _size in mutated_runs(tmp_path, command, layout):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(argv)
@@ -524,6 +533,25 @@ def test_mutated_input(tmp_path, capsys, monkeypatch, command, layout):
         assert (rc, err) == (0, "") or (rc == 3 and err.startswith(f"data error: {bad}")), (rc, err)
         codes.add(rc)
     assert codes == {0, 3}
+
+
+@pytest.mark.parametrize("layout", ["wide_csv", "long_csv"])
+@pytest.mark.parametrize("command", ["analyze", "simtest"])
+def test_mutated_input_memory(tmp_path, capsys, monkeypatch, command, layout):
+    # test_mutated_input's runs under tracemalloc, which would slow that test past 2 s: each run's peak
+    # stays within 64 times the bytes of its files (one CPU, so no work forks out of the trace). Peaks
+    # are 13-43 times: most of a peak is a fixed ~100 kB, argument parsing and numpy's reader buffers, and
+    # the rest grows with a run's rows and its time span, which a changed time cell can widen
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    for argv, bad, size in mutated_runs(tmp_path, command, layout):
+        tracemalloc.start()
+        try:
+            main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 64 * size, (bad.read_text(), peak, size)
 
 
 def same_capture(a, b):
@@ -710,32 +738,41 @@ LOADED_BY_IMPORT = ["canclust", "canclust.cli", "canclust.clusim", "canclust.cor
                     "canclust.hierarchy", "canclust.ingest", "canclust.pipeline"]
 
 
-def loaded_modules(statements):
-    """The canclust modules a fresh interpreter holds after running statements, whose output is dropped."""
+def loaded_modules(statements, packages=("canclust",)):
+    """The modules of packages a fresh interpreter holds after running statements, whose output is dropped."""
     src = str(Path(canclust.__file__).parent.parent)
     code = ("import contextlib, io, json, sys\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    {statements}\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'canclust')))")
+            f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     return json.loads(out)
 
 
-def test_each_command_loads_only_its_modules(corpus, tmp_path):
-    def command(argv):  # a failed assert fails the interpreter, and check=True this test
-        return f"import canclust.cli; assert canclust.cli.main({argv!r}) == 0"
+def cli_statements(argv):
+    """Statements that run the CLI on argv; a failed assert fails the interpreter, and check=True the test."""
+    return f"import canclust.cli; assert canclust.cli.main({argv!r}) == 0"
 
+
+def test_each_command_loads_only_its_modules(corpus, tmp_path):
     assert loaded_modules("import canclust") == ["canclust"]
     assert loaded_modules("import canclust.cli") == LOADED_BY_IMPORT
     simtest = ["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(corpus / "attack_0.csv")]
-    assert loaded_modules(command(simtest)) == LOADED_BY_IMPORT
+    assert loaded_modules(cli_statements(simtest)) == LOADED_BY_IMPORT
     analyze = ["analyze", "--benign", str(corpus / "benign_*.csv"),
                "--attack", f"correlated_break={corpus / 'attack_0.csv'}", "--out", str(tmp_path / "o")]
-    assert loaded_modules(command(analyze)) == sorted(LOADED_BY_IMPORT + ["canclust.report", "canclust.stats"])
+    assert loaded_modules(cli_statements(analyze)) == sorted(LOADED_BY_IMPORT + ["canclust.report", "canclust.stats"])
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(synth_spec_doc(n_benign=1, attack=False)))
     synth = ["synth", "--spec", str(spec), "--out", str(tmp_path / "s")]
-    assert loaded_modules(command(synth)) == sorted(LOADED_BY_IMPORT + ["canclust.synth"])
+    assert loaded_modules(cli_statements(synth)) == sorted(LOADED_BY_IMPORT + ["canclust.synth"])
+
+
+def test_simtest_loads_neither_dataclasses_nor_glob(corpus):
+    # records are NamedTuples, whose typing module numpy has already loaded, and only analyze expands patterns
+    simtest = ["simtest", "--a", str(corpus / "benign_0.csv"), "--b", str(corpus / "attack_0.csv")]
+    assert loaded_modules("import canclust.cli", ("dataclasses", "glob")) == []
+    assert loaded_modules(cli_statements(simtest), ("dataclasses", "glob")) == []
 
 
 @pytest.mark.parametrize("command", ["simtest", "analyze"])

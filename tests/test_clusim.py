@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from canclust import clusim
-from canclust.clusim import HierarchyParams, _transitions, affinity, similarities, similarity
+from canclust.clusim import HierarchyParams, SimilarityScore, _transitions, affinity, similarities, similarity
 from canclust.errors import DataError
 from canclust.hierarchy import LINKAGES, Dendrogram, agglomerate, restrict
 
@@ -146,6 +146,13 @@ class TestSimilarity:
             s = similarity(dend, dend, HierarchyParams())
             assert abs(s.value - 1.0) < 1e-9
             assert all(abs(v - 1.0) < 1e-9 for _, v in s.per_element)
+
+    def test_equality_ignores_scores(self):
+        a = SimilarityScore(0.5, ("x", "y"), np.array([0.25, 0.75]))
+        b = SimilarityScore(0.5, ("x", "y"), np.array([0.75, 0.25]))
+        other = SimilarityScore(0.25, ("x", "y"), a.scores)
+        assert (a == b, a != b, hash(a) == hash(b)) == (True, False, True)
+        assert (a == other, a != other) == (False, True)
 
     def test_symmetry(self, rng):
         a = random_dendrogram(rng, 6)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -62,14 +60,14 @@ class TestPearson:
     def test_single_sample_rejected(self, rng):
         m = matrix_from_rows(rng.normal(size=(3, 40)))
         with pytest.raises(DataError, match="at least 2 samples"):
-            to_dissimilarity(replace(m, data=m.data[:, :1]))
+            to_dissimilarity(m._replace(data=m.data[:, :1]))
 
     def test_zero_variance_row_rejected(self, rng):
         m = matrix_from_rows(rng.normal(size=(3, 40)))
         data = m.data.copy()
         data[1] = 0.0
         with pytest.raises(DataError, match="s1"):
-            to_dissimilarity(replace(m, data=data))
+            to_dissimilarity(m._replace(data=data))
 
 
 class TestDissimilarity:

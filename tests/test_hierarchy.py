@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.spatial.distance import squareform
 
 from canclust.correlation import DissimilarityMatrix
 from canclust.errors import DataError
-from canclust.hierarchy import LINKAGES, agglomerate, restrict
+from canclust.hierarchy import LINKAGES, Dendrogram, agglomerate, restrict
 
 from conftest import heights, leaves_under, list_agglomerate, random_dissimilarity
 from goldens import dendrogram_from_dict, dendrogram_to_dict
@@ -250,6 +251,12 @@ class TestSerialization:
         dend = agglomerate(random_dissimilarity(rng, 5), "ward")
         doc = json.loads(json.dumps(dendrogram_to_dict(dend)))
         assert dendrogram_from_dict(doc) == dend
+
+    def test_pickle_round_trip(self, rng):
+        # as a fan_out() child sends its dendrograms back through a pipe
+        dend = agglomerate(random_dissimilarity(rng, 6), "average")
+        back = pickle.loads(pickle.dumps(dend, protocol=pickle.HIGHEST_PROTOCOL))
+        assert (type(back), back) == (Dendrogram, dend)
 
 
 class TestRestrict:

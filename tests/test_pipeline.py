@@ -1,7 +1,6 @@
 import builtins
 import json
 import os
-from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -20,7 +19,7 @@ SPEC = SynthSpec(n_groups=3, signals_per_group=3, duration_s=40.0, rate_hz=10.0,
 
 
 def make_benign(k, base_seed=500):
-    return tuple(generate(SynthSpec(**{**SPEC.__dict__, "seed": base_seed + i}),
+    return tuple(generate(SynthSpec(**{**SPEC._asdict(), "seed": base_seed + i}),
                           capture_id=f"benign_{i}") for i in range(k))
 
 
@@ -36,7 +35,7 @@ def make_attacks(kind, k, base_seed=900):
         # gives mirror-image trees, whose scores differ only by float noise)
         targets = tuple(signal_id(i % SPEC.n_groups, j) for j in range(3 - i % 2))
         atk = AttackSpec(kind, targets, *window)
-        cap = generate(SynthSpec(**{**SPEC.__dict__, "seed": base_seed + i}),
+        cap = generate(SynthSpec(**{**SPEC._asdict(), "seed": base_seed + i}),
                        capture_id=f"attack_{kind}_{i}")
         caps.append(inject(cap, atk, seed=base_seed + 50 + i))
     return tuple(caps)
@@ -76,7 +75,7 @@ class TestRun:
         # an inject()ed capture passed as benign is benign, a generate()d one passed as an attack is of its kind
         benign = make_benign(3)
         benign = (pin(benign[0], signal_id(0, 0)), *benign[1:])
-        spoof = generate(SynthSpec(**{**SPEC.__dict__, "seed": 900}), capture_id="spoof_0")
+        spoof = generate(SynthSpec(**{**SPEC._asdict(), "seed": 900}), capture_id="spoof_0")
         report = run(RunConfig(linkages=("ward",), allow_intersection=True), benign, {"spoof": (spoof,)})
         assert [(d["capture_id"], d["label"], d["attack_kind"]) for d in report.diagnostics] == [
             ("benign_0", "benign", ""), ("benign_1", "benign", ""), ("benign_2", "benign", ""),
@@ -174,6 +173,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown dissimilarity 'bogus'"):
             RunConfig(dissimilarity="bogus")
 
+    @pytest.mark.parametrize("record, field, bad, error", [
+        (RunConfig(), "significance", 1.5, ConfigError),
+        (RunConfig(), "linkages", ("ward", "ward"), ConfigError),
+        (clusim.HierarchyParams(), "alpha", 1.0, ValueError),
+        (RawSignal("s", [0.0, 1.0], [2.0, 3.0]), "timestamps", [1.0, 0.0], DataError),
+    ])
+    def test_replace_and_make_check_as_the_constructor(self, record, field, bad, error):
+        # a record is checked however it is built, with the constructor's error and message
+        fields = {**record._asdict(), field: bad}
+        with pytest.raises(error) as built:
+            type(record)(**fields)
+        for build in (lambda: record._replace(**{field: bad}), lambda: type(record)._make(fields.values())):
+            with pytest.raises(error) as rebuilt:
+                build()
+            assert (type(rebuilt.value), str(rebuilt.value)) == (type(built.value), str(built.value))
+
     def test_duplicate_capture_ids(self, monkeypatch):
         # rejected before any capture is resampled
         monkeypatch.setattr("canclust.pipeline.resample", None)
@@ -199,7 +214,7 @@ class TestOneConfig:
     def test_report_config_is_the_fields(self, small_report, tmp_path):
         write_outputs(small_report, tmp_path)
         doc = json.loads((tmp_path / "report.json").read_text())
-        assert list(doc["config"]) == [f.name for f in fields(RunConfig)]
+        assert list(doc["config"]) == list(RunConfig._fields)
         assert doc["config"] == {"frequency_hz": 10.0, "linkages": ["average", "ward"], "r": -5.0, "alpha": 0.9,
                                  "significance": 0.05, "dissimilarity": "one_minus_abs_rho",
                                  "allow_intersection": False}

@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,7 +262,7 @@ def test_write_wide_csv_needs_a_shared_grid(tmp_path):
     cap = generate(small_spec(duration_s=3.0))
     first = cap.signals[0]
     moved = RawSignal(first.signal_id, first.timestamps + 0.05, first.values)
-    shifted = replace(cap, signals=(moved, *cap.signals[1:]))
+    shifted = cap._replace(signals=(moved, *cap.signals[1:]))
     with pytest.raises(DataError, match="^write_wide_csv requires a shared timestamp grid$"):
         write_wide_csv(shifted, tmp_path / "out.csv")
     assert not (tmp_path / "out.csv").exists()
