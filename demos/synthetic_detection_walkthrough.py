@@ -37,8 +37,8 @@ def main():
         print(f"   {line}")
 
     print("5. why it works")
-    ward = report.benign_samples["ward"].values
-    atk = report.entries[("correlated_break", "ward")]["attack_values"]
+    _pairs, ward = report.sample("ward")
+    _pairs, atk = report.sample("ward", "correlated_break")
     print(f"   benign-benign Ward similarity: min {min(ward):.4f}, max {max(ward):.4f}")
     print(f"   attack-benign Ward similarity: min {min(atk):.4f}, max {max(atk):.4f}")
     print("   replacing a group's signals with independent noise rewires the")

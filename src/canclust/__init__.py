@@ -19,7 +19,7 @@ _HOMES = {
     "stats": ("TestResult", "density_export", "mann_whitney"),
     "synth": ("AttackSpec", "SynthSpec", "generate", "inject", "signal_id"),
     "pipeline": ("RunConfig",),
-    "report": ("SimilaritySample", "VerdictReport", "run", "verdict", "write_outputs"),
+    "report": ("VerdictReport", "run", "verdict", "write_outputs"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -2,19 +2,22 @@
 
 check_sources() checks attack kinds and capture ids before any capture is
 touched, and its sources are the one record of each capture's role.
-conclude() scores each linkage's benign and attack x benign pairs of
-pipeline.summarize()'s dendrograms in one clusim.similarities() batch, runs
-the Mann-Whitney test per (attack kind, linkage) cell and emits a
-self-contained VerdictReport, which write_outputs() writes to a directory.
-run() does all of this for in-memory captures. verdict() condenses a report
-into a tally. The CLI imports this module only for `analyze`.
+conclude() scores each linkage's pairs of pipeline.summarize()'s dendrograms in
+one clusim.similarities() batch into a capture x capture table, runs the
+Mann-Whitney test per (attack kind, linkage) cell on the samples that
+VerdictReport.sample() reads from it, and emits a VerdictReport, which
+write_outputs() writes to a directory. run() does all of this for in-memory
+captures. verdict() condenses a report into a tally. The CLI imports this
+module only for `analyze`.
 """
 
 import json
 import re
-from itertools import combinations
+from itertools import combinations, count, product
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .clusim import common_ids, similarities
 from .errors import ConfigError, DataError
@@ -43,31 +46,40 @@ def check_sources(benign, attacks):
     return sources
 
 
-class SimilaritySample(NamedTuple):
-    """Similarities of one comparison group, one per (capture_id, capture_id) pair."""
-
-    values: tuple
-    pair_ids: tuple
+def _cells(positions, kind):
+    """The (row, column) table cells of a sample, in report order: the benign block's upper triangle for
+    kind None, else kind's rows x the benign columns. Nothing else decides which cells form a sample."""
+    benign = positions[None]
+    return list(combinations(benign, 2) if kind is None else product(positions[kind], benign))
 
 
 class VerdictReport(NamedTuple):
     schema: int
     config: RunConfig
     diagnostics: tuple  # per-capture dicts: capture_id, source_path, label, attack_kind, then summarize()'s fields
-    benign_samples: dict  # linkage -> SimilaritySample
-    entries: dict  # (attack_kind, linkage) -> entry dict
+    tables: dict  # linkage -> read-only capture x capture similarities in diagnostics order, NaN where unscored
+    positions: dict  # None (benign) or attack kind -> positions of its captures in diagnostics
+    entries: dict  # (attack_kind, linkage) -> the Mann-Whitney test's fields
+
+    def sample(self, linkage, kind=None):
+        """(pair ids, values) of linkage's benign sample, or of kind's attack x benign sample, in report order."""
+        cells, table = _cells(self.positions, kind), self.tables[linkage].tolist()
+        ids = [d["capture_id"] for d in self.diagnostics]
+        return [(ids[a], ids[b]) for a, b in cells], [table[a][b] for a, b in cells]
 
     def to_dict(self):
+        def lists(linkage, kind=None, keys=("values", "pair_ids")):  # as report.json lists a sample
+            ids, values = self.sample(linkage, kind)
+            return dict(zip(keys, (values, [list(p) for p in ids])))
+
         return {
             "schema": self.schema,
             "config": self.config._asdict(),
             "diagnostics": list(self.diagnostics),
-            "benign_samples": {
-                linkage: {"values": list(s.values), "pair_ids": [list(p) for p in s.pair_ids]}
-                for linkage, s in self.benign_samples.items()
-            },
+            "benign_samples": {linkage: lists(linkage) for linkage in self.tables},
             "results": [
-                {"attack_kind": kind, "linkage": linkage, **entry}
+                {"attack_kind": kind, "linkage": linkage, **entry,
+                 **lists(linkage, kind, ("attack_values", "attack_pair_ids"))}
                 for (kind, linkage), entry in sorted(self.entries.items())
             ],
         }
@@ -92,21 +104,12 @@ def conclude(config, sources, summaries):
     roles = [{"capture_id": cap_id, "source_path": source, "label": "attack" if kind else "benign",
               "attack_kind": kind or ""} for kind, group in sources.items() for cap_id, source in group]
     diagnostics = tuple({**role, **measured} for role, (measured, _dends) in zip(roles, summaries, strict=True))
-    benign = range(len(sources[None]))
-    if len(benign) < 2:  # checked after loading, so a bad file is reported first
+    position = count()
+    positions = {kind: tuple(next(position) for _ in group) for kind, group in sources.items()}
+    if len(positions[None]) < 2:  # checked after loading, so a bad file is reported first
         raise ConfigError("need at least 2 benign captures")
-    # one batch per linkage: the C(k, 2) benign pairs first, then attack x benign for each
-    # non-empty kind, whose pairs are pairs[lo:hi] for its (kind, lo, hi); a pair holds
-    # the positions of its two captures in roles, and so in summaries
-    pairs = list(combinations(benign, 2))
-    n_benign = len(pairs)
-    groups = []
-    for kind, group in sources.items():
-        if kind is not None and group:
-            lo = len(pairs)
-            pairs += [(a, b) for a, role in enumerate(roles) if role["attack_kind"] == kind for b in benign]
-            groups.append((kind, lo, len(pairs)))
-    pair_ids = [(roles[a]["capture_id"], roles[b]["capture_id"]) for a, b in pairs]
+    # one batch per linkage: every sample's cells, the benign sample's first, then each kind's in sources order
+    pairs = [cell for kind in positions for cell in _cells(positions, kind)]
     for a, b in pairs:  # element sets are the same under every linkage: each pair is checked once, naming it
         try:
             common_ids(summaries[a][1][0], summaries[b][1][0], config.allow_intersection)
@@ -119,26 +122,24 @@ def conclude(config, sources, summaries):
         batch = [(summaries[a][1][j], summaries[b][1][j]) for a, b in pairs]
         return tuple(s.value for s in similarities(batch, params, allow_intersection=config.allow_intersection))
 
-    benign_samples = {}
-    entries = {}
+    rows, cols = zip(*pairs)
+    tables = {}
     for linkage, values in zip(config.linkages, fan_out(score, range(len(config.linkages)))):
-        benign_samples[linkage] = bsample = SimilaritySample(values=values[:n_benign],
-                                                             pair_ids=tuple(pair_ids[:n_benign]))
-        for kind, lo, hi in groups:
-            t = mann_whitney(bsample.values, values[lo:hi], significance=config.significance)
-            entries[(kind, linkage)] = {
-                "u": t.u_statistic,
-                "p_value": t.p_value,
-                "method": t.method,
-                "significant": t.significant,
-                "n_benign_pairs": t.n1,
-                "n_attack_pairs": t.n2,
-                "attack_values": list(values[lo:hi]),
-                "attack_pair_ids": [list(p) for p in pair_ids[lo:hi]],
-            }
+        tables[linkage] = table = np.full((len(roles), len(roles)), np.nan)
+        table[rows, cols] = table[cols, rows] = values
+        table.flags.writeable = False
 
-    return VerdictReport(schema=SCHEMA_VERSION, config=config, diagnostics=diagnostics,
-                         benign_samples=benign_samples, entries=entries)
+    report = VerdictReport(schema=SCHEMA_VERSION, config=config, diagnostics=diagnostics, tables=tables,
+                           positions=positions, entries={})
+    for linkage in config.linkages:
+        _ids, benign = report.sample(linkage)
+        for kind, group in positions.items():
+            if kind is not None and group:
+                t = mann_whitney(benign, report.sample(linkage, kind)[1], significance=config.significance)
+                report.entries[(kind, linkage)] = {"u": t.u_statistic, "p_value": t.p_value, "method": t.method,
+                                                   "significant": t.significant, "n_benign_pairs": t.n1,
+                                                   "n_attack_pairs": t.n2}
+    return report
 
 
 def write_outputs(report, output_dir):
@@ -149,27 +150,25 @@ def write_outputs(report, output_dir):
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
 
+    # each linkage's benign sample, then each test cell's attack sample
+    samples = {(kind, linkage): report.sample(linkage, kind)
+               for kind, linkage in [(None, linkage) for linkage in report.tables] + sorted(report.entries)}
     r, alpha = report.config.r, report.config.alpha
     with open(out / "similarities.jsonl", "w", encoding="utf-8") as fh:
-        for linkage, sample in report.benign_samples.items():
-            for (a, b), v in zip(sample.pair_ids, sample.values):
+        for (kind, linkage), (pair_ids, values) in samples.items():
+            tag = {"attack_kind": kind} if kind else {}
+            for (a, b), v in zip(pair_ids, values):
                 fh.write(json.dumps({"capture_a": a, "capture_b": b, "linkage": linkage,
-                                     "r": r, "alpha": alpha, "similarity": v}) + "\n")
-        for (kind, linkage), entry in sorted(report.entries.items()):
-            for (a, b), v in zip(entry["attack_pair_ids"], entry["attack_values"]):
-                fh.write(json.dumps({"capture_a": a, "capture_b": b, "linkage": linkage,
-                                     "r": r, "alpha": alpha, "similarity": v,
-                                     "attack_kind": kind}) + "\n")
+                                     "r": r, "alpha": alpha, "similarity": v, **tag}) + "\n")
 
-    for linkage, sample in report.benign_samples.items():
-        _write_density(out / f"density_benign_{linkage}.csv", sample.values)
-    for (kind, linkage), entry in report.entries.items():
-        _write_density(out / f"density_{kind}_{linkage}.csv", entry["attack_values"])
+    for (kind, linkage), (_pair_ids, values) in samples.items():
+        _write_density(out / f"density_{kind or 'benign'}_{linkage}.csv", values)
 
 
 def _write_density(path, values):
     if len(values) < 2 or len(set(values)) < 2:
-        return  # degenerate sample: no curve to export
+        path.unlink(missing_ok=True)  # degenerate sample: no curve, and none left from an earlier report
+        return
     rows = "".join(f"{x!r},{dens!r}\n" for x, dens in density_export(values).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,density\n" + rows)

@@ -7,16 +7,19 @@ through run() and share the generated benign captures through a
 module-scoped fixture.
 """
 
-import glob
+import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from canclust.clusim import HierarchyParams, _transitions, affinity, similarity
 from goldens import verify_goldens
-from canclust.hierarchy import agglomerate
-from canclust.ingest import parse_capture
+from canclust.cli import main
+from canclust.hierarchy import LINKAGES, agglomerate
 from canclust.pipeline import RunConfig
 from canclust.report import run
 from canclust.stats import exact_u_counts, mann_whitney, u_statistic
@@ -66,9 +69,9 @@ def replicates():
 
 def test_criterion_01_benign_pair_count(replicates, capsys):
     _base, caps = replicates[0]
-    sample = run(RunConfig(linkages=("ward",)), caps[:12]).benign_samples["ward"]
-    passed = len(sample.values) == 66 and len(set(sample.pair_ids)) == 66
-    report(capsys, 1, passed, f"12 benign captures give {len(sample.values)} benign-benign pairs (want 66)")
+    pair_ids, values = run(RunConfig(linkages=("ward",)), caps[:12]).sample("ward")
+    passed = len(values) == 66 and len(set(pair_ids)) == 66
+    report(capsys, 1, passed, f"12 benign captures give {len(values)} benign-benign pairs (want 66)")
 
 
 def test_criterion_02_correlated_break_detection(replicates, capsys):
@@ -176,25 +179,55 @@ def test_criterion_09_reference_similarity_band(capsys):
            f"reference 4-leaf trees at r=5.0, alpha=0.9 score 0.82 / 0.76 within 0.05: {res['detail']}")
 
 
-def test_criterion_10_road_reproduction(capsys):
+ROAD_KINDS = ("correlated", "max_speedometer", "max_engine_coolant", "reverse_light_on", "reverse_light_off")
+WALKTHROUGH = Path(__file__).resolve().parent.parent / "docs" / "walkthrough.md"
+
+
+def road_cells(road_dir, out_dir):
+    """Run docs/walkthrough.md section 4's analyze command on road_dir, writing to out_dir.
+
+    Returns report.json's significant flag of each (attack kind, linkage) test cell.
+    """
+    text = WALKTHROUGH.read_text(encoding="utf-8").split("\n## 4.")[1]
+    (block,) = re.findall(r"```sh\n(canclust analyze.*?)```", text, re.S)
+    argv = [arg.replace("road/", os.path.join(road_dir, "")) for arg in shlex.split(block.replace("\\\n", " "))]
+    argv[argv.index("--out") + 1] = str(out_dir)
+    assert main(argv[1:]) == 0, argv
+    results = json.loads((Path(out_dir) / "report.json").read_text(encoding="utf-8"))["results"]
+    return {(cell["attack_kind"], cell["linkage"]): cell["significant"] for cell in results}
+
+
+def test_criterion_10_road_reproduction(capsys, tmp_path):
     road_dir = os.environ.get("CANCLUST_ROAD_DIR", "")
     if not road_dir:
         with capsys.disabled():
             print("\n[criterion 10] SKIP: set CANCLUST_ROAD_DIR to a directory of "
                   "signal-translated ROAD captures (see docs/walkthrough.md)")
         pytest.skip("external ROAD data not supplied")
-    kinds = ["correlated", "max_speedometer", "max_engine_coolant", "reverse_light_on",
-             "reverse_light_off"]
-
-    def parse_dir(name):
-        paths = sorted(glob.glob(os.path.join(road_dir, name, "*.csv")))
-        return tuple(parse_capture(p) for p in paths)
-
-    rep = run(RunConfig(linkages=("average", "ward"), allow_intersection=True), parse_dir("benign"),
-              {k: parse_dir(k) for k in kinds})
-    ward_hits = sum(1 for k in kinds if rep.entries[(k, "ward")]["significant"])
-    avg_misses_corr = not rep.entries[("correlated", "average")]["significant"]
-    passed = ward_hits == len(kinds) and avg_misses_corr
+    cells = road_cells(road_dir, tmp_path / "road_results")
+    ward_hits = sum(1 for k in ROAD_KINDS if cells[(k, "ward")])
+    avg_misses_corr = not cells[("correlated", "average")]
+    passed = ward_hits == len(ROAD_KINDS) and avg_misses_corr
     report(capsys, 10, passed,
-           f"Ward flags {ward_hits}/{len(kinds)} attack kinds; "
+           f"Ward flags {ward_hits}/{len(ROAD_KINDS)} attack kinds; "
            f"average misses the correlated attack: {avg_misses_corr}")
+
+
+def test_criterion_10_stand_in(tmp_path):
+    # criterion 10's run, on a small synth corpus in section 4's layout: a tally comes out, whatever it is
+    road = tmp_path / "road"
+    stand_ins = {"correlated": ("correlated_break", [signal_id(0, j) for j in range(3)]),
+                 **{kind: ("max_value", [signal_id(j // 2, j % 2)]) for j, kind in enumerate(ROAD_KINDS[1:])}}
+    corpora = {"benign": [{"id": f"benign_{i}", "seed": i} for i in range(3)],
+               **{kind: [{"id": kind, "seed": 10 + j, "attack": {"kind": attack, "targets": targets,
+                                                                  "start_s": 2.0, "end_s": 18.0}}]
+                  for j, (kind, (attack, targets)) in enumerate(stand_ins.items())}}
+    for name, captures in corpora.items():
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"defaults": {"n_groups": 2, "signals_per_group": 3, "duration_s": 20.0,
+                                                 "rate_hz": 10.0, "intra_group_rho": 0.95},
+                                    "captures": captures}), encoding="utf-8")
+        assert main(["synth", "--spec", str(spec), "--out", str(road / name)]) == 0
+    cells = road_cells(road, tmp_path / "road_results")
+    assert set(cells) == {(kind, linkage) for kind in ROAD_KINDS for linkage in LINKAGES}
+    assert all(isinstance(flag, bool) for flag in cells.values())

@@ -3,6 +3,7 @@ import json
 import os
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from canclust import clusim
@@ -55,11 +56,11 @@ def small_report():
 class TestRun:
     def test_sample_sizes(self, small_report):
         for linkage in ("average", "ward"):
-            assert len(small_report.benign_samples[linkage].values) == 10  # C(5,2)
+            assert len(small_report.sample(linkage)[1]) == 10  # C(5,2)
             entry = small_report.entries[("correlated_break", linkage)]
             assert entry["n_benign_pairs"] == 10
             assert entry["n_attack_pairs"] == 10  # 2 x 5
-            assert len(entry["attack_values"]) == 10
+            assert len(small_report.sample(linkage, "correlated_break")[1]) == 10
 
     def test_diagnostics_cover_all_captures(self, small_report):
         ids = [d["capture_id"] for d in small_report.diagnostics]
@@ -93,10 +94,10 @@ class TestRun:
         assert doc["config"]["linkages"] == ["average", "ward"]
 
     def test_similarity_values_in_range(self, small_report):
-        for linkage, sample in small_report.benign_samples.items():
-            assert all(0.0 <= v <= 1.0 for v in sample.values)
-        for entry in small_report.entries.values():
-            assert all(0.0 <= v <= 1.0 for v in entry["attack_values"])
+        for linkage in small_report.tables:
+            assert all(0.0 <= v <= 1.0 for v in small_report.sample(linkage)[1])
+        for kind, linkage in small_report.entries:
+            assert all(0.0 <= v <= 1.0 for v in small_report.sample(linkage, kind)[1])
 
     def test_benign_only_run(self):
         report = run(RunConfig(linkages=("ward",)), make_benign(3))
@@ -116,15 +117,30 @@ class TestRun:
         assert len(lines) == 6 + 8  # C(4,2) benign + 2x4 attack rows
         # benign topology is identical across captures, so the benign sample
         # is a point mass and its density export is skipped by design
-        benign_vals = report_obj.benign_samples["ward"].values
+        _pairs, benign_vals = report_obj.sample("ward")
         assert len(set(benign_vals)) == 1
         assert not (out / "density_benign_ward.csv").exists()
         text = (out / "density_correlated_break_ward.csv").read_text()
         assert "np." not in text
         header, *rows = text.splitlines()
         assert header == "x,density"
-        curve = density_export(report_obj.entries[("correlated_break", "ward")]["attack_values"]).tolist()
+        curve = density_export(report_obj.sample("ward", "correlated_break")[1]).tolist()
         assert [[float(cell) for cell in row.split(",")] for row in rows] == curve
+
+    def test_degenerate_sample_removes_an_earlier_density(self, tmp_path):
+        # a second report into the same directory must not leave the first one's curve for a sample it cannot draw
+        out = tmp_path / "out"
+        write_outputs(run(RunConfig(linkages=("ward",)), make_benign(4),
+                          {"correlated_break": make_attacks("correlated_break", 2)}), out)
+        density = out / "density_correlated_break_ward.csv"
+        assert density.exists()
+        clean = tuple(generate(SynthSpec(**{**SPEC._asdict(), "seed": 950 + i}), capture_id=f"clean_{i}")
+                      for i in range(2))
+        report_obj = run(RunConfig(linkages=("ward",)), make_benign(4), {"correlated_break": clean})
+        assert len(set(report_obj.sample("ward", "correlated_break")[1])) == 1
+        write_outputs(report_obj, out)
+        assert not density.exists()
+        assert not (out / "density_benign_ward.csv").exists()
 
 
 class TestConfigValidation:
@@ -250,21 +266,63 @@ class TestPairSamples:
         return run(RunConfig(linkages=("ward",)), benign, {"correlated_break": attacks})
 
     def test_benign_pair_count(self, report):
-        sample = report.benign_samples["ward"]
-        assert len(sample.values) == 66
-        assert sample.pair_ids == tuple(combinations([f"benign_{i}" for i in range(12)], 2))
+        pair_ids, values = report.sample("ward")
+        assert len(values) == 66
+        assert pair_ids == list(combinations([f"benign_{i}" for i in range(12)], 2))
 
     def test_cross_product_count(self, corpus, report):
         # each attack x benign pair scores as it does on its own
         benign, attacks = corpus
         entry = report.entries[("correlated_break", "ward")]
-        assert entry["n_attack_pairs"] == len(entry["attack_values"]) == 36
-        assert entry["attack_pair_ids"][0] == ["attack_correlated_break_0", "benign_0"]
-        assert entry["attack_pair_ids"][-1] == ["attack_correlated_break_2", "benign_11"]
+        pair_ids, values = report.sample("ward", "correlated_break")
+        assert entry["n_attack_pairs"] == len(values) == 36
+        assert pair_ids[0] == ("attack_correlated_break_0", "benign_0")
+        assert pair_ids[-1] == ("attack_correlated_break_2", "benign_11")
         dends = {c.capture_id: summarize(c, RunConfig(linkages=("ward",)))[1][0] for c in benign + attacks}
         alone = [clusim.similarity(dends[a], dends[b], clusim.HierarchyParams()).value
-                 for a, b in entry["attack_pair_ids"]]
-        assert entry["attack_values"] == alone
+                 for a, b in pair_ids]
+        assert values == alone
+
+
+class TestTables:
+    """Each linkage's similarities are one capture x capture table; every sample is a view of it."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return make_benign(4), {"correlated_break": make_attacks("correlated_break", 2),
+                                "max_value": make_attacks("max_value", 2, base_seed=950)}
+
+    @pytest.fixture(scope="class")
+    def report(self, corpus):
+        return run(RunConfig(linkages=("average", "ward")), *corpus)
+
+    def test_symmetric_and_nan_exactly_where_unscored(self, report):
+        attack = [d["label"] == "attack" for d in report.diagnostics]
+        unscored = np.eye(8, dtype=bool) | np.outer(attack, attack)
+        assert unscored.sum() == 8 + 4 * 3  # the diagonal, and attack x attack off it
+        for table in report.tables.values():
+            assert table.shape == (8, 8) and not table.flags.writeable
+            assert np.array_equal(table, table.T, equal_nan=True)
+            assert np.array_equal(np.isnan(table), unscored)
+
+    def test_samples_in_report_order(self, corpus, report):
+        benign, attacks = corpus
+        bids = [c.capture_id for c in benign]
+        for linkage in report.tables:
+            assert report.sample(linkage)[0] == list(combinations(bids, 2))
+            for kind, caps in attacks.items():
+                assert report.sample(linkage, kind)[0] == [(c.capture_id, b) for c in caps for b in bids]
+
+    def test_each_value_is_its_pair_scored_alone(self, corpus, report):
+        benign, attacks = corpus
+        captures = benign + attacks["correlated_break"] + attacks["max_value"]
+        config = RunConfig(linkages=("average", "ward"))
+        dends = {c.capture_id: summarize(c, config)[1] for c in captures}
+        for j, linkage in enumerate(config.linkages):
+            for kind in (None, *attacks):
+                pair_ids, values = report.sample(linkage, kind)
+                assert values == [clusim.similarity(dends[a][j], dends[b][j], config.params).value
+                                  for a, b in pair_ids]
 
 
 class TestBatchScoring:
