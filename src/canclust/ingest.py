@@ -3,25 +3,28 @@
 Two CSV layouts are accepted. ``wide_csv`` has a ``time`` column followed by
 one column per signal, with empty cells meaning "no sample at that time"
 (signals transmit at different rates). ``long_csv`` has one sample per row
-with columns ``time,signal,value``. Empty lines and lines whose first
-non-blank character is ``#`` are skipped; a line of blanks is a data line.
-Cells are split on commas, without CSV quoting: a header or data line that
-contains ``"`` raises ParseError naming its line (comment lines may contain
-anything). Time and value cells are read with Python's ``float()``.
+with columns ``time,signal,value``. Files are UTF-8; a leading byte-order mark
+is skipped. Empty lines and lines whose first non-blank character is ``#`` are
+skipped; a line of blanks is a data line. Cells are split on commas, without
+CSV quoting: a header or data line that contains ``"`` raises ParseError naming
+its line (comment lines may contain anything). Time and value cells are read
+with Python's ``float()``.
 
 A regular file is read by one call of numpy's C reader (``np.loadtxt``) on its
 path, which hands each numeral, stripped of blanks, to the conversion ``float()``
 uses, and each ``long_csv`` signal cell to a converter giving its signal's index.
-A file it would read otherwise than ``float()`` (with a non-UTF-8 byte, a ``"``,
-a comment line, or U+001C-U+001F: blanks to it, not to ``float()``) or refuses
-(a blank wide cell, a row of another cell count, an empty signal id, a numeral
-only ``float()`` reads, such as ``1_0``) or that is no regular file is read in
-blocks of BLOCK_CHARS characters finished at the end of their last line: a wide
-block without those by the C reader, any other checked from the positions of
-its commas and newlines and read by ``float()`` a column at a time, and only a
-block that still fails walked line by line, to name its first bad line as a
-row-by-row reader would. The cell strings of one block are the only per-cell
-Python objects alive at once.
+That call alone decodes the file: its bytes after the header are only scanned,
+and a ``"``, a comment line or U+001C-U+001F (blanks to the C reader, not to
+``float()``; each is one UTF-8 byte that no other character contains) declines
+it. A declined file, one the C reader refuses (a non-UTF-8 byte, which it finds
+as it decodes, a blank wide cell, a row of another cell count, an empty signal
+id, a numeral only ``float()`` reads, such as ``1_0``) and one that is no regular
+file are read in blocks of BLOCK_CHARS characters finished at the end of their
+last line: a wide block without those by the C reader, any other checked from
+the positions of its commas and newlines and read by ``float()`` a column at a
+time, and only a block that still fails walked line by line, to name its first
+bad line as a row-by-row reader would. The cell strings of one block are the
+only per-cell Python objects alive at once.
 
 Resampling puts every signal of a capture onto a shared uniform grid by
 linear interpolation (never extrapolation), drops constant signals, and
@@ -61,7 +64,15 @@ BLOCK_CHARS = 1 << 16
 # a newline, then a line whose first non-blank character is '#' (re's \s is str.isspace(), what
 # str.lstrip() strips); re finds the literal newline fast, unlike a multi-line "^". The blanks
 # exclude the newline, so a run of k empty lines costs k steps, not k^2 / 2
-_COMMENT_LINE = re.compile(r"\n[^\S\n]*#")
+_COMMENT_LINE = r"\n[^\S\n]*#"
+
+# the same in bytes, whose \s is the ASCII blanks, and a line end as text mode reads it. re compiles
+# each pattern on its first use, which a file without '#' or lone-CR line ends never makes
+_COMMENT_LINE_BYTES = rb"\n[^\S\n]*#"
+_LINE_END = rb"\r\n?|\n"
+
+# bytes that decline the whole-file read: '"', and U+001C-U+001F, blanks to the C reader but not to float()
+_DECLINED_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 _QUOTE_ERROR = "quote character '\"': cells are split on commas, without CSV quoting"
 
@@ -203,7 +214,7 @@ class _Wide:
                     blocks[k] = self._samples(block, np.ones(block.shape, dtype=bool))
             yield from _cut(blocks, self.signal_ids)
             return
-        table = np.concatenate(blocks)
+        table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         blocks.clear()
         if not np.all(table[1:, 0] >= table[:-1, 0]):  # rows out of time order, or a nan time
             table = table[np.argsort(table[:, 0], kind="stable")]
@@ -260,13 +271,17 @@ def _cut(blocks, signal_ids):
     blocks hold (times, values, signal index) arrays; the list is emptied as
     they are joined. Samples are ordered by signal index, then time, then
     file order, as np.lexsort((times, sids)) orders them, in two stable
-    sorts: by time, which is linear on a file already in time order, then by
+    sorts: by time, skipped when the samples are in time order already, then by
     signal index cast to 8 or 16 bits, which numpy sorts by radix.
     """
-    times, values, sids = (np.concatenate(column) for column in zip(*blocks))
+    times, values, sids = blocks[0] if len(blocks) == 1 else (np.concatenate(column) for column in zip(*blocks))
     blocks.clear()
-    order = np.argsort(times, kind="stable")
-    order = order[np.argsort(sids[order].astype(np.min_scalar_type(len(signal_ids))), kind="stable")]
+    index = np.min_scalar_type(len(signal_ids))
+    if np.all(times[1:] >= times[:-1]):  # in time order already (a nan time is not): the time sort keeps it
+        order = np.argsort(sids.astype(index), kind="stable")
+    else:
+        order = np.argsort(times, kind="stable")
+        order = order[np.argsort(sids[order].astype(index), kind="stable")]
     ends = np.cumsum(np.bincount(sids, minlength=len(signal_ids)))
     for signal_id, rows in zip(signal_ids, np.split(order, ends[:-1])):
         if rows.size:
@@ -280,7 +295,7 @@ def _parse_block(layout, text, first_line, path):
     whole column at a time; comment and empty lines are filtered out only when the block has a comment line
     or fails the check, and only a block that still fails is walked line by line.
     """
-    commented = "#" in text and _COMMENT_LINE.search("\n" + text)
+    commented = "#" in text and re.search(_COMMENT_LINE, "\n" + text)
     # U+001C-U+001F are blanks to the C reader but not to float(); it warns of a block of empty lines
     if isinstance(layout, _Wide) and not (commented or text[0] == "\n" or any(c in text for c in '"\x1c\x1d\x1e\x1f')):
         try:
@@ -354,23 +369,42 @@ def _blocks(fh):
         yield text if text.endswith("\n") else text + "\n"  # the file's last line
 
 
+def _after_lines(raw, lines):
+    """Byte offset just after the first `lines` lines of the binary file raw, if they end in its first block
+    before its last byte (text mode ends a line at LF, CR LF or a lone CR); else None."""
+    head = raw.read(BLOCK_CHARS)
+    for k, end in enumerate(re.finditer(_LINE_END, head), start=1):
+        if k == lines:
+            return end.end() if end.end() < len(head) else None
+    return None
+
+
 def _read_file(layout, fh, path, skip):
     """signals()' blocks of the lines after the first skip of the regular file fh, by layout.read_file's one
-    numpy C-reader call on its path (numpy reads other input line by line), or None; fh is left where it was.
-    numpy decompresses a name ending in .bz2, .gz, .lzma or .xz, and may take a relative path for a URL."""
+    numpy C-reader call on its path (numpy reads other input line by line), or None; fh is not moved.
+    numpy decompresses a name ending in .bz2, .gz, .lzma or .xz, and may take a relative path for a URL.
+    The bytes after those lines are scanned in chunks: a declined byte or a comment line found returns None,
+    and no byte but CR and LF is no data line, which numpy would warn of. A comment line the pattern misses
+    (after a lone CR, or Unicode blanks) fails the C reader, as a byte that is not UTF-8 does."""
     if path.endswith((".bz2", ".gz", ".lzma", ".xz")) or not os.path.isfile(path):
         return None
-    start, data = fh.tell(), False
-    try:
-        for text in _blocks(fh):
-            if any(c in text for c in '"\x1c\x1d\x1e\x1f') or "#" in text and _COMMENT_LINE.search("\n" + text):
+    start, data, line_start = fh.tell(), False, True
+    with open(path, "rb", buffering=0) as raw:
+        if start >> 64:  # no byte offset: the text decoder holds a state there, as after a lone '\r'
+            start = _after_lines(raw, skip)
+            if start is None:
                 return None
-            data = data or text.lstrip("\n") != ""  # numpy warns of a file without data lines
+        raw.seek(start)
+        while chunk := raw.read(BLOCK_CHARS):
+            if any(c in chunk for c in _DECLINED_BYTES) or b"#" in chunk and re.search(
+                    _COMMENT_LINE_BYTES, b"\n" + chunk if line_start else chunk):
+                return None
+            data = data or chunk.lstrip(b"\r\n") != b""
+            line_start = chunk.endswith(b"\n")
+    try:
         return layout.read_file(os.path.abspath(path), skip) if data else []
     except ValueError:  # a byte that is not UTF-8, or a line the C reader refuses
         return None
-    finally:
-        fh.seek(start)
 
 
 def parse_capture(path, format="wide_csv"):
@@ -384,7 +418,8 @@ def parse_capture(path, format="wide_csv"):
         raise ValueError(f"unknown format {format!r}")
     path = str(path)
     try:
-        with open(path, encoding="utf-8") as fh:  # universal newlines: '\r\n' and '\r' end lines too
+        # universal newlines: '\r\n' and '\r' end lines too; a leading byte-order mark is skipped
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(iter(fh.readline, ""), start=1):  # next(fh) would disable fh.tell()
                 if _is_data(line.rstrip("\n")):
                     break

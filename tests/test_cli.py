@@ -487,6 +487,24 @@ def test_element_sets_differ_names_both_captures(tmp_path, capsys, command):
     assert main(argv + ["--allow-intersection"]) == 0
 
 
+@pytest.mark.parametrize("layout", ["wide_csv", "long_csv"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, layout):
+    # Excel's "CSV UTF-8" export starts a file with the mark EF BB BF: the same files without it print the same
+    rnd = random.Random(layout)
+    texts = {name: small_capture_text(rnd, layout) for name in ("benign_0", "benign_1")}
+    outs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        folder = tmp_path / ("bom" if mark else "plain")
+        folder.mkdir()
+        for name, text in texts.items():
+            (folder / f"{name}.csv").write_bytes(mark + text.encode())
+        argv = ["simtest", "--a", str(folder / "benign_0.csv"), "--b", str(folder / "benign_1.csv")]
+        assert main(argv + ["--format", layout]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[1] == outs[0] and outs[0].err == ""
+    assert json.loads(outs[0].out)["capture_a"] == "benign_0"
+
+
 def small_capture_text(rnd, layout, ids=("a", "b", "c", "d"), n_rows=30):
     """A valid capture of a few signals sampled together at 10 Hz, in either layout."""
     rows = [(k / 10, [rnd.gauss(0, 1) for _ in ids]) for k in range(n_rows)]

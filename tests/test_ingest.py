@@ -261,6 +261,17 @@ def spy_blocks(monkeypatch):
     return blocks
 
 
+def spy_read_file(monkeypatch):
+    """The list of the paths that a layout's whole-file read (numpy's C reader on the path) is given from now on."""
+    paths = []
+    for cls in (ingest._Long, ingest._Wide):
+        def spy(self, path, skip, read_file=cls.read_file):
+            paths.append(path)
+            return read_file(self, path, skip)
+        monkeypatch.setattr(cls, "read_file", spy)
+    return paths
+
+
 def corrupt(rnd, lines, kind):
     """Break one data line past the first block, or the header line, or comment out every line;
     return the index in lines of the broken line."""
@@ -556,6 +567,55 @@ class TestWholeFileRead:
         assert outcome(block_parser, path, layout) == whole
         assert isinstance(whole, list) and len(whole) in (32, 128) and len(blocks) > 1
 
+    @pytest.mark.parametrize("layout, lines_of", [
+        ("long_csv", road_lines),
+        ("wide_csv", lambda rnd: dense_lines(rnd, 600, n_signals=128)),
+    ], ids=["road_long", "dense_wide"])
+    def test_decoded_once_by_numpy(self, tmp_path, monkeypatch, layout, lines_of):
+        # the bytes after the header are scanned, not decoded to text: numpy's one read decodes them
+        lines = lines_of(random.Random(0))
+        calls = []
+
+        def spy(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "_blocks", spy("_blocks", ingest._blocks))
+        monkeypatch.setattr(np, "loadtxt", spy("loadtxt", np.loadtxt))
+        reads = spy_read_file(monkeypatch)
+        expected = None
+        for name, text in [("plain", lines), ("note_first", ["# exported by a logger"] + lines),
+                           ("note_after_header", lines[:1] + ["  # first row"] + lines[1:]),
+                           ("note_mid_file", lines[:300] + ["# gap in the log"] + lines[300:])]:
+            path = write(tmp_path, "\n".join(text) + "\n", f"{name}.csv")
+            calls.clear()
+            reads.clear()
+            got = outcome(block_parser, path, layout)
+            expected = expected or got
+            assert isinstance(got, list) and got == expected, name
+            if name in ("plain", "note_first"):  # one C read of the file, whatever precedes its header
+                assert calls == ["loadtxt"] and reads == [str(path)], name
+            else:  # the scan finds the comment line: numpy never reads the path
+                assert calls[0] == "_blocks" and reads == [], name
+
+    @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
+    def test_lone_cr_line_ends(self, tmp_path, monkeypatch, layout):
+        # after a line ended by a lone '\r' the text position is no byte offset: the scan counts line ends
+        rnd = random.Random(layout)
+        lines = dense_lines(rnd, 300) if layout == "wide_csv" else capture_lines(rnd, layout, 300)
+        expected = outcome(block_parser, write(tmp_path, "\n".join(lines) + "\n", "plain.csv"), layout)
+        reads = spy_read_file(monkeypatch)
+        path = tmp_path / "cap.csv"
+        for prefix in ("", "# exported\r\r", "# exported\n\r\n"):
+            path.write_bytes((prefix + "\r".join(lines) + "\r").encode())
+            reads.clear()
+            assert outcome(block_parser, path, layout) == expected and reads == [str(path)], prefix
+        # no data line: numpy, which would warn, is not called
+        for tail in ("", "\r", "\r\r\n\r"):
+            path.write_bytes((lines[0] + "\r" + tail).encode())
+            reads.clear()
+            assert outcome(block_parser, path, layout) == (DataError, f"{path}: capture contains no signals", None)
+            assert reads == [], tail
+
     @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_is_plain_text(self, tmp_path, monkeypatch, layout, suffix):
@@ -595,11 +655,29 @@ class TestWholeFileRead:
         assert blocks == []
 
     @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
-    @pytest.mark.parametrize("fault", ["comment", "quote", "blank_1c", "not_utf8", "numeral", "cell_count"])
+    @pytest.mark.parametrize("fault", ["comment", "quote", "blank_1c", "not_utf8", "numeral", "cell_count",
+                                       "quote@chunk_start", "quote@chunk_end", "quote@after_e_acute",
+                                       "blank_1c@chunk_start", "blank_1c@chunk_end", "blank_1c@after_e_acute"])
     def test_late_fault_declines_whole_file(self, tmp_path, monkeypatch, layout, fault):
-        # a fault in the last line sends the whole file to the block route, which starts afresh
+        # a fault in the last line sends the whole file to the block route, which starts afresh; a fault
+        # byte at the first or last byte of a scanned chunk, or after a 2-byte character straddling two
+        # chunks, is declined by the byte scan before numpy reads the file
         rnd = random.Random(f"{layout}-{fault}")
         lines = dense_lines(rnd, 3000) if layout == "wide_csv" else capture_lines(rnd, layout, 3000)
+        if "@" in fault:
+            byte = {"quote": b'"', "blank_1c": b"\x1c"}[fault.split("@")[0]]
+            raw = "\n".join(lines).encode() + b"\n"
+            at = len(lines[0]) + 1 + BLOCK_CHARS  # the first byte of the second chunk after the header
+            at, byte = {"chunk_start": (at, byte), "chunk_end": (at - 1, byte),
+                        "after_e_acute": (at - 1, "\xe9".encode() + byte)}[fault.split("@")[1]]
+            path = tmp_path / "cap.csv"
+            path.write_bytes(raw[:at] + byte + raw[at:])
+            assert path.read_bytes().index(byte) == at
+            reads = spy_read_file(monkeypatch)
+            blocks = spy_blocks(monkeypatch)
+            assert outcome(block_parser, path, layout) == outcome(csv_reader_signals, path, layout)
+            assert reads == [] and blocks
+            return
         cells = lines[-1].split(",")
         if fault == "comment":
             lines.insert(-1, "  # a late note")
@@ -643,30 +721,70 @@ class TestEmptySignalId:
         assert outcome(block_parser, p, "long_csv") == expected
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" export writes, is skipped on either route."""
+
+    @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
+    @pytest.mark.parametrize("route", ["whole_file", "blocks"])
+    def test_same_as_without(self, tmp_path, monkeypatch, layout, route):
+        rnd = random.Random(layout)
+        lines = dense_lines(rnd, 300) if layout == "wide_csv" else capture_lines(rnd, layout, 300)
+        text = "\n".join(lines) + "\n"
+        expected = outcome(block_parser, write(tmp_path, text, "plain.csv"), layout)
+        assert isinstance(expected, list) and len(expected) in (4, 5)
+        reads = spy_read_file(monkeypatch)
+        if route == "blocks":
+            monkeypatch.setattr(ingest, "_read_file", lambda *args: None)
+        for prefix in ("", "# exported\n", "\r\n"):
+            path = tmp_path / "bom.csv"
+            path.write_bytes(b"\xef\xbb\xbf" + (prefix + text).encode())
+            reads.clear()
+            assert outcome(block_parser, path, layout) == expected, prefix
+            assert reads == ([str(path)] if route == "whole_file" else []), prefix
+
+    def test_only_a_leading_mark(self, tmp_path):
+        # U+FEFF anywhere else is a character of the line it is on
+        p = tmp_path / "cap.csv"
+        p.write_bytes(b"time,signal,value\n0.0,\xef\xbb\xbfA,1\n0.1,A,2\n")
+        assert [s.signal_id for s in parse_capture(p, format="long_csv").signals] == ["\ufeffA", "A"]
+
+
 class TestCut:
     """The per-sample cut against np.lexsort((times, sids)), the order it replaces."""
 
     @pytest.mark.parametrize("n_ids", [5, 300])  # 300 ids take the 16-bit signal index
-    def test_matches_lexsort(self, rng, n_ids):
+    def test_matches_lexsort(self, rng, monkeypatch, n_ids):
         n = 5000
-        times = rng.integers(0, 40, n).astype(float)  # many ties
+        shuffled = rng.integers(0, 40, n).astype(float)  # many ties
         special = rng.random(n) < 0.2
-        times[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], special.sum())
+        shuffled[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], special.sum())
         sids = rng.integers(0, n_ids, n)
         assert n_ids < 256 or sids.max() >= 256
         values = np.arange(n, dtype=float)  # a sample's row, so the order shows in the values
         ids = [f"s{k}" for k in range(n_ids)]
-        cuts = np.sort(rng.choice(n, 2, replace=False))
-        blocks = list(zip(*(np.split(a, cuts) for a in (times, values, sids))))
-        got = list(ingest._cut(blocks, ids))
-        order = np.lexsort((times, sids))
-        expected = [(ids[k], times[order[sids[order] == k]], values[order[sids[order] == k]])
-                    for k in range(n_ids) if (sids == k).any()]
-        assert blocks == []
-        assert [sid for sid, _t, _v in got] == [sid for sid, _t, _v in expected]
-        for (_, t, v), (_, et, ev) in zip(got, expected):
-            assert np.array_equal(v, ev)
-            assert np.array_equal(t, et, equal_nan=True) and np.array_equal(np.signbit(t), np.signbit(et))
+        ordered = np.sort(np.where(np.isnan(shuffled), 1.5, shuffled))  # ties, and -0.0 and 0.0 among the zeros
+        assert np.signbit(ordered[ordered == 0]).any() and not np.signbit(ordered[ordered == 0]).all()
+        with_nan = ordered.copy()
+        with_nan[n // 2] = np.nan  # in time order but for one nan, which no comparison orders
+        time_sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, **kw: time_sorts.append(a.dtype == float) or argsort(a, **kw))
+        # (times, blocks, whether the samples are sorted by time first)
+        for times, n_blocks, time_sort in [(shuffled, 3, True), (ordered, 1, False), (ordered, 3, False),
+                                           (with_nan, 1, True), (with_nan, 3, True)]:
+            cuts = np.sort(rng.choice(n, n_blocks - 1, replace=False))
+            blocks = list(zip(*(np.split(a, cuts) for a in (times, values, sids))))
+            time_sorts.clear()
+            got = list(ingest._cut(blocks, ids))
+            assert any(time_sorts) == time_sort
+            order = np.lexsort((times, sids))
+            expected = [(ids[k], times[order[sids[order] == k]], values[order[sids[order] == k]])
+                        for k in range(n_ids) if (sids == k).any()]
+            assert blocks == []
+            assert [sid for sid, _t, _v in got] == [sid for sid, _t, _v in expected]
+            for (_, t, v), (_, et, ev) in zip(got, expected):
+                assert np.array_equal(v, ev)
+                assert np.array_equal(t, et, equal_nan=True) and np.array_equal(np.signbit(t), np.signbit(et))
 
 
 def make_capture(signals):
