@@ -20,11 +20,12 @@ it. A declined file, one the C reader refuses (a non-UTF-8 byte, which it finds
 as it decodes, a blank wide cell, a row of another cell count, an empty signal
 id, a numeral only ``float()`` reads, such as ``1_0``) and one that is no regular
 file are read in blocks of BLOCK_CHARS characters finished at the end of their
-last line: a wide block without those by the C reader, any other checked from
-the positions of its commas and newlines and read by ``float()`` a column at a
-time, and only a block that still fails walked line by line, to name its first
-bad line as a row-by-row reader would. The cell strings of one block are the
-only per-cell Python objects alive at once.
+last line, each by the C reader once its comment lines are dropped and its empty
+wide cells written as ``nan``. A block with a ``"`` or U+001C-U+001F, or with an
+empty cell and an ``n`` or ``N`` (a literal ``nan`` the fill would hide), and one
+the C reader refuses are walked line by line with ``float()``, which names the
+first bad line as a row-by-row reader would. The cell strings of one block are
+the only per-cell Python objects alive at once.
 
 Resampling puts every signal of a capture onto a shared uniform grid by
 linear interpolation (never extrapolation), drops constant signals, and
@@ -35,7 +36,7 @@ dot products downstream are exactly Pearson correlations.
 import io
 import os
 import re
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -71,8 +72,9 @@ _COMMENT_LINE = r"\n[^\S\n]*#"
 _COMMENT_LINE_BYTES = rb"\n[^\S\n]*#"
 _LINE_END = rb"\r\n?|\n"
 
-# bytes that decline the whole-file read: '"', and U+001C-U+001F, blanks to the C reader but not to float()
-_DECLINED_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# what numpy's C reader may not read: '"', and U+001C-U+001F, blanks to it but not to float()
+_DECLINED = '"\x1c\x1d\x1e\x1f'
+_DECLINED_BYTES = tuple(map(str.encode, _DECLINED))
 
 _QUOTE_ERROR = "quote character '\"': cells are split on commas, without CSV quoting"
 
@@ -124,33 +126,27 @@ def _is_data(line):
     return line != "" and not line.lstrip().startswith("#")
 
 
-def _line_error(layout, line):
-    """What is wrong with one data line (without its newline), or None."""
+def _cells(line, ncols):
+    """(time, the ncols cells) of one data line, its time cell read as written; a ValueError says what is wrong."""
     if '"' in line:
-        return _QUOTE_ERROR
+        raise ValueError(_QUOTE_ERROR)
     cells = line.split(",")
-    if len(cells) != layout.ncols:
-        return f"expected {layout.ncols} cells, got {len(cells)}"
-    for what, cell in layout.numeric_cells(cells):
-        try:
-            float(cell)
-        except ValueError:
-            return f"non-numeric {what} {cell!r}"
-    return "empty signal id" if isinstance(layout, _Long) and not cells[1].strip() else None
+    if len(cells) != ncols:
+        raise ValueError(f"expected {ncols} cells, got {len(cells)}")
+    return _number("time", cells[0]), cells
 
 
-def _shape(text, ncols):
-    """(lines in text, whether every line has ncols cells) for newline-terminated text.
+def _number(what, cell):
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"non-numeric {what} {cell!r}") from None
 
-    With exactly lines * ncols separators, every line has ncols cells exactly
-    when every ncols-th separator is a newline; an empty line (one cell) never does.
-    """
+
+def _has_empty_cell(text):
+    """Whether a line of newline-terminated text has an empty cell after its first: a ',' before a ',' or newline."""
     raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)  # ',' and '\n' are single utf-8 bytes
-    ends = raw == ord("\n")
-    n = int(np.count_nonzero(ends))
-    ends |= raw == ord(",")
-    seps = np.flatnonzero(ends)
-    return n, seps.size == n * ncols and bool(np.all(raw[seps[ncols - 1::ncols]] == ord("\n")))
+    return bool(np.any((raw[:-1] == ord(",")) & ((raw[1:] == ord(",")) | (raw[1:] == ord("\n")))))
 
 
 class _Wide:
@@ -166,52 +162,35 @@ class _Wide:
         self.ncols = len(header)
         self.signal_ids = header[1:]
 
-    def columns(self, cells, n):
-        """n rows of cells as an n x ncols table, or (times, values, signal index) of
-        their samples when a cell is blank."""
-        try:
-            return np.array(cells, dtype=float).reshape(n, self.ncols)
-        except ValueError:  # a blank cell, or a bad one that the caller then names
-            pass
-        values = list(map(str.strip, cells))
-        values[::self.ncols] = cells[::self.ncols]  # a time cell is never optional, and is read as written
-        present = np.fromiter(map(bool, values), dtype=bool, count=len(values))
-        present[::self.ncols] = True
-        table = np.full(len(values), np.nan)
-        table[present] = np.array(list(compress(values, present.tolist())), dtype=float)
-        return self._samples(table.reshape(n, self.ncols), present.reshape(n, self.ncols))
+    def read(self, source, skip=0):
+        """The table of source's lines after the first skip (a path, or a block as io.StringIO), by numpy's C reader."""
+        table = np.loadtxt(source, delimiter=",", comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
+        if table.shape[1] != self.ncols:  # every row one of another cell count
+            raise ValueError(f"expected {self.ncols} cells, got {table.shape[1]}")
+        return table
 
-    def read(self, text):
-        """(lines, table) of a block not starting with an empty line, by numpy's C reader; None for a blank cell."""
-        raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)  # ',' and '\n' are single utf-8 bytes
-        ends = raw[1:] == ord("\n")
-        if text[0] == "," or np.any((raw[:-1] == ord(",")) & (ends | (raw[1:] == ord(",")))):
-            return None  # a blank cell: a ',' first or before a ',' or a newline
-        n = int(np.count_nonzero(ends))
-        table = np.loadtxt(io.StringIO(text), dtype=float, delimiter=",", comments=None, ndmin=2)
-        return (n, table) if table.shape == (n, self.ncols) else None
-
-    def read_file(self, path, skip):  # see _read_file
-        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip, ndmin=2, encoding="utf-8")
-        return [table] if table.shape[1] == self.ncols else None
+    def row(self, line):
+        """(time, value, signal index) of each sample of one data line, in row order."""
+        time, cells = _cells(line, self.ncols)
+        return [(time, _number("value", cell), sid) for sid, cell in enumerate(map(str.strip, cells[1:])) if cell]
 
     @staticmethod
-    def _samples(table, present):
+    def samples(table, present):
         rows, sids = np.nonzero(present[:, 1:])
         return table[rows, 0], table[rows, sids + 1], sids
 
     def signals(self, blocks):
         """(signal id, times, values) of each column with samples, sorted by time.
 
-        Tables of a file without a blank cell are joined, their rows stably
-        sorted by time once, and cut per column. Any blank cell sends every
+        Tables of blocks without an empty cell are joined, their rows stably
+        sorted by time once, and cut per column. Any other block sends every
         block through the per-sample cut, whose 24 bytes per sample, unlike
         a table's 8 per cell, do not grow with a sparse file's empty cells.
         """
         if any(isinstance(block, tuple) for block in blocks):
             for k, block in enumerate(blocks):
                 if not isinstance(block, tuple):
-                    blocks[k] = self._samples(block, np.ones(block.shape, dtype=bool))
+                    blocks[k] = self.samples(block, np.ones(block.shape, dtype=bool))
             yield from _cut(blocks, self.signal_ids)
             return
         table = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
@@ -222,16 +201,10 @@ class _Wide:
         for col, signal_id in enumerate(self.signal_ids, start=1):
             yield signal_id, times.copy(), table[:, col].copy()
 
-    def numeric_cells(self, cells):
-        """(what, cell) for each cell of one row that must be a number, in row order."""
-        return [("time", cells[0])] + [("value", c.strip()) for c in cells[1:] if c.strip()]
-
 
 class _Long(dict):
     """``time,signal,value``: one sample per row; signals in order of first appearance. As a dict, it maps
     each signal cell as written to the index of its signal id, the cell stripped of blanks."""
-
-    ncols = 3
 
     def __init__(self, header):
         if header != ["time", "signal", "value"]:
@@ -244,22 +217,17 @@ class _Long(dict):
         self[cell] = index = self.signal_ids.setdefault(cell.strip(), len(self.signal_ids))
         return index
 
-    def read_file(self, path, skip):  # see _read_file
-        rows = np.loadtxt(path, dtype=[("time", float), ("signal", np.intp), ("value", float)], delimiter=",",
-                          comments=None, skiprows=skip, ndmin=1, encoding="utf-8",
-                          converters={1: self.__getitem__})
-        return [(rows["time"], rows["value"], rows["signal"])]
+    def read(self, source, skip=0):  # as _Wide.read
+        rows = np.loadtxt(source, dtype=[("time", float), ("signal", np.intp), ("value", float)], delimiter=",",
+                          comments=None, skiprows=skip, ndmin=1, encoding="utf-8", converters={1: self.__getitem__})
+        return rows["time"], rows["value"], rows["signal"]
 
-    def columns(self, cells, n):
-        """(times, values, signal index) of the n samples in n rows of cells."""
-        return (np.array(cells[0::3], dtype=float), np.array(cells[2::3], dtype=float),
-                np.fromiter(map(self.__getitem__, cells[1::3]), dtype=np.intp, count=n))
+    def row(self, line):  # as _Wide.row; the signal cell is checked last
+        time, cells = _cells(line, 3)
+        return [(time, _number("value", cells[2]), self[cells[1]])]
 
     def signals(self, blocks):
         return _cut(blocks, self.signal_ids)
-
-    def numeric_cells(self, cells):
-        return [("time", cells[0]), ("value", cells[2])]
 
 
 _LAYOUTS = {"wide_csv": _Wide, "long_csv": _Long}
@@ -289,42 +257,39 @@ def _cut(blocks, signal_ids):
 
 
 def _parse_block(layout, text, first_line, path):
-    """(lines in text, the layout's columns of its samples or None) for one block of whole lines.
-
-    A wide block of well-formed data lines is read by numpy's C reader, any other checked and converted a
-    whole column at a time; comment and empty lines are filtered out only when the block has a comment line
-    or fails the check, and only a block that still fails is walked line by line.
-    """
-    commented = "#" in text and re.search(_COMMENT_LINE, "\n" + text)
-    # U+001C-U+001F are blanks to the C reader but not to float(); it warns of a block of empty lines
-    if isinstance(layout, _Wide) and not (commented or text[0] == "\n" or any(c in text for c in '"\x1c\x1d\x1e\x1f')):
+    """(lines in text, the layout's columns of its samples or None) for one block of whole lines: read by numpy's
+    C reader once comment lines are dropped and empty wide cells written as nan, or else walked line by line."""
+    n = text.count("\n")
+    data = text
+    if "#" in text and re.search(_COMMENT_LINE, "\n" + text):
+        data = "".join(line + "\n" for line in text.split("\n")[:-1] if _is_data(line))
+    if not data.strip("\n"):  # no data line, which numpy's C reader would warn of
+        return n, None
+    # a filled cell is no sample, so the fill would hide a literal nan, which is a non-finite value
+    empty = isinstance(layout, _Wide) and _has_empty_cell(data)
+    if not (any(c in data for c in _DECLINED) or empty and ("n" in data or "N" in data)):
+        if empty:
+            data = data.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
         try:
-            read = layout.read(text)  # None for a blank wide cell, or a table short of the block's lines
+            columns = layout.read(io.StringIO(data))
         except ValueError:  # a cell the C reader refuses, or a row of another cell count
-            read = None
-        if read is not None:
-            return read
-    n, ok = _shape(text, layout.ncols)
-    data, rows = text, n
-    if not ok or commented:
-        kept = [line for line in text.split("\n")[:-1] if _is_data(line)]
-        if not kept:
-            return n, None
-        data = "\n".join(kept) + "\n"
-        rows, ok = _shape(data, layout.ncols)
-    if ok and '"' not in data:
-        cells = data.replace("\n", ",").split(",")
-        cells.pop()  # after the last line's newline
-        try:
-            return n, layout.columns(cells, rows)
-        except ValueError:
             pass
+        else:
+            return n, layout.samples(columns, ~np.isnan(columns)) if empty else columns
+    return n, _walk(layout, text, first_line, path)
+
+
+def _walk(layout, text, first_line, path):
+    """(times, values, signal index) of text's samples, by layout.row() per line; a ParseError names a bad line."""
+    samples = []
     for lineno, line in enumerate(text.split("\n")[:-1], start=first_line):
-        error = _is_data(line) and _line_error(layout, line)
-        if error:
-            raise ParseError(error, path=path, line=lineno)
-    raise RuntimeError(f"{path}: lines {first_line}-{first_line + n - 1} failed to convert "
-                       "but no line is at fault")
+        if _is_data(line):
+            try:
+                samples += layout.row(line)
+            except ValueError as exc:
+                raise ParseError(str(exc), path=path, line=lineno) from None
+    table = np.fromiter(chain.from_iterable(samples), dtype=float, count=3 * len(samples)).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2].astype(np.intp)
 
 
 def _raw_signals(samples, path):
@@ -380,7 +345,7 @@ def _after_lines(raw, lines):
 
 
 def _read_file(layout, fh, path, skip):
-    """signals()' blocks of the lines after the first skip of the regular file fh, by layout.read_file's one
+    """signals()' blocks of the lines after the first skip of the regular file fh, by layout.read's one
     numpy C-reader call on its path (numpy reads other input line by line), or None; fh is not moved.
     numpy decompresses a name ending in .bz2, .gz, .lzma or .xz, and may take a relative path for a URL.
     The bytes after those lines are scanned in chunks: a declined byte or a comment line found returns None,
@@ -402,7 +367,7 @@ def _read_file(layout, fh, path, skip):
             data = data or chunk.lstrip(b"\r\n") != b""
             line_start = chunk.endswith(b"\n")
     try:
-        return layout.read_file(os.path.abspath(path), skip) if data else []
+        return [layout.read(os.path.abspath(path), skip)] if data else []
     except ValueError:  # a byte that is not UTF-8, or a line the C reader refuses
         return None
 

@@ -89,12 +89,14 @@ class TestParseWide:
         assert output == 16 * n * k
         assert peak < 2.5 * output
 
-    def test_memory_bounded_sparse(self, tmp_path):
-        # a 10%-dense file: a table and presence mask per cell would hold about 11x
-        # the returned arrays; per-sample blocks stay near 3.5x, as for a long file
+    @pytest.mark.parametrize("blank", ["", " ", "\u3000"], ids=["empty", "space", "ideographic_space"])
+    def test_memory_bounded_sparse(self, tmp_path, blank):
+        # a 10%-dense file: a table and presence mask per cell would hold about 11x the returned
+        # arrays; per-sample blocks stay near 3.5x, as for a long file, whether the C reader reads
+        # the blocks (empty cells) or they are walked line by line (cells of blanks)
         n, k = 20_000, 64
         rnd = random.Random(5)
-        rows = "".join(f"{i / 100:.2f}," + ",".join(f"{j}.5" if rnd.random() < 0.1 else "" for j in range(k)) + "\n"
+        rows = "".join(f"{i / 100:.2f}," + ",".join(f"{j}.5" if rnd.random() < 0.1 else blank for j in range(k)) + "\n"
                        for i in range(n))
         p = write(tmp_path, "time," + ",".join(f"s{j}" for j in range(k)) + "\n" + rows)
         peak, output = parse_peak(p)
@@ -262,13 +264,15 @@ def spy_blocks(monkeypatch):
 
 
 def spy_read_file(monkeypatch):
-    """The list of the paths that a layout's whole-file read (numpy's C reader on the path) is given from now on."""
+    """The list of the paths that a layout's whole-file read (numpy's C reader on the path) is given from now on;
+    the reads of a block, given as io.StringIO, are not listed."""
     paths = []
     for cls in (ingest._Long, ingest._Wide):
-        def spy(self, path, skip, read_file=cls.read_file):
-            paths.append(path)
-            return read_file(self, path, skip)
-        monkeypatch.setattr(cls, "read_file", spy)
+        def spy(self, source, skip=0, read=cls.read):
+            if isinstance(source, str):
+                paths.append(source)
+            return read(self, source, skip)
+        monkeypatch.setattr(cls, "read", spy)
     return paths
 
 
@@ -372,6 +376,26 @@ class TestParseParity:
         assert "non-finite values" in expected[1]
         assert outcome(block_parser, path, "long_csv") == expected
 
+    @pytest.mark.parametrize("literal", ["nan", "NaN", "inf"])
+    def test_non_finite_beside_empty_cell(self, tmp_path, literal):
+        # numpy's C reader reads a wide block's empty cells written as nan, which are no sample;
+        # a literal nan or inf in such a block is still a non-finite value
+        rnd = random.Random(f"fill-{literal}")
+        lines = dense_lines(rnd, self.N_ROWS)
+        for k in range(1, len(lines)):
+            cells = lines[k].split(",")
+            cells[1 + k % 5] = ""
+            lines[k] = ",".join(cells)
+        k = rnd.randrange(BLOCK_LINES, len(lines))
+        cells = lines[k].split(",")
+        cells[1 + (k + 2) % 5] = literal
+        lines[k] = ",".join(cells)
+        for path in (write(tmp_path, "\n".join(lines) + "\n"),
+                     write(tmp_path, f"time,a,b\n0,{literal},\n1,2,3\n2,4,5\n", "small.csv")):
+            expected = outcome(csv_reader_signals, path, "wide_csv")
+            assert expected[0] is ParseError and expected[1].endswith(": non-finite values")
+            assert outcome(block_parser, path, "wide_csv") == expected
+
     def test_mutated_input(self, tmp_path):
         # one character changed in a small file, by tokens that numpy's C reader and float() read differently
         rnd = random.Random("mutations")
@@ -453,8 +477,9 @@ def dense_lines(rnd, n_rows, n_signals=5):
 
 
 class TestWideBlocks:
-    """Blocks without a blank cell (one table conversion) and with one (a presence
-    mask, then per-sample arrays) against the csv.reader oracle."""
+    """Blocks without an empty cell (a table from numpy's C reader), with one (the C reader's
+    table with the cell as nan, then per-sample arrays) and with a cell the C reader refuses
+    (walked line by line) against the csv.reader oracle."""
 
     def same_outcome(self, tmp_path, lines):
         path = tmp_path / "cap.csv"
@@ -464,22 +489,26 @@ class TestWideBlocks:
         return expected
 
     def test_dense_and_sparse_blocks_alternate(self, tmp_path, monkeypatch, small_blocks):
-        # dense blocks are tables from the C reader; blocks with a blank cell are masked per cell
-        routes = []
-        read, columns = ingest._Wide.read, ingest._Wide.columns
+        # dense and sparse blocks alike are read by the C reader, the sparse ones with each empty
+        # cell written as nan; a block with a cell of only blanks or a numeral only float() reads
+        # is refused by it and walked
+        routes, walked = [], []
+        read, walk = ingest._Wide.read, ingest._walk
 
-        def read_spy(layout, text):
-            block = read(layout, text)
-            routes.append("declined" if block is None else "C reader")
-            return block
+        def read_spy(layout, source, skip=0):
+            if isinstance(source, str):  # the whole-file read, which an empty cell declines
+                return read(layout, source, skip)
+            routes.append("refused")
+            table = read(layout, source, skip)
+            routes[-1] = "sparse" if "nan" in source.getvalue() else "dense"
+            return table
 
-        def columns_spy(layout, cells, n):
-            block = columns(layout, cells, n)
-            routes.append("masked" if isinstance(block, tuple) else "table")
-            return block
+        def walk_spy(layout, text, *args):
+            walked.append(text)
+            return walk(layout, text, *args)
 
         monkeypatch.setattr(ingest._Wide, "read", read_spy)
-        monkeypatch.setattr(ingest._Wide, "columns", columns_spy)
+        monkeypatch.setattr(ingest, "_walk", walk_spy)
         rnd = random.Random(21)
         lines = dense_lines(rnd, 400)
         for k in range(1, len(lines)):
@@ -487,8 +516,15 @@ class TestWideBlocks:
                 cells = lines[k].split(",")
                 cells[1 + k % 5] = ""
                 lines[k] = ",".join(cells)
+        marks = {100: " ", 130: "  ", 250: "1_0"}  # in a dense run, a sparse run and a dense run
+        for k, cell in marks.items():
+            cells = lines[k].split(",")
+            cells[2 + k % 3] = cell
+            lines[k] = ",".join(cells)
         assert isinstance(self.same_outcome(tmp_path, lines), list)
-        assert 5 <= routes.count("masked") and 5 <= routes.count("C reader")
+        assert 5 <= routes.count("sparse") and 5 <= routes.count("dense")
+        assert routes.count("refused") == len(walked) == 3
+        assert [[k for k in marks if lines[k] in text] for text in walked] == [[100], [130], [250]]
 
     @pytest.mark.parametrize("blank", ["\u3000", "\xa0", " \u3000\t"])
     def test_unicode_blank_is_no_sample(self, tmp_path, blank):
