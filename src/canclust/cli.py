@@ -13,17 +13,13 @@ import sys
 from pathlib import Path
 
 from .clusim import similarity
+from .correlation import DISSIMILARITIES
 from .errors import ConfigError, DataError
 from .hierarchy import LINKAGES
 from .ingest import parse_capture
 from .pipeline import RunConfig, fan_out, summarize
 
-DISSIMILARITY_ALIASES = {
-    "abs": "one_minus_abs_rho",
-    "one_minus_abs_rho": "one_minus_abs_rho",
-    "signed": "half_one_minus_rho",
-    "half_one_minus_rho": "half_one_minus_rho",
-}
+DISSIMILARITY_ALIASES = {"abs": "one_minus_abs_rho", "signed": "half_one_minus_rho"}
 
 
 def _expand(pattern):
@@ -44,16 +40,25 @@ def _summarize_files(paths, format, config):
     return fan_out(lambda path: summarize(parse_capture(path, format=format), config), paths)
 
 
+def _config(args, **fields):
+    """The RunConfig of the options given in args, and of fields; RunConfig's defaults for the rest."""
+    return RunConfig(**{f: getattr(args, f) for f in RunConfig._fields if f in args}, **fields)
+
+
 def _add_shared(parser):
-    parser.add_argument("--freq", type=float, default=10.0, help="resampling frequency in Hz")
-    parser.add_argument("--r", type=float, default=-5.0, help="hierarchy scaling parameter")
-    parser.add_argument("--alpha", type=float, default=0.9, help="diffusion continuation probability")
+    # an option left out is absent from the parsed args (default=SUPPRESS), so its RunConfig field keeps its default
+    parser.add_argument("--freq", dest="frequency_hz", type=float, default=argparse.SUPPRESS,
+                        help="resampling frequency in Hz")
+    parser.add_argument("--r", dest="r", type=float, default=argparse.SUPPRESS, help="hierarchy scaling parameter")
+    parser.add_argument("--alpha", dest="alpha", type=float, default=argparse.SUPPRESS,
+                        help="diffusion continuation probability")
     parser.add_argument("--format", choices=["wide_csv", "long_csv"], default="wide_csv")
     # type= resolves the alias before argparse checks choices
-    parser.add_argument("--dissimilarity", default="abs", choices=sorted(DISSIMILARITY_ALIASES),
+    parser.add_argument("--dissimilarity", dest="dissimilarity", default=argparse.SUPPRESS,
+                        choices=sorted((*DISSIMILARITY_ALIASES, *DISSIMILARITIES)),
                         type=lambda s: DISSIMILARITY_ALIASES.get(s, s), help="correlation-to-distance transform")
-    parser.add_argument("--allow-intersection", action="store_true",
-                        help="compare captures on their common signals when pruning differs")
+    parser.add_argument("--allow-intersection", dest="allow_intersection", action="store_true",
+                        default=argparse.SUPPRESS, help="compare captures on their common signals when pruning differs")
 
 
 def _cmd_analyze(args):
@@ -66,15 +71,7 @@ def _cmd_analyze(args):
             raise ConfigError(f"--attack expects <kind>=<dir|glob>, got {spec!r}")
         kind, pattern = spec.split("=", 1)
         patterns.setdefault(kind, []).append(pattern)
-    config = RunConfig(
-        frequency_hz=args.freq,
-        linkages=tuple(l.strip() for l in args.linkage.split(",") if l.strip()),
-        r=args.r,
-        alpha=args.alpha,
-        significance=args.significance,
-        dissimilarity=args.dissimilarity,
-        allow_intersection=args.allow_intersection,
-    )
+    config = _config(args)
     # benign files, then each kind's, as run() orders captures; a capture's id is its file's stem
     benign = [(Path(f).stem, f) for f in _expand(args.benign)]
     attacks = {kind: [(Path(f).stem, f) for p in pats for f in _expand(p)] for kind, pats in patterns.items()}
@@ -96,11 +93,10 @@ def _cmd_synth(args):
 
 def _cmd_simtest(args):
     # every parameter is checked before either file is parsed
-    config = RunConfig(frequency_hz=args.freq, linkages=(args.linkage_single,), r=args.r, alpha=args.alpha,
-                       dissimilarity=args.dissimilarity)
+    config = _config(args, linkages=(args.linkage_single,))
     (_, (dend_a,)), (_, (dend_b,)) = _summarize_files([args.a, args.b], args.format, config)
     try:
-        score = similarity(dend_a, dend_b, config.params, allow_intersection=args.allow_intersection)
+        score = similarity(dend_a, dend_b, config.params, allow_intersection=config.allow_intersection)
     except DataError as exc:  # element sets that cannot be compared
         named = (f"{Path(path).stem!r} ({path})" for path in (args.a, args.b))
         raise DataError(f"captures {' and '.join(named)}: {exc}") from None
@@ -119,9 +115,10 @@ def build_parser():
     p.add_argument("--benign", required=True, help="directory or glob of benign capture files")
     p.add_argument("--attack", action="append", default=[], metavar="KIND=PATTERN",
                    help="attack captures, e.g. correlated=attacks/corr_*.csv (repeatable)")
-    p.add_argument("--linkage", default="single,complete,average,ward",
+    p.add_argument("--linkage", dest="linkages", default=argparse.SUPPRESS,
+                   type=lambda s: tuple(l.strip() for l in s.split(",") if l.strip()),
                    help=f"comma-separated subset of {','.join(LINKAGES)}")
-    p.add_argument("--significance", type=float, default=0.05)
+    p.add_argument("--significance", dest="significance", type=float, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="output directory for report and curves")
     _add_shared(p)
     p.set_defaults(func=_cmd_analyze)

@@ -129,8 +129,7 @@ def _affinities(trees, params):
     eye = np.eye(a.shape[1])
     np.multiply(a, params.alpha, out=a)
     np.subtract(eye, a, out=a)  # I - alpha W, in place
-    # the right-hand side has the stack's full shape: numpy 1.x reads a 2-D one as k vectors
-    return np.linalg.solve(a, np.broadcast_to((1.0 - params.alpha) * eye, a.shape))
+    return np.linalg.solve(a, (1.0 - params.alpha) * eye)
 
 
 def affinity(dend, params):
@@ -196,8 +195,7 @@ def similarities(pairs, params, allow_intersection=False):
     """
     pairs = list(pairs)  # holds every dendrogram for the call, so its id stays a valid key
     orders = [common_ids(a, b, allow_intersection) for a, b in pairs]
-    keys = [[(id(dend), None if len(order) == dend.n_leaves else order) for dend in pair]
-            for pair, order in zip(pairs, orders)]
+    keys = [[(id(dend), order) for dend in pair] for pair, order in zip(pairs, orders)]
     uses = Counter()
     queues = defaultdict(deque)  # leaf count -> (key, dendrogram, common ids) of each tree not solved yet
     for pair, order, pair_keys in zip(pairs, orders, keys):

@@ -23,6 +23,7 @@ operands in the same order.
 """
 
 import math
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -102,9 +103,11 @@ def agglomerate(dm, linkage):
 def restrict(dend, keep_ids):
     """Prune a dendrogram to a subset of its leaves, preserving merge heights.
 
-    Original merges are replayed: a merge survives only when both sides still
-    contain kept leaves; single-child internal nodes collapse away. Used for
-    comparing captures whose constant-pruned signal sets differ.
+    Original merges are replayed in order: a merge survives only when both
+    sides still contain kept leaves, and a merge with one such side collapses
+    into it. Kept leaves keep their order, and surviving merges their order
+    and left/right sides. Used for comparing captures whose constant-pruned
+    signal sets differ.
     """
     keep = set(keep_ids)
     missing = keep - set(dend.leaf_ids)
@@ -113,32 +116,18 @@ def restrict(dend, keep_ids):
     if len(keep) < 2:
         raise DataError("restriction needs at least 2 leaves")
 
-    new_leaf_ids = tuple(lid for lid in dend.leaf_ids if lid in keep)
-    new_index = {lid: i for i, lid in enumerate(new_leaf_ids)}
-    k = len(new_leaf_ids)
-
-    n = dend.n_leaves
-    # surviving cluster node (in the new tree) for each original node, or None
-    survives = [None] * (n + len(dend.merges))
-    sizes = [None] * (n + len(dend.merges))
-    for i, lid in enumerate(dend.leaf_ids):
-        if lid in keep:
-            survives[i] = new_index[lid]
-            sizes[i] = 1
-    new_merges = []
-    next_node = k
-    for j, (left, right, h, _size) in enumerate(dend.merges):
+    number = count()  # new nodes: kept leaves, then surviving merges
+    # the new node of each original node, leaves then merges, or None where no kept leaf is under it
+    survives = [next(number) if lid in keep else None for lid in dend.leaf_ids]
+    sizes = [1] * len(keep)  # leaf count of each new node
+    merges = []
+    for left, right, h, _size in dend.merges:
         a, b = survives[left], survives[right]
-        if a is not None and b is not None:
-            sz = sizes[left] + sizes[right]
-            new_merges.append((a, b, h, sz))
-            survives[n + j] = next_node
-            sizes[n + j] = sz
-            next_node += 1
-        elif a is not None:
-            survives[n + j] = a
-            sizes[n + j] = sizes[left]
-        elif b is not None:
-            survives[n + j] = b
-            sizes[n + j] = sizes[right]
-    return Dendrogram(leaf_ids=new_leaf_ids, merges=tuple(new_merges), linkage=dend.linkage)
+        if a is None or b is None:
+            survives.append(b if a is None else a)
+        else:
+            sizes.append(sizes[a] + sizes[b])
+            merges.append((a, b, h, sizes[-1]))
+            survives.append(next(number))
+    leaf_ids = tuple(lid for lid in dend.leaf_ids if lid in keep)
+    return Dendrogram(leaf_ids=leaf_ids, merges=tuple(merges), linkage=dend.linkage)

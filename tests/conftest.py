@@ -7,7 +7,7 @@ import pytest
 
 from canclust.correlation import DissimilarityMatrix
 from canclust.errors import DataError, DegenerateCaptureError, InsufficientOverlapError, ParseError
-from canclust.hierarchy import LINKAGES, agglomerate
+from canclust.hierarchy import LINKAGES, Dendrogram, agglomerate
 from canclust.ingest import CONSTANT_TOL, MAX_ABS_VALUE, MAX_GRID_POINTS, RawSignal, SignalMatrix
 
 
@@ -44,6 +44,38 @@ def leaves_under(dend, node):
             left, right, _, _ = dend.merges[k - n]
             stack.extend((left, right))
     return out
+
+
+def replay_restrict(dend, keep_ids):
+    """Oracle for hierarchy.restrict: a replay of the merges that keeps two tables per original node.
+
+    Kept leaves are numbered in leaf order; each original node maps to the new
+    node it survives as, or None, and to that node's size. A merge with both
+    sides surviving becomes the next new node; one with one side surviving
+    passes that side's node and size through.
+    """
+    keep = set(keep_ids)
+    new_leaf_ids = tuple(lid for lid in dend.leaf_ids if lid in keep)
+    new_index = {lid: i for i, lid in enumerate(new_leaf_ids)}
+    n = dend.n_leaves
+    survives = [None] * (n + len(dend.merges))
+    sizes = [None] * (n + len(dend.merges))
+    for i, lid in enumerate(dend.leaf_ids):
+        if lid in keep:
+            survives[i], sizes[i] = new_index[lid], 1
+    new_merges, next_node = [], len(new_leaf_ids)
+    for j, (left, right, h, _size) in enumerate(dend.merges):
+        a, b = survives[left], survives[right]
+        if a is not None and b is not None:
+            sz = sizes[left] + sizes[right]
+            new_merges.append((a, b, h, sz))
+            survives[n + j], sizes[n + j] = next_node, sz
+            next_node += 1
+        elif a is not None:
+            survives[n + j], sizes[n + j] = a, sizes[left]
+        elif b is not None:
+            survives[n + j], sizes[n + j] = b, sizes[right]
+    return Dendrogram(leaf_ids=new_leaf_ids, merges=tuple(new_merges), linkage=dend.linkage)
 
 
 def level_weights(dend, element, r):

@@ -10,7 +10,7 @@ from canclust.correlation import DissimilarityMatrix
 from canclust.errors import DataError
 from canclust.hierarchy import LINKAGES, Dendrogram, agglomerate, restrict
 
-from conftest import heights, leaves_under, list_agglomerate, random_dissimilarity
+from conftest import heights, leaves_under, list_agglomerate, random_dissimilarity, replay_restrict
 from goldens import dendrogram_from_dict, dendrogram_to_dict
 
 
@@ -283,3 +283,25 @@ class TestRestrict:
             restrict(dend, ["s0", "nope"])
         with pytest.raises(DataError):
             restrict(dend, ["s0"])
+
+    @pytest.mark.parametrize("link", LINKAGES)
+    def test_matches_replay_for_every_keep_size(self, rng, link):
+        # merge order, sizes, sides and node numbers, for a random keep of each size 2..N
+        for n in range(2, 131):
+            dend = agglomerate(random_dissimilarity(rng, n), link)
+            for size in range(2, n + 1):
+                keep = rng.choice(dend.leaf_ids, size=size, replace=False).tolist()
+                assert restrict(dend, keep) == replay_restrict(dend, keep)
+
+    @pytest.mark.parametrize("link", LINKAGES)
+    def test_matches_replay_with_one_root_side_dropped(self, rng, link):
+        # every merge on the dropped side collapses away; the other side keeps its shape, renumbered
+        for n in range(3, 131):
+            dend = agglomerate(random_dissimilarity(rng, n), link)
+            for side in dend.merges[-1][:2]:
+                dropped = {dend.leaf_ids[i] for i in leaves_under(dend, side)}
+                keep = [lid for lid in dend.leaf_ids if lid not in dropped]
+                if len(keep) >= 2:
+                    sub = restrict(dend, keep)
+                    assert sub == replay_restrict(dend, keep)
+                    assert len(sub.merges) == len(keep) - 1 and sub.merges[-1][3] == len(keep)
