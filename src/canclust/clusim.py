@@ -34,6 +34,14 @@ from .hierarchy import restrict
 # leaves, which spreads most of the per-call cost, while a 128-leaf tree is solved alone
 STACK_ENTRIES = 1 << 14
 
+# largest |r|: exp(r) overflows past 709.78, and a leaf at depth h sums its softmax terms exp(r * d / h),
+# d = 0..h, to about exp(r) * h / r, finite at r = 700 for h below 10^7, as is r times any depth ratio.
+# Similarity saturates long before: 0.99995 at r = 100 on two 128-signal benign captures
+R_MAX = 700.0
+# largest alpha: the solve's rounding error in a row sum of P is about 3e-16 / (1 - alpha), here far
+# inside the 1e-9 that similarities() checks scores against; at alpha = 1 - 2^-53 it exceeds 1
+ALPHA_MAX = 0.9999
+
 
 @checked
 class HierarchyParams(NamedTuple):
@@ -43,10 +51,12 @@ class HierarchyParams(NamedTuple):
     alpha: float = 0.9
 
     def _check(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if not (0.0 < self.alpha <= ALPHA_MAX):
+            raise ValueError(f"alpha must be in (0, {ALPHA_MAX}], got {self.alpha}")
         if not np.isfinite(self.r):
             raise ValueError("r must be finite")
+        if abs(self.r) > R_MAX:
+            raise ValueError(f"r must be in [-{R_MAX}, {R_MAX}], got {self.r}")
         return self
 
 

@@ -18,14 +18,15 @@ and a ``"``, a comment line or U+001C-U+001F (blanks to the C reader, not to
 ``float()``; each is one UTF-8 byte that no other character contains) declines
 it. A declined file, one the C reader refuses (a non-UTF-8 byte, which it finds
 as it decodes, a blank wide cell, a row of another cell count, an empty signal
-id, a numeral only ``float()`` reads, such as ``1_0``) and one that is no regular
-file are read in blocks of BLOCK_CHARS characters finished at the end of their
-last line, each by the C reader once its comment lines are dropped and its empty
-wide cells written as ``nan``. A block with a ``"`` or U+001C-U+001F, or with an
-empty cell and an ``n`` or ``N`` (a literal ``nan`` the fill would hide), and one
-the C reader refuses are walked line by line with ``float()``, which names the
-first bad line as a row-by-row reader would. The cell strings of one block are
-the only per-cell Python objects alive at once.
+id, a numeral only ``float()`` reads, such as ``1_0``), one whose header line
+ends in a lone CR and one that is no regular file are read in blocks of
+BLOCK_CHARS characters finished at the end of their last line, each by the C
+reader once its comment lines are dropped and its empty wide cells written as
+``nan``. A block with a ``"`` or U+001C-U+001F, or with an empty cell and an
+``n`` or ``N`` (a literal ``nan`` the fill would hide), and one the C reader
+refuses are walked line by line with ``float()``, which names the first bad
+line as a row-by-row reader would. The cell strings of one block are the only
+per-cell Python objects alive at once.
 
 Resampling puts every signal of a capture onto a shared uniform grid by
 linear interpolation (never extrapolation), drops constant signals, and
@@ -67,10 +68,9 @@ BLOCK_CHARS = 1 << 16
 # exclude the newline, so a run of k empty lines costs k steps, not k^2 / 2
 _COMMENT_LINE = r"\n[^\S\n]*#"
 
-# the same in bytes, whose \s is the ASCII blanks, and a line end as text mode reads it. re compiles
-# each pattern on its first use, which a file without '#' or lone-CR line ends never makes
+# the same in bytes, whose \s is the ASCII blanks. re compiles each pattern on its first use,
+# which a file without '#' never makes
 _COMMENT_LINE_BYTES = rb"\n[^\S\n]*#"
-_LINE_END = rb"\r\n?|\n"
 
 # what numpy's C reader may not read: '"', and U+001C-U+001F, blanks to it but not to float()
 _DECLINED = '"\x1c\x1d\x1e\x1f'
@@ -334,31 +334,20 @@ def _blocks(fh):
         yield text if text.endswith("\n") else text + "\n"  # the file's last line
 
 
-def _after_lines(raw, lines):
-    """Byte offset just after the first `lines` lines of the binary file raw, if they end in its first block
-    before its last byte (text mode ends a line at LF, CR LF or a lone CR); else None."""
-    head = raw.read(BLOCK_CHARS)
-    for k, end in enumerate(re.finditer(_LINE_END, head), start=1):
-        if k == lines:
-            return end.end() if end.end() < len(head) else None
-    return None
-
-
 def _read_file(layout, fh, path, skip):
     """signals()' blocks of the lines after the first skip of the regular file fh, by layout.read's one
     numpy C-reader call on its path (numpy reads other input line by line), or None; fh is not moved.
     numpy decompresses a name ending in .bz2, .gz, .lzma or .xz, and may take a relative path for a URL.
     The bytes after those lines are scanned in chunks: a declined byte or a comment line found returns None,
     and no byte but CR and LF is no data line, which numpy would warn of. A comment line the pattern misses
-    (after a lone CR, or Unicode blanks) fails the C reader, as a byte that is not UTF-8 does."""
+    (after a lone CR, or Unicode blanks) fails the C reader, as a byte that is not UTF-8 does. A file whose
+    header line ends in a lone CR is None: fh's position after it is no byte offset."""
     if path.endswith((".bz2", ".gz", ".lzma", ".xz")) or not os.path.isfile(path):
-        return None
+        return None  # before fh.tell(), which a FIFO refuses
     start, data, line_start = fh.tell(), False, True
+    if start >> 64:  # the text decoder holds a state there, as after a lone '\r'
+        return None
     with open(path, "rb", buffering=0) as raw:
-        if start >> 64:  # no byte offset: the text decoder holds a state there, as after a lone '\r'
-            start = _after_lines(raw, skip)
-            if start is None:
-                return None
         raw.seek(start)
         while chunk := raw.read(BLOCK_CHARS):
             if any(c in chunk for c in _DECLINED_BYTES) or b"#" in chunk and re.search(

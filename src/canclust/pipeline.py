@@ -111,7 +111,7 @@ def fan_out(fn, items):
     failure in input order is raised, as running the items in turn would.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    n = min(len(items), cpus) if hasattr(os, "fork") else 1
+    n = max(1, min(len(items), cpus)) if hasattr(os, "fork") else 1  # no items: one empty share
     children = []  # (pid, pipe read end) of shares 1..n-1, until received
     try:
         for k in range(1, n):

@@ -8,7 +8,6 @@ produces Gaussian KDE curves for external plotting; verdicts never depend on it.
 """
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -84,12 +83,6 @@ def exact_u_counts(n1, n2):
     return tuple(ways)
 
 
-@functools.lru_cache(maxsize=64)
-def _lower_tails(n1, n2):
-    """Entry u is the number of the exact_u_counts(n1, n2) labellings with U <= u."""
-    return tuple(itertools.accumulate(exact_u_counts(n1, n2)))
-
-
 def mann_whitney(x, y, significance=0.05):
     """Two-sided Mann-Whitney U test between two sequences of similarities.
 
@@ -114,12 +107,12 @@ def mann_whitney(x, y, significance=0.05):
                           method="normal_approx", significant=False)
 
     if len(tie_counts) == n1 + n2 and n1 * n2 <= EXACT_LIMIT:
-        tails = _lower_tails(n1, n2)
+        counts = exact_u_counts(n1, n2)
         mu2 = n1 * n2  # 2 * mean, kept integral
         dev = abs(2 * int(round(u)) - mu2)  # of mu2's parity
         # U and mu2 - U share one null distribution: as many u lie at or above (mu2 + dev) / 2 as at or
         # below (mu2 - dev) / 2. At dev = 0 the two tails overlap and p, above 1, is clipped to 1
-        p = 2 * tails[(mu2 - dev) // 2] / tails[-1]
+        p = 2 * sum(counts[:(mu2 - dev) // 2 + 1]) / sum(counts)
         method = "exact"
     else:
         n = n1 + n2

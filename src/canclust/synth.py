@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, checked
-from .ingest import RawSignal, SignalCapture
+from .ingest import MAX_GRID_POINTS, RawSignal, SignalCapture
 
 _MASK = (1 << 64) - 1
 
@@ -100,8 +100,9 @@ class SynthSpec(NamedTuple):
     def _check(self):
         if self.n_groups < 1 or self.signals_per_group < 1:
             raise ValueError("need at least one group and one signal per group")
-        if self.duration_s * self.rate_hz < 2:
-            raise ValueError("capture must span at least 2 samples")
+        samples = self.duration_s * self.rate_hz  # checked before generate() builds an array of them
+        if not (2 <= samples <= MAX_GRID_POINTS):
+            raise ValueError(f"capture must span 2 to {MAX_GRID_POINTS} samples, got {samples}")
         if not (0.0 < self.intra_group_rho <= 1.0):
             raise ValueError("intra_group_rho must be in (0, 1]")
         if self.noise_sigma < 0:
@@ -111,13 +112,15 @@ class SynthSpec(NamedTuple):
 
 @checked
 class AttackSpec(NamedTuple):
-    kind: str  # correlated_break | max_value | binary_flip
+    """A masquerade attack of one kind on target_signals, over the window [start_s, end_s]."""
+
+    kind: str  # correlated_break | max_value
     target_signals: tuple
     start_s: float
     end_s: float
 
     def _check(self):
-        if self.kind not in ("correlated_break", "max_value", "binary_flip"):
+        if self.kind not in ("correlated_break", "max_value"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if not (0.0 <= self.start_s < self.end_s):
             raise ValueError("attack window must satisfy 0 <= start < end")
@@ -212,8 +215,7 @@ def inject(capture, attack, seed=0):
 
     correlated_break replaces the window with independent noise matching each
     target's marginal mean/std; max_value pins the window to the signal's
-    capture-wide maximum; binary_flip inverts a two-valued signal. Timestamps
-    and non-target signals are untouched.
+    capture-wide maximum. Timestamps and non-target signals are untouched.
     """
     if not attack.target_signals:
         return capture
@@ -237,17 +239,8 @@ def inject(capture, attack, seed=0):
         if attack.kind == "correlated_break":
             mean, std = float(sig.values.mean()), float(sig.values.std())
             values[mask] = mean + rng.normals(int(mask.sum()), sigma=std)
-        elif attack.kind == "max_value":
+        else:  # max_value
             values[mask] = float(sig.values.max())
-        else:  # binary_flip
-            levels = np.unique(sig.values)
-            if len(levels) > 2:
-                raise DataError(f"binary_flip target {sig.signal_id!r} has {len(levels)} distinct values")
-            if len(levels) == 2:
-                lo, hi = levels
-                flipped = np.where(values == lo, hi, lo)
-                values[mask] = flipped[mask]
-            # a one-valued signal flips to itself; leave unchanged
         new_signals.append(RawSignal(sig.signal_id, sig.timestamps, values))
 
     return capture._replace(signals=tuple(new_signals))
@@ -275,7 +268,7 @@ def _spec_capture(entry, defaults):
     name = f"capture {entry.get('id')!r}"
     attack = entry.get("attack")
     # TypeError/ValueError: an unknown, missing, mistyped or out-of-range field; DataError: an
-    # attack that does not fit the generated capture (unknown target, late window, non-binary flip)
+    # attack that does not fit the generated capture (unknown target, late window)
     try:
         fields = {**defaults, **{k: v for k, v in entry.items() if k not in ("id", "attack")}}
         cap = generate(SynthSpec(**fields), capture_id=entry.get("id"))

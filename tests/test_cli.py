@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import signal
@@ -142,7 +143,7 @@ class TestSynth:
     @pytest.mark.parametrize("attack, message", [
         ({"targets": ["nope"]}, "attack targets not in capture: ['nope']"),
         ({"start_s": 50.0, "end_s": 60.0}, "attack window starts after capture ends"),
-        ({"kind": "binary_flip"}, "binary_flip target 'ID_100_sig_0' has"),
+        ({"kind": "binary_flip"}, "unknown attack kind 'binary_flip'"),
     ], ids=["unknown_target", "window_after_end", "binary_flip_non_binary"])
     def test_attack_that_does_not_fit_the_capture(self, tmp_path, capsys, attack, message):
         doc = synth_spec_doc(n_benign=1)
@@ -572,6 +573,45 @@ def test_mutated_input_memory(tmp_path, capsys, monkeypatch, command, layout):
         assert peak <= 64 * size, (bad.read_text(), peak, size)
 
 
+# extreme values of a float option or spec field: infinities, nan, zero, the largest and smallest
+# floats, the exp() overflow edge of r, and the float just below 1
+EXTREMES = [math.inf, -math.inf, math.nan, 0.0, 1e308, -1e308, 5e-324, 700.0, 710.0, 1 - 2 ** -53]
+
+
+def assert_clean_exit(argv, capsys):
+    """main(argv) exits 0, 2 or 3, raising, warning and printing no traceback; its exit code."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == [] and "Traceback" not in err, (argv, err)
+    assert rc in (0, 2, 3) and (rc == 0) == (err == ""), (argv, rc, err)
+    return rc
+
+
+@pytest.mark.parametrize("option", ["--freq", "--r", "--alpha"])
+def test_extreme_option_values(tmp_path, capsys, monkeypatch, option):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    rnd = random.Random(0)  # at alpha = 1 - 2^-53 these captures' solves lose the row sums of P
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.csv").write_text(small_capture_text(rnd, "wide_csv"))
+    argv = ["simtest", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")]
+    codes = [assert_clean_exit(argv + [f"{option}={value!r}"], capsys) for value in EXTREMES]
+    assert 0 in codes and 2 in codes
+
+
+@pytest.mark.parametrize("field", ["duration_s", "rate_hz"])
+def test_extreme_span_fields(tmp_path, capsys, field):
+    spec = tmp_path / "spec.json"
+    codes = []
+    for value in EXTREMES:
+        doc = synth_spec_doc(n_benign=1, attack=False)
+        doc["defaults"][field] = value
+        spec.write_text(json.dumps(doc))  # Infinity and NaN, as json writes them
+        codes.append(assert_clean_exit(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")], capsys))
+    assert 0 in codes and 2 in codes
+
+
 def same_capture(a, b):
     """Whether two captures are equal, their sample arrays bit for bit."""
     return ((a.capture_id, a.source_path) == (b.capture_id, b.source_path)
@@ -678,6 +718,11 @@ class TestLoadCaptures:
         assert main(["simtest", "--a", str(tmp_path / "c1.csv"), "--b", str(tmp_path / "c3.csv")]) == 3
         err = capsys.readouterr().err
         assert str(tmp_path / "c1.csv") in err and "c3.csv" not in err
+
+    def test_no_items(self, monkeypatch):
+        # no items is one empty share, run in this process
+        monkeypatch.setattr(os, "fork", None)
+        assert pipeline.fan_out(parse_capture, []) == []
 
     def test_missing_file(self, jobs, tmp_path):
         jobs[1] = str(tmp_path / "nope.csv")

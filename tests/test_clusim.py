@@ -368,3 +368,14 @@ class TestParams:
     def test_r_finite(self):
         with pytest.raises(ValueError):
             HierarchyParams(r=float("inf"))
+
+    @pytest.mark.parametrize("r", [-700.0, 700.0])
+    def test_r_at_its_bound_scores(self, r):
+        # an overflow would warn, which fails the test
+        rng = np.random.default_rng(0)
+        a, b = (random_dendrogram(rng, 12, "average") for _ in range(2))
+        assert 0.0 <= similarity(a, b, HierarchyParams(r=r, alpha=clusim.ALPHA_MAX)).value <= 1.0
+
+    def test_alpha_bound(self):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 0.9999\]"):
+            HierarchyParams(alpha=1 - 2 ** -53)

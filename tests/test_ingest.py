@@ -635,7 +635,7 @@ class TestWholeFileRead:
 
     @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
     def test_lone_cr_line_ends(self, tmp_path, monkeypatch, layout):
-        # after a line ended by a lone '\r' the text position is no byte offset: the scan counts line ends
+        # after a header ended by a lone '\r' the text position is no byte offset: the file is read in blocks
         rnd = random.Random(layout)
         lines = dense_lines(rnd, 300) if layout == "wide_csv" else capture_lines(rnd, layout, 300)
         expected = outcome(block_parser, write(tmp_path, "\n".join(lines) + "\n", "plain.csv"), layout)
@@ -644,7 +644,7 @@ class TestWholeFileRead:
         for prefix in ("", "# exported\r\r", "# exported\n\r\n"):
             path.write_bytes((prefix + "\r".join(lines) + "\r").encode())
             reads.clear()
-            assert outcome(block_parser, path, layout) == expected and reads == [str(path)], prefix
+            assert outcome(block_parser, path, layout) == expected and reads == [], prefix
         # no data line: numpy, which would warn, is not called
         for tail in ("", "\r", "\r\r\n\r"):
             path.write_bytes((lines[0] + "\r" + tail).encode())

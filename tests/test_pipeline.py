@@ -150,6 +150,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="at least 2 benign"):
             run(RunConfig(), make_benign(1))
 
+    def test_no_captures(self):
+        with pytest.raises(ConfigError, match="at least 2 benign"):
+            run(RunConfig(), [])
+
     def test_unknown_linkage(self):
         with pytest.raises(ConfigError, match="unknown linkages"):
             RunConfig(linkages=("centroid",))
@@ -167,8 +171,18 @@ class TestConfigValidation:
             RunConfig(alpha=1.0)
 
     def test_non_finite_r(self):
-        with pytest.raises(ConfigError, match="r must be finite"):
-            RunConfig(r=float("inf"))
+        for r in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ConfigError, match="r must be finite"):
+                RunConfig(r=r)
+
+    @pytest.mark.parametrize("r", [700.5, 710.0, 1e308, -700.5, -1e308])
+    def test_r_beyond_its_bound(self, r, tmp_path, capsys):
+        # the bound keeps the level weights' exp(r * depth ratio) and the product itself finite
+        with pytest.raises(ConfigError, match=r"r must be in \[-700.0, 700.0\]"):
+            RunConfig(r=r)
+        write_wide_csv(generate(SPEC), tmp_path / "a.csv")
+        assert main(["simtest", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "a.csv"), f"--r={r}"]) == 2
+        assert "config error: r must be in" in capsys.readouterr().err
 
     def test_bad_frequency(self):
         with pytest.raises(ConfigError):
