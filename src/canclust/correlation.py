@@ -25,8 +25,8 @@ def to_dissimilarity(m, mode="one_minus_abs_rho"):
     """The clustering dissimilarity of the rows of a SignalMatrix.
 
     Rows are already centered and unit-norm, so the correlation rho[i, j] is
-    the plain dot product; it is computed once for i < j and mirrored, and
-    its diagonal is set (not computed) to exactly 1. mode
+    the plain dot product; its strict upper triangle is clipped and mirrored,
+    so d is exactly symmetric, and its diagonal is set to exactly 1. mode
     "one_minus_abs_rho" gives d = 1 - |rho| (default); mode
     "half_one_minus_rho" gives d = (1 - rho) / 2.
     """
@@ -39,10 +39,7 @@ def to_dissimilarity(m, mode="one_minus_abs_rho"):
     if flat:
         raise DataError(f"{m.capture_id}: zero-variance signals {flat} cannot be correlated")
 
-    gram = m.data @ m.data.T
-    rho = np.zeros_like(gram)
-    iu = np.triu_indices(n, k=1)
-    rho[iu] = np.clip(gram[iu], -1.0, 1.0)
+    rho = np.clip(np.triu(m.data @ m.data.T, 1), -1.0, 1.0)
     rho = rho + rho.T
     np.fill_diagonal(rho, 1.0)
     if mode == "one_minus_abs_rho":
@@ -51,6 +48,4 @@ def to_dissimilarity(m, mode="one_minus_abs_rho"):
         d = (1.0 - rho) / 2.0
     else:
         raise ValueError(f"unknown dissimilarity mode {mode!r}")
-    d = np.clip(d, 0.0, 1.0)
-    np.fill_diagonal(d, 0.0)
     return DissimilarityMatrix(signal_ids=tuple(m.signal_ids), d=d)

@@ -15,11 +15,12 @@ cluster representatives, where a cluster's representative is its minimum
 original leaf index. This makes results deterministic and permutation
 equivariant.
 
-The loop runs on an N x N numpy matrix: each merge is one masked argmin
-and one vectorised Lance-Williams row and column write, O(N^2) work in
-numpy per merge and no per-pair Python. Every height is the same float
-the plain pairwise loop computes, because each update uses the same
-operands in the same order.
+The loop runs on one exactly symmetric N x N numpy matrix with an inf
+diagonal (Mullner's stored-matrix scheme, arXiv:1109.2378): each merge is one
+argmin, whose first row-major minimum lies in the upper triangle, and one
+vectorised Lance-Williams row and column write; a merged-away slot's row and
+column are inf. Every height is the same float the plain pairwise loop
+computes, because each update uses the same operands in the same order.
 """
 
 import math
@@ -46,10 +47,12 @@ class Dendrogram(NamedTuple):
 
 
 def agglomerate(dm, linkage):
-    """Cluster a DissimilarityMatrix into a Dendrogram under the given linkage."""
+    """Cluster a DissimilarityMatrix, square, finite and exactly symmetric, into a Dendrogram under linkage."""
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     d = np.array(dm.d, dtype=float)
+    if d.ndim != 2 or not np.array_equal(d, d.T, equal_nan=True):
+        raise DataError(f"dissimilarity matrix of shape {d.shape} is not square and exactly symmetric")
     n = d.shape[0]
     if n < 2:
         raise DataError("need at least 2 signals to cluster")
@@ -57,19 +60,16 @@ def agglomerate(dm, linkage):
         raise DataError("non-finite dissimilarity")
 
     # A cluster lives in the slot of its representative, so slot order is
-    # representative order. d holds the Lance-Williams rows, inf towards
-    # merged-away slots; search is d's strict upper triangle, inf elsewhere,
-    # so its first row-major minimum is the least (height, rep_lo, rep_hi).
-    search = d.copy()
-    search[np.tril_indices(n)] = np.inf
-    active = np.ones(n, dtype=bool)
+    # representative order; d's first row-major minimum is the least
+    # (height, rep_lo, rep_hi), and rows and columns of merged-away slots are inf.
+    np.fill_diagonal(d, np.inf)
     sizes = np.ones(n, dtype=np.int64)
     nodes = list(range(n))
     merges = []
 
     for step in range(n - 1):
-        i, j = divmod(int(search.argmin()), n)
-        height = float(search[i, j])
+        i, j = divmod(int(d.argmin()), n)
+        height = float(d[i, j])
         if not math.isfinite(height):
             raise DataError(f"{linkage} linkage update overflowed at merge {step + 1}")
         n_i, n_j = int(sizes[i]), int(sizes[j])
@@ -87,13 +87,9 @@ def agglomerate(dm, linkage):
             new = (n_i * d_ik + n_j * d_jk) / (n_i + n_j)
         else:  # ward: size-weighted variance-increase form
             new = ((n_i + sizes) * d_ik + (n_j + sizes) * d_jk - sizes * d_ij) / (n_i + n_j + sizes)
-        active[i] = active[j] = False
-        new = np.where(active, new, np.inf)  # inf towards merged-away slots and i itself
-        active[i] = True
+        new[i] = np.inf
         d[i] = d[:, i] = new
-        search[i, i + 1:] = new[i + 1:]
-        search[:i, i] = new[:i]
-        search[j] = search[:, j] = np.inf
+        d[j] = d[:, j] = np.inf
         sizes[i] = n_i + n_j
         nodes[i] = n + step
 

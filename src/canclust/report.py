@@ -114,7 +114,7 @@ def conclude(config, sources, summaries):
         try:
             common_ids(summaries[a][1][0], summaries[b][1][0], config.allow_intersection)
         except DataError as exc:
-            named = (f"{roles[k]['capture_id']!r} ({roles[k]['source_path'] or 'in memory'})" for k in (a, b))
+            named = (f"{roles[k]['capture_id']!r} ({roles[k]['source_path'] or 'inline'})" for k in (a, b))
             raise DataError(f"captures {' and '.join(named)}: {exc}") from None
     params = config.params
 

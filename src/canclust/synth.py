@@ -22,13 +22,14 @@ across platforms and reimplementable in other languages.
 
 import json
 import math
+import numbers
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError, checked
-from .ingest import MAX_GRID_POINTS, RawSignal, SignalCapture
+from .ingest import MAX_ABS_VALUE, MAX_GRID_POINTS, RawSignal, SignalCapture
 
 _MASK = (1 << 64) - 1
 
@@ -100,14 +101,18 @@ class SynthSpec(NamedTuple):
     def _check(self):
         if self.n_groups < 1 or self.signals_per_group < 1:
             raise ValueError("need at least one group and one signal per group")
-        samples = self.duration_s * self.rate_hz  # checked before generate() builds an array of them
+        samples = self.duration_s * self.rate_hz  # both checked before generate() builds an array
         if not (2 <= samples <= MAX_GRID_POINTS):
             raise ValueError(f"capture must span 2 to {MAX_GRID_POINTS} samples, got {samples}")
+        if not self.n_groups * self.signals_per_group * samples <= MAX_GRID_POINTS:
+            raise ValueError(f"n_groups * signals_per_group * duration_s * rate_hz must be at most {MAX_GRID_POINTS}")
         if not (0.0 < self.intra_group_rho <= 1.0):
             raise ValueError("intra_group_rho must be in (0, 1]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        return self
+        if not (0.0 <= self.noise_sigma <= MAX_ABS_VALUE):  # a larger scale can overflow generate()
+            raise ValueError(f"noise_sigma must be in [0, {MAX_ABS_VALUE:.3g}], got {self.noise_sigma}")
+        if not (isinstance(self.seed, numbers.Integral) or isinstance(self.seed, float) and self.seed.is_integer()):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        return tuple.__new__(type(self), (*self[:-1], int(self.seed)))
 
 
 @checked

@@ -600,13 +600,13 @@ def test_extreme_option_values(tmp_path, capsys, monkeypatch, option):
     assert 0 in codes and 2 in codes
 
 
-@pytest.mark.parametrize("field", ["duration_s", "rate_hz"])
+@pytest.mark.parametrize("field", ["duration_s", "rate_hz", "noise_sigma", "seed"])
 def test_extreme_span_fields(tmp_path, capsys, field):
     spec = tmp_path / "spec.json"
     codes = []
     for value in EXTREMES:
         doc = synth_spec_doc(n_benign=1, attack=False)
-        doc["defaults"][field] = value
+        doc["captures"][0][field] = value  # an entry's fields override the defaults, its seed among them
         spec.write_text(json.dumps(doc))  # Infinity and NaN, as json writes them
         codes.append(assert_clean_exit(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")], capsys))
     assert 0 in codes and 2 in codes

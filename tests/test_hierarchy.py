@@ -106,6 +106,8 @@ MATRIX_KINDS = {
     "quantised": lambda rng, n: symmetric(rng.integers(0, 4, (n, n)) / 4.0),
     "all_equal": lambda rng, n: symmetric(np.full((n, n), 0.5)),
     "all_zero": lambda rng, n: np.zeros((n, n)),
+    # negative Lance-Williams operands beside the inf rows of merged-away slots
+    "negative": lambda rng, n: symmetric(rng.uniform(-1.0, 1.0, (n, n))),
 }
 
 
@@ -223,6 +225,13 @@ class TestStructure:
                 agglomerate(DissimilarityMatrix(("a", "b"), d), "single")
         with pytest.raises(ValueError):
             agglomerate(DissimilarityMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]])), "median")
+        # the upper triangle picks (b, c) at 0.3, and single linkage's update reads d[b, a] = 0.1 below it
+        asymmetric = np.array([[0.0, 0.5, 0.5], [0.1, 0.0, 0.3], [0.5, 0.5, 0.0]])
+        with pytest.raises(DataError, match="not square and exactly symmetric"):
+            agglomerate(DissimilarityMatrix(("a", "b", "c"), asymmetric), "single")
+        for shape in ((2, 3), (3,), (2, 2, 2)):
+            with pytest.raises(DataError, match="not square and exactly symmetric"):
+                agglomerate(DissimilarityMatrix(("a", "b"), np.zeros(shape)), "single")
 
     def test_rejects_overflowing_update(self):
         d = np.full((3, 3), 1e308)

@@ -237,6 +237,13 @@ class TestConfigValidation:
             run(RunConfig(), tuple(parse_capture(p) for p in paths))
         assert str(info.value) == f"duplicate capture_id 'x' ({paths[0]} and {paths[1]})"
 
+    def test_differing_element_sets_name_both_captures(self):
+        # in-memory captures are "inline" here as in the duplicate-id error
+        first, second = make_benign(2)
+        with pytest.raises(DataError) as info:
+            run(RunConfig(), (first, second._replace(signals=second.signals[1:])))
+        assert str(info.value).startswith("captures 'benign_0' (inline) and 'benign_1' (inline): element sets differ")
+
 
 class TestOneConfig:
     """The analysis parameters are RunConfig's fields; only write_outputs() writes."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from canclust.errors import DataError
-from canclust.ingest import RawSignal, parse_capture
+from canclust.ingest import MAX_ABS_VALUE, RawSignal, parse_capture
 from canclust.synth import (AttackSpec, SynthSpec, Xoshiro256StarStar, generate, inject,
                             pair_coupling, signal_id, write_wide_csv)
 
@@ -153,6 +153,10 @@ class TestGenerate:
             small_spec(duration_s=0.05)
         with pytest.raises(ValueError):
             small_spec(noise_sigma=-1.0)
+        for field, value in (("noise_sigma", math.inf), ("noise_sigma", math.nan), ("noise_sigma", 1e151),
+                             ("seed", math.inf), ("seed", math.nan), ("seed", 1 - 2 ** -53), ("seed", "7")):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                small_spec(**{field: value})
 
     @pytest.mark.parametrize("field", ["duration_s", "rate_hz"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, 1e12])
@@ -161,6 +165,21 @@ class TestGenerate:
         monkeypatch.setattr(np, "arange", None)
         with pytest.raises(ValueError, match="capture must span 2 to 10000000 samples"):
             small_spec(**{field: value})
+
+    def test_size_beyond_a_grid(self, monkeypatch):
+        # signals x samples is bounded too, before generate() builds a signal: 1000 signals of 10000 samples fit
+        monkeypatch.setattr(np, "arange", None)
+        small_spec(n_groups=1000, signals_per_group=1, duration_s=1000.0)
+        for groups, signals in ((1001, 1), (10 ** 9, 3), (2, 10 ** 9)):
+            with pytest.raises(ValueError, match=r"n_groups \* signals_per_group \* duration_s \* rate_hz "
+                                                 r"must be at most 10000000"):
+                small_spec(n_groups=groups, signals_per_group=signals, duration_s=1000.0)
+
+    def test_largest_noise_sigma_and_integral_float_seed(self):
+        assert small_spec(noise_sigma=MAX_ABS_VALUE).noise_sigma == MAX_ABS_VALUE
+        spec = small_spec(seed=7.0)
+        assert type(spec.seed) is int and spec == small_spec(seed=7)
+        assert generate(spec).capture_id == "synth_0000000000000007"
 
     def test_capture_id_override(self):
         assert generate(small_spec(), capture_id="run_7").capture_id == "run_7"
