@@ -7,26 +7,23 @@ with columns ``time,signal,value``. Files are UTF-8; a leading byte-order mark
 is skipped. Empty lines and lines whose first non-blank character is ``#`` are
 skipped; a line of blanks is a data line. Cells are split on commas, without
 CSV quoting: a header or data line that contains ``"`` raises ParseError naming
-its line (comment lines may contain anything). Time and value cells are read
-with Python's ``float()``.
+its line (comment lines may contain anything). Every cell is stripped with
+``str.strip()``; a time or value cell is then read with Python's ``float()``.
 
 A regular file is read by one call of numpy's C reader (``np.loadtxt``) on its
 path, which hands each numeral, stripped of blanks, to the conversion ``float()``
 uses, and each ``long_csv`` signal cell to a converter giving its signal's index.
-That call alone decodes the file: its bytes after the header are only scanned,
-and a ``"``, a comment line or U+001C-U+001F (blanks to the C reader, not to
-``float()``; each is one UTF-8 byte that no other character contains) declines
-it. A declined file, one the C reader refuses (a non-UTF-8 byte, which it finds
-as it decodes, a blank wide cell, a row of another cell count, an empty signal
-id, a numeral only ``float()`` reads, such as ``1_0``), one whose header line
-ends in a lone CR and one that is no regular file are read in blocks of
-BLOCK_CHARS characters finished at the end of their last line, each by the C
-reader once its comment lines are dropped and its empty wide cells written as
-``nan``. A block with a ``"`` or U+001C-U+001F, or with an empty cell and an
-``n`` or ``N`` (a literal ``nan`` the fill would hide), and one the C reader
-refuses are walked line by line with ``float()``, which names the first bad
-line as a row-by-row reader would. The cell strings of one block are the only
-per-cell Python objects alive at once.
+That call decides by reading: a file it refuses (a comment line, a ``"``, a byte
+that is not UTF-8, a blank wide cell, a row of another cell count, an empty
+signal id, a numeral only ``float()`` reads, such as ``1_0``) or finds no data
+line in, one whose header line ends in a lone CR and one that is no regular file
+are read in blocks of BLOCK_CHARS characters finished at the end of their last
+line. Each block is read by the C reader once its comment lines are dropped and
+its empty wide cells written as ``nan``. A block with an empty cell and an ``n``
+or ``N`` (a literal ``nan`` the fill would hide), and one the C reader refuses
+are walked line by line with ``float()``, which names the first bad line as a
+row-by-row reader would. The cell strings of one block are the only per-cell
+Python objects alive at once.
 
 Resampling puts every signal of a capture onto a shared uniform grid by
 linear interpolation (never extrapolation), drops constant signals, and
@@ -37,6 +34,7 @@ dot products downstream are exactly Pearson correlations.
 import io
 import os
 import re
+import warnings
 from itertools import chain, compress
 from pathlib import Path
 from typing import NamedTuple
@@ -48,9 +46,9 @@ from .errors import DataError, DegenerateCaptureError, InsufficientOverlapError,
 # relative float-noise tolerance for "this signal never moves"
 CONSTANT_TOL = 1e-12
 
-# most grid points one resampled capture may have: 10 million is 11.6 days at
-# 10 Hz or 27.8 hours at 100 Hz, far beyond any drive capture, and keeps a
-# corrupt timestamp from turning into a multi-GB (or impossible) allocation
+# most grid points one resampled capture may have, and most values (signals x grid points):
+# 10 million points is 11.6 days at 10 Hz or 27.8 hours at 100 Hz, far beyond any drive capture,
+# and 10 million values are 80 MB, so a corrupt timestamp cannot turn into a multi-GB allocation
 MAX_GRID_POINTS = 10_000_000
 
 # largest |value| a signal may hold: an interpolated value and a mean over n <= MAX_GRID_POINTS
@@ -67,14 +65,6 @@ BLOCK_CHARS = 1 << 16
 # str.lstrip() strips); re finds the literal newline fast, unlike a multi-line "^". The blanks
 # exclude the newline, so a run of k empty lines costs k steps, not k^2 / 2
 _COMMENT_LINE = r"\n[^\S\n]*#"
-
-# the same in bytes, whose \s is the ASCII blanks. re compiles each pattern on its first use,
-# which a file without '#' never makes
-_COMMENT_LINE_BYTES = rb"\n[^\S\n]*#"
-
-# what numpy's C reader may not read: '"', and U+001C-U+001F, blanks to it but not to float()
-_DECLINED = '"\x1c\x1d\x1e\x1f'
-_DECLINED_BYTES = tuple(map(str.encode, _DECLINED))
 
 _QUOTE_ERROR = "quote character '\"': cells are split on commas, without CSV quoting"
 
@@ -127,7 +117,7 @@ def _is_data(line):
 
 
 def _cells(line, ncols):
-    """(time, the ncols cells) of one data line, its time cell read as written; a ValueError says what is wrong."""
+    """(time, the ncols cells) of one data line; a ValueError says what is wrong."""
     if '"' in line:
         raise ValueError(_QUOTE_ERROR)
     cells = line.split(",")
@@ -138,15 +128,14 @@ def _cells(line, ncols):
 
 def _number(what, cell):
     try:
-        return float(cell)
+        return float(cell.strip())
     except ValueError:
         raise ValueError(f"non-numeric {what} {cell!r}") from None
 
 
 def _has_empty_cell(text):
     """Whether a line of newline-terminated text has an empty cell after its first: a ',' before a ',' or newline."""
-    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)  # ',' and '\n' are single utf-8 bytes
-    return bool(np.any((raw[:-1] == ord(",")) & ((raw[1:] == ord(",")) | (raw[1:] == ord("\n")))))
+    return ",," in text or ",\n" in text
 
 
 class _Wide:
@@ -211,9 +200,11 @@ class _Long(dict):
             raise ValueError("long_csv header must be 'time,signal,value'")
         self.signal_ids = {}  # signal id -> its index, in order of first appearance
 
-    def __missing__(self, cell):  # a signal cell not seen before registers its id; none is empty
+    def __missing__(self, cell):  # a signal cell not seen before registers its id; none is empty or quoted
         if not cell.strip():
             raise ValueError("empty signal id")
+        if '"' in cell:  # the one cell in which numpy's C reader would accept a quote
+            raise ValueError(_QUOTE_ERROR)
         self[cell] = index = self.signal_ids.setdefault(cell.strip(), len(self.signal_ids))
         return index
 
@@ -267,7 +258,7 @@ def _parse_block(layout, text, first_line, path):
         return n, None
     # a filled cell is no sample, so the fill would hide a literal nan, which is a non-finite value
     empty = isinstance(layout, _Wide) and _has_empty_cell(data)
-    if not (any(c in data for c in _DECLINED) or empty and ("n" in data or "N" in data)):
+    if not (empty and ("n" in data or "N" in data)):
         if empty:
             data = data.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
         try:
@@ -338,27 +329,17 @@ def _read_file(layout, fh, path, skip):
     """signals()' blocks of the lines after the first skip of the regular file fh, by layout.read's one
     numpy C-reader call on its path (numpy reads other input line by line), or None; fh is not moved.
     numpy decompresses a name ending in .bz2, .gz, .lzma or .xz, and may take a relative path for a URL.
-    The bytes after those lines are scanned in chunks: a declined byte or a comment line found returns None,
-    and no byte but CR and LF is no data line, which numpy would warn of. A comment line the pattern misses
-    (after a lone CR, or Unicode blanks) fails the C reader, as a byte that is not UTF-8 does. A file whose
-    header line ends in a lone CR is None: fh's position after it is no byte offset."""
+    None is also a file the C reader refuses or finds no data line in (it warns of that), and one whose
+    header line ends in a lone CR: fh's position after it is no byte offset."""
     if path.endswith((".bz2", ".gz", ".lzma", ".xz")) or not os.path.isfile(path):
         return None  # before fh.tell(), which a FIFO refuses
-    start, data, line_start = fh.tell(), False, True
-    if start >> 64:  # the text decoder holds a state there, as after a lone '\r'
+    if fh.tell() >> 64:  # the text decoder holds a state there, as after a lone '\r'
         return None
-    with open(path, "rb", buffering=0) as raw:
-        raw.seek(start)
-        while chunk := raw.read(BLOCK_CHARS):
-            if any(c in chunk for c in _DECLINED_BYTES) or b"#" in chunk and re.search(
-                    _COMMENT_LINE_BYTES, b"\n" + chunk if line_start else chunk):
-                return None
-            data = data or chunk.lstrip(b"\r\n") != b""
-            line_start = chunk.endswith(b"\n")
-    try:
-        return [layout.read(os.path.abspath(path), skip)] if data else []
-    except ValueError:  # a byte that is not UTF-8, or a line the C reader refuses
-        return None
+    with warnings.catch_warnings(action="error", category=UserWarning):
+        try:
+            return [layout.read(os.path.abspath(path), skip)]
+        except (ValueError, UserWarning):  # a line the C reader refuses, a byte that is not UTF-8, no data line
+            return None
 
 
 def parse_capture(path, format="wide_csv"):
@@ -408,7 +389,8 @@ def resample(capture, frequency_hz=10.0):
     The grid spans the intersection of the signals' observed windows at
     spacing 1/frequency_hz, so interpolation never extrapolates. Constant
     series are dropped; the rest are mean-centered and scaled to unit l2
-    norm. A value above MAX_ABS_VALUE in magnitude is a DataError.
+    norm. More than MAX_GRID_POINTS grid points or values (signals x grid
+    points), or a value above MAX_ABS_VALUE in magnitude, is a DataError.
     """
     if not (0.0 < frequency_hz < np.inf):
         raise ValueError("frequency_hz must be positive and finite")
@@ -428,6 +410,10 @@ def resample(capture, frequency_hz=10.0):
     if n_points < 2:
         raise InsufficientOverlapError(
             f"{capture.capture_id}: common window [{start}, {end}] holds fewer than 2 grid points at {frequency_hz} Hz")
+    n_values = len(capture.signals) * int(n_points)
+    if n_values > MAX_GRID_POINTS:
+        raise DataError(f"{capture.capture_id}: {len(capture.signals)} signals on {int(n_points)} grid points at "
+                        f"{frequency_hz} Hz need {n_values} values, more than the {MAX_GRID_POINTS} allowed")
     grid = start + np.arange(int(n_points)) * step
 
     for sig in capture.signals:  # before any arithmetic: the mean or the norm could overflow

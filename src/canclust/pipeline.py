@@ -24,7 +24,7 @@ class RunConfig(NamedTuple):
     """The analysis parameters, checked when built; report.json echoes these fields as its config."""
 
     frequency_hz: float = 10.0
-    linkages: tuple = ("single", "complete", "average", "ward")
+    linkages: tuple = LINKAGES
     r: float = -5.0
     alpha: float = 0.9
     significance: float = 0.05

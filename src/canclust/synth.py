@@ -99,20 +99,27 @@ class SynthSpec(NamedTuple):
     seed: int = 0
 
     def _check(self):
+        def integer(name):  # an integral float is kept as its int; a bool is not taken for one
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                               or isinstance(value, float) and value.is_integer()):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            return int(value)
+
+        self = tuple.__new__(type(self), (integer("n_groups"), integer("signals_per_group"), *self[2:6], integer("seed")))
         if self.n_groups < 1 or self.signals_per_group < 1:
             raise ValueError("need at least one group and one signal per group")
         samples = self.duration_s * self.rate_hz  # both checked before generate() builds an array
         if not (2 <= samples <= MAX_GRID_POINTS):
             raise ValueError(f"capture must span 2 to {MAX_GRID_POINTS} samples, got {samples}")
-        if not self.n_groups * self.signals_per_group * samples <= MAX_GRID_POINTS:
+        # the signal count capped first: an int past the largest float does not convert to one
+        if not min(self.n_groups * self.signals_per_group, MAX_GRID_POINTS + 1) * samples <= MAX_GRID_POINTS:
             raise ValueError(f"n_groups * signals_per_group * duration_s * rate_hz must be at most {MAX_GRID_POINTS}")
         if not (0.0 < self.intra_group_rho <= 1.0):
             raise ValueError("intra_group_rho must be in (0, 1]")
         if not (0.0 <= self.noise_sigma <= MAX_ABS_VALUE):  # a larger scale can overflow generate()
             raise ValueError(f"noise_sigma must be in [0, {MAX_ABS_VALUE:.3g}], got {self.noise_sigma}")
-        if not (isinstance(self.seed, numbers.Integral) or isinstance(self.seed, float) and self.seed.is_integer()):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        return tuple.__new__(type(self), (*self[:-1], int(self.seed)))
+        return self
 
 
 @checked

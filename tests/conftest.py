@@ -194,6 +194,7 @@ def list_agglomerate(dm, linkage):
 def loop_resample(capture, frequency_hz=10.0):
     """Oracle for ingest.resample: one signal at a time, each row built, tested and scaled on its own.
 
+    The grid, and the signals times its points, must stay within MAX_GRID_POINTS.
     Each signal's values are checked against MAX_ABS_VALUE just before it is
     interpolated; a row is constant when its range is below CONSTANT_TOL of
     max(1, |its maximum|); a kept row is centered by its mean and divided by
@@ -214,6 +215,10 @@ def loop_resample(capture, frequency_hz=10.0):
     if n_points < 2:
         raise InsufficientOverlapError(
             f"{capture.capture_id}: common window [{start}, {end}] holds fewer than 2 grid points at {frequency_hz} Hz")
+    n_values = len(capture.signals) * int(n_points)
+    if n_values > MAX_GRID_POINTS:
+        raise DataError(f"{capture.capture_id}: {len(capture.signals)} signals on {int(n_points)} grid points at "
+                        f"{frequency_hz} Hz need {n_values} values, more than the {MAX_GRID_POINTS} allowed")
     grid = start + np.arange(int(n_points)) * step
 
     kept_ids, rows, dropped = [], [], []
@@ -236,7 +241,8 @@ def loop_resample(capture, frequency_hz=10.0):
 
 
 # what a mutation inserts or puts in place of one character: the blanks U+001C-U+001F that numpy's C
-# reader strips and float() rejects, numerals and blanks that only float() reads, and line structure
+# reader and str.strip() strip and float() alone rejects, numerals and blanks that only float() reads,
+# and line structure
 MUTATION_TOKENS = ("\x1c", "\x1f", "1_0", "\u0663", "\xa0", "\u3000", "\x00", "\x0b", "#", '"', ",", "\n", " ")
 
 
@@ -255,7 +261,7 @@ def mutate(rnd, text):
 def csv_reader_signals(path, format="wide_csv"):
     """Oracle for ingest.parse_capture: the RawSignals of a file read row by row with csv.reader.
 
-    Every cell goes through float() on its own and each signal's (t, v)
+    Every numeric cell goes through float(cell.strip()) on its own and each signal's (t, v)
     tuples are sorted by time; the errors are those parse_capture raises.
     Cells are split on commas only: a header or data line holding '"' is an error.
     """
@@ -263,7 +269,7 @@ def csv_reader_signals(path, format="wide_csv"):
 
     def parse_float(cell, lineno, what):
         try:
-            return float(cell)
+            return float(cell.strip())
         except ValueError:
             raise ParseError(f"non-numeric {what} {cell!r}", path=path, line=lineno) from None
 

@@ -600,16 +600,26 @@ def test_extreme_option_values(tmp_path, capsys, monkeypatch, option):
     assert 0 in codes and 2 in codes
 
 
-@pytest.mark.parametrize("field", ["duration_s", "rate_hz", "noise_sigma", "seed"])
+@pytest.mark.parametrize("field", ["duration_s", "rate_hz", "noise_sigma", "seed", "n_groups", "signals_per_group"])
 def test_extreme_span_fields(tmp_path, capsys, field):
     spec = tmp_path / "spec.json"
-    codes = []
-    for value in EXTREMES:
+
+    def argv(value):
         doc = synth_spec_doc(n_benign=1, attack=False)
         doc["captures"][0][field] = value  # an entry's fields override the defaults, its seed among them
+        if field in ("n_groups", "signals_per_group"):  # 2 s at 10 Hz: 700 groups of 3 signals stay quick to build
+            doc["captures"][0]["duration_s"] = 2.0
         spec.write_text(json.dumps(doc))  # Infinity and NaN, as json writes them
-        codes.append(assert_clean_exit(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")], capsys))
+        return ["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]
+
+    codes = [assert_clean_exit(argv(value), capsys) for value in EXTREMES]
     assert 0 in codes and 2 in codes
+    if field in ("seed", "n_groups", "signals_per_group"):
+        # an integral float is the integer; a fraction, a string or a bool is a config error naming the field
+        assert main(argv(3.0)) == 0
+        for value in (2.5, "3", True):
+            assert main(argv(value)) == 2
+            assert capsys.readouterr().err.endswith(f": {field} must be an integer, got {value!r}\n")
 
 
 def same_capture(a, b):

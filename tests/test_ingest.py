@@ -2,6 +2,7 @@ import os
 import random
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -543,12 +544,25 @@ class TestWideBlocks:
         expected = self.same_outcome(tmp_path, lines)
         assert np.frombuffer(expected[1][2], dtype=float)[149] == 7.5
 
-    def test_time_read_as_written(self, tmp_path):
-        # ... but reads the time cell as written, so the same cell there is a bad time
+    @pytest.mark.parametrize("route", ["whole_file", "blocks", "walk"])
+    def test_time_read_as_stripped(self, tmp_path, monkeypatch, route):
+        # ... and so does a time cell, as numpy's C reader strips its blanks: the same time on every route
         lines = dense_lines(random.Random(23), 300)
-        lines[150] = ",".join(["\x1c7.5", ""] + lines[150].split(",")[2:])
+        cells = lines[150].split(",")
+        cells[0] = f"\x1c{cells[0]}\x1f"
+        if route == "walk":  # a cell of only blanks, which the C reader refuses, sends the block to the walk
+            cells[3] = " "
+        lines[150] = ",".join(cells)
+        if route == "blocks":
+            monkeypatch.setattr(ingest, "_read_file", lambda *args: None)
+        reads = spy_read_file(monkeypatch)
+        walked = []
+        walk = ingest._walk
+        monkeypatch.setattr(ingest, "_walk", lambda *args: walked.append(args[1]) or walk(*args))
         expected = self.same_outcome(tmp_path, lines)
-        assert expected[1:] == (f"{tmp_path / 'cap.csv'}:151: non-numeric time '\\x1c7.5'", 151)
+        assert np.frombuffer(expected[0][1], dtype=float)[149] == 149 / 64 + 3.0
+        assert reads == ([str(tmp_path / "cap.csv")] if route != "blocks" else [])
+        assert [lines[150] in text for text in walked] == ([True] if route == "walk" else [])
 
     def test_every_row_one_cell_too_many(self, tmp_path):
         # rows of equal length, so numpy's C reader reads them as a table, one column too wide
@@ -608,7 +622,8 @@ class TestWholeFileRead:
         ("wide_csv", lambda rnd: dense_lines(rnd, 600, n_signals=128)),
     ], ids=["road_long", "dense_wide"])
     def test_decoded_once_by_numpy(self, tmp_path, monkeypatch, layout, lines_of):
-        # the bytes after the header are scanned, not decoded to text: numpy's one read decodes them
+        # numpy's one read of the path decodes the file; a comment line after the header makes that read
+        # fail, and the block route reads the file afresh
         lines = lines_of(random.Random(0))
         calls = []
 
@@ -630,8 +645,8 @@ class TestWholeFileRead:
             assert isinstance(got, list) and got == expected, name
             if name in ("plain", "note_first"):  # one C read of the file, whatever precedes its header
                 assert calls == ["loadtxt"] and reads == [str(path)], name
-            else:  # the scan finds the comment line: numpy never reads the path
-                assert calls[0] == "_blocks" and reads == [], name
+            else:  # one refused C read of the path, then the block route
+                assert calls[:2] == ["loadtxt", "_blocks"] and reads == [str(path)], name
 
     @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
     def test_lone_cr_line_ends(self, tmp_path, monkeypatch, layout):
@@ -651,6 +666,23 @@ class TestWholeFileRead:
             reads.clear()
             assert outcome(block_parser, path, layout) == (DataError, f"{path}: capture contains no signals", None)
             assert reads == [], tail
+
+    @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_no_data_line(self, tmp_path, monkeypatch, layout, eol):
+        # numpy's C reader warns of a file with no data line: the whole-file read takes that warning, raised
+        # or not, as a refusal, so none escapes, and the block route finds no signals
+        header = "time,signal,value" if layout == "long_csv" else "time,a,b"
+        path = tmp_path / "cap.csv"
+        path.write_bytes((header + eol * 2).encode())  # more CRLF empty lines leave fh.tell() no byte offset
+        reads = spy_read_file(monkeypatch)
+        for action in ("error", "always"):
+            reads.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                got = outcome(block_parser, path, layout)
+            assert got == (DataError, f"{path}: capture contains no signals", None), action
+            assert reads == [str(path)] and caught == [], action
 
     @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
@@ -695,24 +727,25 @@ class TestWholeFileRead:
                                        "quote@chunk_start", "quote@chunk_end", "quote@after_e_acute",
                                        "blank_1c@chunk_start", "blank_1c@chunk_end", "blank_1c@after_e_acute"])
     def test_late_fault_declines_whole_file(self, tmp_path, monkeypatch, layout, fault):
-        # a fault in the last line sends the whole file to the block route, which starts afresh; a fault
-        # byte at the first or last byte of a scanned chunk, or after a 2-byte character straddling two
-        # chunks, is declined by the byte scan before numpy reads the file
+        # a fault in the last line sends the whole file to the block route, which starts afresh, and so does
+        # a quote at the first or last byte of a BLOCK_CHARS span after the header, or after a 2-byte character
+        # straddling two spans; a '\x1c' beside a cell is a blank to numpy's C reader and to str.strip(), so
+        # the whole-file read reads the file
         rnd = random.Random(f"{layout}-{fault}")
         lines = dense_lines(rnd, 3000) if layout == "wide_csv" else capture_lines(rnd, layout, 3000)
         if "@" in fault:
             byte = {"quote": b'"', "blank_1c": b"\x1c"}[fault.split("@")[0]]
             raw = "\n".join(lines).encode() + b"\n"
-            at = len(lines[0]) + 1 + BLOCK_CHARS  # the first byte of the second chunk after the header
+            at = len(lines[0]) + 1 + BLOCK_CHARS  # the first byte of the second span after the header
             at, byte = {"chunk_start": (at, byte), "chunk_end": (at - 1, byte),
                         "after_e_acute": (at - 1, "\xe9".encode() + byte)}[fault.split("@")[1]]
             path = tmp_path / "cap.csv"
             path.write_bytes(raw[:at] + byte + raw[at:])
             assert path.read_bytes().index(byte) == at
-            reads = spy_read_file(monkeypatch)
             blocks = spy_blocks(monkeypatch)
-            assert outcome(block_parser, path, layout) == outcome(csv_reader_signals, path, layout)
-            assert reads == [] and blocks
+            expected = outcome(csv_reader_signals, path, layout)
+            assert outcome(block_parser, path, layout) == expected
+            assert bool(blocks) == isinstance(expected, tuple)  # a '\x1c' inside a numeral is a bad cell
             return
         cells = lines[-1].split(",")
         if fault == "comment":
@@ -734,7 +767,8 @@ class TestWholeFileRead:
             expected = (ParseError, f"{path}:{len(lines) + 1}: not UTF-8 text (invalid start byte)", len(lines) + 1)
         else:
             expected = outcome(csv_reader_signals, path, layout)
-        assert outcome(block_parser, path, layout) == expected and blocks
+        assert outcome(block_parser, path, layout) == expected
+        assert bool(blocks) == (fault != "blank_1c")
 
 
 class TestEmptySignalId:
@@ -924,16 +958,31 @@ class TestResample:
                                 RawSignal("b", [-end, end], [1.0, 0.0])])
             with pytest.raises(DataError, match="grid points"):
                 resample(cap, 10.0)
-        # the cap itself is allowed, one point more is not
+        # the cap itself is allowed, one point or value (signals x grid points) more is not
         monkeypatch.setattr(ingest, "MAX_GRID_POINTS", 50)
-        for end, ok in ((4.9, True), (5.0, False)):
+        for signals, end, error in ((1, 4.9, None), (1, 5.0, "needs 51 grid points at 10.0 Hz, more than the 50"),
+                                    (2, 2.4, None), (2, 2.5, "2 signals on 26 grid points at 10.0 Hz need 52 values")):
             cap = make_capture([RawSignal("a", [0.0, end], [0.0, 1.0]),
-                                RawSignal("b", [0.0, end], [1.0, 0.0])])
-            if ok:
-                assert resample(cap, 10.0).grid.size == 50
+                                RawSignal("b", [0.0, end], [1.0, 0.0])][:signals])
+            if error is None:
+                assert resample(cap, 10.0).data.size == 50
             else:
-                with pytest.raises(DataError, match="more than the 50 allowed"):
+                with pytest.raises(DataError, match=error):
                     resample(cap, 10.0)
+
+    def test_value_cap_before_allocation(self, tmp_path):
+        # three rows of four signals span 9,990,001 grid points at 10 Hz, within the grid-point cap, but
+        # 4 x 9,990,001 values, 320 MB, are not: the capture is refused before any grid-sized array exists
+        cap = parse_capture(write(tmp_path, "time,a,b,c,d\n0,1,2,3,4\n500000,2,3,4,1\n999000,3,1,2,4\n"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=r"^cap: 4 signals on 9990001 grid points at 10.0 Hz need 39960004 "
+                                                r"values, more than the 10000000 allowed$"):
+                resample(cap, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_value_limit(self):
         # at the limit the mean and the norm of a full grid stay finite; beyond it, a value is rejected first
