@@ -19,8 +19,6 @@ from .hierarchy import LINKAGES
 from .ingest import parse_capture
 from .pipeline import RunConfig, fan_out, summarize
 
-DISSIMILARITY_ALIASES = {"abs": "one_minus_abs_rho", "signed": "half_one_minus_rho"}
-
 
 def _expand(pattern):
     import glob  # only analyze expands patterns
@@ -53,10 +51,8 @@ def _add_shared(parser):
     parser.add_argument("--alpha", dest="alpha", type=float, default=argparse.SUPPRESS,
                         help="diffusion continuation probability")
     parser.add_argument("--format", choices=["wide_csv", "long_csv"], default="wide_csv")
-    # type= resolves the alias before argparse checks choices
     parser.add_argument("--dissimilarity", dest="dissimilarity", default=argparse.SUPPRESS,
-                        choices=sorted((*DISSIMILARITY_ALIASES, *DISSIMILARITIES)),
-                        type=lambda s: DISSIMILARITY_ALIASES.get(s, s), help="correlation-to-distance transform")
+                        choices=DISSIMILARITIES, help="correlation-to-distance transform")
     parser.add_argument("--allow-intersection", dest="allow_intersection", action="store_true",
                         default=argparse.SUPPRESS, help="compare captures on their common signals when pruning differs")
 

@@ -183,8 +183,8 @@ def _solve_next(queue, params):
     trees = [dend if dend.n_leaves == n else restrict(dend, order) for _key, dend, order in stack]
     solved = {}
     for (key, _dend, _order), tree, p in zip(stack, trees, _affinities(trees, params)):
-        # rows and columns in id order; take keeps the matrix C-ordered, and the row
-        # sums of similarities() depend on that layout down to the last bit
+        # rows and columns in id order: the identity on a pipeline tree (resample sorts its leaves) but not on one
+        # built by hand; relabelling a tree instead would change its solve's bits. take keeps the row sums' C order
         idx = np.array(sorted(range(n), key=tree.leaf_ids.__getitem__))
         solved[key] = p.take(idx, 0).take(idx, 1)
     return solved

@@ -10,10 +10,9 @@ Ward's update is applied to the supplied dissimilarities directly (treating
 them as squared-Euclidean surrogates) and heights are recorded raw; the
 similarity stage only consumes relative depth, so the scale does not matter.
 
-Ties at the minimum are broken by the lexicographically smallest pair of
-cluster representatives, where a cluster's representative is its minimum
-original leaf index. This makes results deterministic and permutation
-equivariant.
+Ties at the minimum go to the lexicographically smallest pair of cluster representatives (a cluster's
+smallest leaf index): deterministic, but not invariant to a permutation of the leaves. ingest.resample
+puts the leaves in signal-id order, so a tie goes to the smallest ids whatever the order of a file.
 
 The loop runs on one exactly symmetric N x N numpy matrix with an inf
 diagonal (Mullner's stored-matrix scheme, arXiv:1109.2378): each merge is one

@@ -25,10 +25,10 @@ are walked line by line with ``float()``, which names the first bad line as a
 row-by-row reader would. The cell strings of one block are the only per-cell
 Python objects alive at once.
 
-Resampling puts every signal of a capture onto a shared uniform grid by
-linear interpolation (never extrapolation), drops constant signals, and
-normalizes each remaining series to zero mean and unit l2 norm so that row
-dot products downstream are exactly Pearson correlations.
+Resampling puts every signal of a capture, in signal-id order, onto a shared
+uniform grid by linear interpolation (never extrapolation), drops constant
+signals, and normalizes each remaining series to zero mean and unit l2 norm so
+that row dot products downstream are exactly Pearson correlations.
 """
 
 import io
@@ -386,19 +386,20 @@ def parse_capture(path, format="wide_csv"):
 def resample(capture, frequency_hz=10.0):
     """Resample all signals of a capture onto a shared uniform grid.
 
-    The grid spans the intersection of the signals' observed windows at
-    spacing 1/frequency_hz, so interpolation never extrapolates. Constant
-    series are dropped; the rest are mean-centered and scaled to unit l2
-    norm. More than MAX_GRID_POINTS grid points or values (signals x grid
-    points), or a value above MAX_ABS_VALUE in magnitude, is a DataError.
+    The signals are taken in signal-id order, whatever the order of capture.signals, so the rows,
+    signal_ids and dropped_constant are in id order. The grid spans the intersection of the signals'
+    observed windows at spacing 1/frequency_hz, so interpolation never extrapolates. Constant series are
+    dropped; the rest are mean-centered and scaled to unit l2 norm. More than MAX_GRID_POINTS grid points
+    or values (signals x grid points), or a value above MAX_ABS_VALUE in magnitude, is a DataError.
     """
     if not (0.0 < frequency_hz < np.inf):
         raise ValueError("frequency_hz must be positive and finite")
-    if not capture.signals:
+    signals = sorted(capture.signals, key=lambda sig: sig.signal_id)
+    if not signals:
         raise DataError(f"{capture.capture_id}: empty capture")
 
-    start = max(float(s.timestamps[0]) for s in capture.signals)
-    end = min(float(s.timestamps[-1]) for s in capture.signals)
+    start = max(float(s.timestamps[0]) for s in signals)
+    end = min(float(s.timestamps[-1]) for s in signals)
     step = 1.0 / frequency_hz
     # small slack so an exactly-fitting endpoint is not lost to float noise;
     # kept as a float until capped, since a corrupt span may not fit an int
@@ -410,18 +411,18 @@ def resample(capture, frequency_hz=10.0):
     if n_points < 2:
         raise InsufficientOverlapError(
             f"{capture.capture_id}: common window [{start}, {end}] holds fewer than 2 grid points at {frequency_hz} Hz")
-    n_values = len(capture.signals) * int(n_points)
+    n_values = len(signals) * int(n_points)
     if n_values > MAX_GRID_POINTS:
-        raise DataError(f"{capture.capture_id}: {len(capture.signals)} signals on {int(n_points)} grid points at "
+        raise DataError(f"{capture.capture_id}: {len(signals)} signals on {int(n_points)} grid points at "
                         f"{frequency_hz} Hz need {n_values} values, more than the {MAX_GRID_POINTS} allowed")
     grid = start + np.arange(int(n_points)) * step
 
-    for sig in capture.signals:  # before any arithmetic: the mean or the norm could overflow
+    for sig in signals:  # before any arithmetic: the mean or the norm could overflow
         if np.abs(sig.values).max() > MAX_ABS_VALUE:
             raise DataError(f"{capture.capture_id}: signal {sig.signal_id!r} holds a value of magnitude "
                             f"above {MAX_ABS_VALUE:.3g}, the most allowed")
-    data = np.empty((len(capture.signals), grid.size))
-    for k, sig in enumerate(capture.signals):
+    data = np.empty((len(signals), grid.size))
+    for k, sig in enumerate(signals):
         data[k] = np.interp(grid, sig.timestamps, sig.values)
     vmax = data.max(axis=1)
     constant = vmax - data.min(axis=1) < CONSTANT_TOL * np.maximum(1.0, np.abs(vmax))
@@ -432,6 +433,6 @@ def resample(capture, frequency_hz=10.0):
     data -= data.mean(axis=1, keepdims=True)
     # each row's norm is the BLAS dot np.linalg.norm takes of a vector, which a batched sum would not match
     data /= np.sqrt([row.dot(row) for row in data])[:, None]
-    ids = [sig.signal_id for sig in capture.signals]
+    ids = [sig.signal_id for sig in signals]
     return SignalMatrix(capture_id=capture.capture_id, signal_ids=tuple(compress(ids, ~constant)),
                         grid=grid, data=data, dropped_constant=tuple(compress(ids, constant)))

@@ -23,6 +23,7 @@ across platforms and reimplementable in other languages.
 import json
 import math
 import numbers
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -109,6 +110,9 @@ class SynthSpec(NamedTuple):
         self = tuple.__new__(type(self), (integer("n_groups"), integer("signals_per_group"), *self[2:6], integer("seed")))
         if self.n_groups < 1 or self.signals_per_group < 1:
             raise ValueError("need at least one group and one signal per group")
+        for name in ("duration_s", "rate_hz"):  # an int past the largest float would overflow their product
+            if isinstance(value := getattr(self, name), numbers.Integral) and abs(value) > sys.float_info.max:
+                raise ValueError(f"{name} must be at most {sys.float_info.max:.3g} in magnitude")
         samples = self.duration_s * self.rate_hz  # both checked before generate() builds an array
         if not (2 <= samples <= MAX_GRID_POINTS):
             raise ValueError(f"capture must span 2 to {MAX_GRID_POINTS} samples, got {samples}")

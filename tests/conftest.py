@@ -192,7 +192,7 @@ def list_agglomerate(dm, linkage):
 
 
 def loop_resample(capture, frequency_hz=10.0):
-    """Oracle for ingest.resample: one signal at a time, each row built, tested and scaled on its own.
+    """Oracle for ingest.resample: one signal at a time in signal-id order, each row built, tested and scaled alone.
 
     The grid, and the signals times its points, must stay within MAX_GRID_POINTS.
     Each signal's values are checked against MAX_ABS_VALUE just before it is
@@ -202,10 +202,11 @@ def loop_resample(capture, frequency_hz=10.0):
     """
     if not (0.0 < frequency_hz < np.inf):
         raise ValueError("frequency_hz must be positive and finite")
-    if not capture.signals:
+    signals = sorted(capture.signals, key=lambda sig: sig.signal_id)  # the order resample's rows are in
+    if not signals:
         raise DataError(f"{capture.capture_id}: empty capture")
-    start = max(float(s.timestamps[0]) for s in capture.signals)
-    end = min(float(s.timestamps[-1]) for s in capture.signals)
+    start = max(float(s.timestamps[0]) for s in signals)
+    end = min(float(s.timestamps[-1]) for s in signals)
     step = 1.0 / frequency_hz
     n_points = np.floor((end - start) / step + 1e-9) + 1
     if n_points > MAX_GRID_POINTS:
@@ -215,14 +216,14 @@ def loop_resample(capture, frequency_hz=10.0):
     if n_points < 2:
         raise InsufficientOverlapError(
             f"{capture.capture_id}: common window [{start}, {end}] holds fewer than 2 grid points at {frequency_hz} Hz")
-    n_values = len(capture.signals) * int(n_points)
+    n_values = len(signals) * int(n_points)
     if n_values > MAX_GRID_POINTS:
-        raise DataError(f"{capture.capture_id}: {len(capture.signals)} signals on {int(n_points)} grid points at "
+        raise DataError(f"{capture.capture_id}: {len(signals)} signals on {int(n_points)} grid points at "
                         f"{frequency_hz} Hz need {n_values} values, more than the {MAX_GRID_POINTS} allowed")
     grid = start + np.arange(int(n_points)) * step
 
     kept_ids, rows, dropped = [], [], []
-    for sig in capture.signals:
+    for sig in signals:
         if np.max(np.abs(sig.values)) > MAX_ABS_VALUE:
             raise DataError(f"{capture.capture_id}: signal {sig.signal_id!r} holds a value of magnitude "
                             f"above {MAX_ABS_VALUE:.3g}, the most allowed")

@@ -920,6 +920,19 @@ class TestResample:
             r2 = m2.data[m2.signal_ids.index(sid)]
             assert np.array_equal(r1, r2)
 
+    def test_signals_in_id_order_whatever_their_order(self):
+        # rows, signal_ids and dropped_constant come out in id order, the same bits for any order of the signals
+        rnd = random.Random(0)
+        ts = np.arange(60) / 10.0
+        signals = [RawSignal(f"s{k}", ts, np.full(60, 1.5) if k % 4 == 1 else np.sin(ts * (k + 1)) + k)
+                   for k in range(12)]
+        expected = resampled(resample, make_capture(signals), 10.0)
+        assert expected[1] == ("s0", "s10", "s11", "s2", "s3", "s4", "s6", "s7", "s8")
+        assert expected[2] == ("s1", "s5", "s9")
+        for _ in range(5):
+            rnd.shuffle(signals)
+            assert resampled(resample, make_capture(signals), 10.0) == expected
+
     def test_intersection_window(self):
         cap = make_capture([
             RawSignal("a", [0.0, 5.0], [0.0, 5.0]),

@@ -1,6 +1,7 @@
 import builtins
 import json
 import os
+import random
 from itertools import combinations
 
 import numpy as np
@@ -450,6 +451,53 @@ class TestFileInputs:
             summarize(flat, RunConfig())
         assert str(info.value) == "flat: all signals constant on the common grid"
         assert info.value.__cause__ is None and info.value.__context__ is None
+
+
+def with_copies(seed, capture_id):
+    """A 16-signal capture with three exact copies of its first signal, and two constant signals first in file order."""
+    cap = generate(SynthSpec(n_groups=4, signals_per_group=4, duration_s=60.0, rate_hz=10.0, seed=seed),
+                   capture_id=capture_id)
+    first, ts = cap.signals[0], cap.signals[0].timestamps
+    copies = tuple(first._replace(signal_id=f"{first.signal_id}_copy{k}") for k in range(3))
+    flats = tuple(RawSignal(sid, ts, np.full(ts.size, 2.5)) for sid in ("ID_1FF_flat", "ID_0FF_flat"))
+    return cap._replace(signals=flats + cap.signals + copies)
+
+
+def write_capture(capture, path, format):
+    """capture as a wide_csv or long_csv file, its signals in capture order (a long file's first appearance)."""
+    if format == "wide_csv":
+        return write_wide_csv(capture, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("time,signal,value\n")
+        for k, t in enumerate(capture.signals[0].timestamps):
+            fh.writelines(f"{float(t)!r},{sig.signal_id},{float(sig.values[k])!r}\n" for sig in capture.signals)
+
+
+class TestSignalOrder:
+    @pytest.mark.parametrize("format", ["wide_csv", "long_csv"])
+    def test_report_independent_of_file_signal_order(self, tmp_path, monkeypatch, format):
+        # exact copies tie in every linkage, so leaves in file order would let the file's order pick the tree
+        benign = [with_copies(100 + i, f"benign_{i}") for i in range(12)]
+        shuffled = [with_copies(200 + i, f"shuffled_{i}") for i in range(3)]
+        rnd = random.Random(0)
+        reports = []
+        for name in ("as_generated", "permuted"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)  # relative paths, so the two reports name the same sources
+            for cap in benign + shuffled:
+                signals = list(cap.signals)
+                if name == "permuted" or cap.capture_id.startswith("shuffled"):
+                    rnd.shuffle(signals)
+                write_capture(cap._replace(signals=tuple(signals)), f"{cap.capture_id}.csv", format)
+            assert main(["analyze", "--benign", "benign_*.csv", "--attack", "shuffled=shuffled_*.csv",
+                         "--format", format, "--out", "out"]) == 0
+            reports.append((tmp_path / name / "out" / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert {tuple(d["dropped_constant"]) for d in report["diagnostics"]} == {("ID_0FF_flat", "ID_1FF_flat")}
+        # a shuffled benign capture is benign: no linkage flags it
+        assert [r["significant"] for r in report["results"]] == [False] * 4
+
 
 class TestVerdict:
     def test_tally_lines(self, small_report):
