@@ -23,8 +23,8 @@ def main():
     print("2. injecting a correlated-break attack into 3 fresh captures")
     targets = tuple(signal_id(0, j) for j in range(4))
     attack = AttackSpec("correlated_break", targets, start_s=0.0, end_s=60.0)
-    attacked = tuple(inject(generate(SynthSpec(seed=100 + i, **SPEC),
-                                     capture_id=f"attacked_{i}"), attack, seed=200 + i)
+    attacked = tuple(inject(generate(SynthSpec(seed=100 + i, **SPEC), capture_id=f"attacked_{i}"),
+                            attack._replace(seed=200 + i))
                      for i in range(3))
     print(f"   targets: {', '.join(targets)}")
 

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the toolkit, and checked(), for records that raise it when built.
+"""Exception hierarchy shared across the toolkit, checked(), for records that raise it when built, and is_name().
 
 ConfigError maps to CLI exit code 2, DataError to exit code 3.
 """
+
+import re
 
 
 def checked(fields):
@@ -17,6 +19,12 @@ def checked(fields):
     return type(fields.__name__, (fields,), {"__slots__": (), "__new__": __new__, "__doc__": fields.__doc__,
                                             "__module__": fields.__module__,
                                             "_make": classmethod(lambda cls, iterable: cls(*iterable))})
+
+
+def is_name(text):
+    """Whether text is a string of letters, digits, '_', '-' and '.': a name that can stand in a file name
+    without leaving its directory, as an attack kind and a synthetic capture's id do."""
+    return isinstance(text, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", text) is not None
 
 
 class CanclustError(Exception):

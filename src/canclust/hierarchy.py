@@ -46,13 +46,16 @@ class Dendrogram(NamedTuple):
 
 
 def agglomerate(dm, linkage):
-    """Cluster a DissimilarityMatrix, square, finite and exactly symmetric, into a Dendrogram under linkage."""
+    """Cluster a DissimilarityMatrix, square, finite, exactly symmetric and with one signal id per row, into a
+    Dendrogram under linkage."""
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     d = np.array(dm.d, dtype=float)
     if d.ndim != 2 or not np.array_equal(d, d.T, equal_nan=True):
         raise DataError(f"dissimilarity matrix of shape {d.shape} is not square and exactly symmetric")
     n = d.shape[0]
+    if len(dm.signal_ids) != n:
+        raise DataError(f"{len(dm.signal_ids)} signal ids for a dissimilarity matrix of {n} signals")
     if n < 2:
         raise DataError("need at least 2 signals to cluster")
     if not np.all(np.isfinite(d)):

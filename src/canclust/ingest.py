@@ -16,14 +16,13 @@ uses, and each ``long_csv`` signal cell to a converter giving its signal's index
 That call decides by reading: a file it refuses (a comment line, a ``"``, a byte
 that is not UTF-8, a blank wide cell, a row of another cell count, an empty
 signal id, a numeral only ``float()`` reads, such as ``1_0``) or finds no data
-line in, one whose header line ends in a lone CR and one that is no regular file
-are read in blocks of BLOCK_CHARS characters finished at the end of their last
-line. Each block is read by the C reader once its comment lines are dropped and
-its empty wide cells written as ``nan``. A block with an empty cell and an ``n``
-or ``N`` (a literal ``nan`` the fill would hide), and one the C reader refuses
-are walked line by line with ``float()``, which names the first bad line as a
-row-by-row reader would. The cell strings of one block are the only per-cell
-Python objects alive at once.
+line in, and one that is no regular file, are read in blocks of BLOCK_CHARS
+characters finished at the end of their last line. Each block is read by the C
+reader once its comment lines are dropped and its empty wide cells written as
+``nan``. A block with an empty cell and an ``n`` or ``N`` (a literal ``nan`` the
+fill would hide), and one the C reader refuses are walked line by line with
+``float()``, which names the first bad line as a row-by-row reader would. The
+cell strings of one block are the only per-cell Python objects alive at once.
 
 Resampling puts every signal of a capture, in signal-id order, onto a shared
 uniform grid by linear interpolation (never extrapolation), drops constant
@@ -328,12 +327,10 @@ def _blocks(fh):
 def _read_file(layout, fh, path, skip):
     """signals()' blocks of the lines after the first skip of the regular file fh, by layout.read's one
     numpy C-reader call on its path (numpy reads other input line by line), or None; fh is not moved.
-    numpy decompresses a name ending in .bz2, .gz, .lzma or .xz, and may take a relative path for a URL.
-    None is also a file the C reader refuses or finds no data line in (it warns of that), and one whose
-    header line ends in a lone CR: fh's position after it is no byte offset."""
+    numpy opens the path afresh with universal newlines, as fh was opened, so a lone CR ends a line in
+    both. numpy decompresses a name ending in .bz2, .gz, .lzma or .xz, and may take a relative path for a URL.
+    None is also a file the C reader refuses or finds no data line in (it warns of that)."""
     if path.endswith((".bz2", ".gz", ".lzma", ".xz")) or not os.path.isfile(path):
-        return None  # before fh.tell(), which a FIFO refuses
-    if fh.tell() >> 64:  # the text decoder holds a state there, as after a lone '\r'
         return None
     with warnings.catch_warnings(action="error", category=UserWarning):
         try:
@@ -355,7 +352,7 @@ def parse_capture(path, format="wide_csv"):
     try:
         # universal newlines: '\r\n' and '\r' end lines too; a leading byte-order mark is skipped
         with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(iter(fh.readline, ""), start=1):  # next(fh) would disable fh.tell()
+            for lineno, line in enumerate(fh, start=1):
                 if _is_data(line.rstrip("\n")):
                     break
             else:
@@ -387,16 +384,20 @@ def resample(capture, frequency_hz=10.0):
     """Resample all signals of a capture onto a shared uniform grid.
 
     The signals are taken in signal-id order, whatever the order of capture.signals, so the rows,
-    signal_ids and dropped_constant are in id order. The grid spans the intersection of the signals'
-    observed windows at spacing 1/frequency_hz, so interpolation never extrapolates. Constant series are
-    dropped; the rest are mean-centered and scaled to unit l2 norm. More than MAX_GRID_POINTS grid points
-    or values (signals x grid points), or a value above MAX_ABS_VALUE in magnitude, is a DataError.
+    signal_ids and dropped_constant are in id order; an id that two signals share is a DataError. The
+    grid spans the intersection of the signals' observed windows at spacing 1/frequency_hz, so
+    interpolation never extrapolates. Constant series are dropped; the rest are mean-centered and scaled
+    to unit l2 norm. More than MAX_GRID_POINTS grid points or values (signals x grid points), or a value
+    above MAX_ABS_VALUE in magnitude, is a DataError.
     """
     if not (0.0 < frequency_hz < np.inf):
         raise ValueError("frequency_hz must be positive and finite")
     signals = sorted(capture.signals, key=lambda sig: sig.signal_id)
     if not signals:
         raise DataError(f"{capture.capture_id}: empty capture")
+    ids = [sig.signal_id for sig in signals]
+    if (repeated := next((a for a, b in zip(ids, ids[1:]) if a == b), None)) is not None:  # sorted: adjacent
+        raise DataError(f"{capture.capture_id}: duplicate signal id {repeated!r}")
 
     start = max(float(s.timestamps[0]) for s in signals)
     end = min(float(s.timestamps[-1]) for s in signals)
@@ -433,6 +434,5 @@ def resample(capture, frequency_hz=10.0):
     data -= data.mean(axis=1, keepdims=True)
     # each row's norm is the BLAS dot np.linalg.norm takes of a vector, which a batched sum would not match
     data /= np.sqrt([row.dot(row) for row in data])[:, None]
-    ids = [sig.signal_id for sig in signals]
     return SignalMatrix(capture_id=capture.capture_id, signal_ids=tuple(compress(ids, ~constant)),
                         grid=grid, data=data, dropped_constant=tuple(compress(ids, constant)))

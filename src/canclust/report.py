@@ -12,7 +12,6 @@ module only for `analyze`.
 """
 
 import json
-import re
 from itertools import combinations, count, product
 from pathlib import Path
 from typing import NamedTuple
@@ -20,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clusim import common_ids, similarities
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_name
 from .pipeline import RunConfig, fan_out, summarize
 from .stats import density_export, mann_whitney
 
@@ -34,7 +33,7 @@ def check_sources(benign, attacks):
     pairs, in run order; a duplicate id is rejected, naming both sources. Nothing else records roles.
     """
     # a kind names output files (density_<kind>_<linkage>.csv), so it cannot be the benign sample's name
-    bad = [k for k in attacks if k == "benign" or not (isinstance(k, str) and re.fullmatch(r"[A-Za-z0-9_.-]+", k))]
+    bad = [k for k in attacks if k == "benign" or not is_name(k)]
     if bad:
         raise ConfigError(f"attack kinds {bad} are not names of letters, digits, '_', '-' and '.' other than 'benign'")
     sources = {None: benign, **attacks}

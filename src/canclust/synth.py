@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, checked
+from .errors import ConfigError, DataError, checked, is_name
 from .ingest import MAX_ABS_VALUE, MAX_GRID_POINTS, RawSignal, SignalCapture
 
 _MASK = (1 << 64) - 1
@@ -89,6 +89,24 @@ class Xoshiro256StarStar:
         return sigma * out
 
 
+def _integer(name, value):
+    """value as an int: an integral float is kept as its int; a bool is not taken for one."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(name, value):
+    """value as a float: a bool, a string or None is not taken for one, nor an int past the largest float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be at most {sys.float_info.max:.3g} in magnitude") from None
+
+
 @checked
 class SynthSpec(NamedTuple):
     n_groups: int
@@ -100,19 +118,11 @@ class SynthSpec(NamedTuple):
     seed: int = 0
 
     def _check(self):
-        def integer(name):  # an integral float is kept as its int; a bool is not taken for one
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                               or isinstance(value, float) and value.is_integer()):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            return int(value)
-
-        self = tuple.__new__(type(self), (integer("n_groups"), integer("signals_per_group"), *self[2:6], integer("seed")))
+        integers = ("n_groups", "signals_per_group", "seed")
+        self = tuple.__new__(type(self), [(_integer if name in integers else _number)(name, value)
+                                          for name, value in zip(self._fields, self)])
         if self.n_groups < 1 or self.signals_per_group < 1:
             raise ValueError("need at least one group and one signal per group")
-        for name in ("duration_s", "rate_hz"):  # an int past the largest float would overflow their product
-            if isinstance(value := getattr(self, name), numbers.Integral) and abs(value) > sys.float_info.max:
-                raise ValueError(f"{name} must be at most {sys.float_info.max:.3g} in magnitude")
         samples = self.duration_s * self.rate_hz  # both checked before generate() builds an array
         if not (2 <= samples <= MAX_GRID_POINTS):
             raise ValueError(f"capture must span 2 to {MAX_GRID_POINTS} samples, got {samples}")
@@ -128,19 +138,23 @@ class SynthSpec(NamedTuple):
 
 @checked
 class AttackSpec(NamedTuple):
-    """A masquerade attack of one kind on target_signals, over the window [start_s, end_s]."""
+    """A masquerade attack of one kind on the target signals, over the window [start_s, end_s]; its keys are
+    those of a spec's attack block, and seed seeds the draws of a correlated_break."""
 
     kind: str  # correlated_break | max_value
-    target_signals: tuple
+    targets: tuple
     start_s: float
     end_s: float
+    seed: int = 0
 
     def _check(self):
         if self.kind not in ("correlated_break", "max_value"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if not (0.0 <= self.start_s < self.end_s):
+        start_s, end_s = _number("start_s", self.start_s), _number("end_s", self.end_s)
+        if not (0.0 <= start_s < end_s):
             raise ValueError("attack window must satisfy 0 <= start < end")
-        return tuple.__new__(type(self), (self.kind, tuple(self.target_signals), self.start_s, self.end_s))
+        return tuple.__new__(type(self), (self.kind, tuple(self.targets), start_s, end_s,
+                                          _integer("attack seed", self.seed)))
 
 
 def signal_id(group, member):
@@ -226,25 +240,25 @@ def generate(spec, capture_id=None):
     return SignalCapture(capture_id=capture_id, signals=tuple(signals))
 
 
-def inject(capture, attack, seed=0):
-    """Apply a masquerade attack to a capture's target signals in-window.
+def inject(capture, attack):
+    """Apply a masquerade attack to a capture's target signals in-window, reproducible from attack.seed.
 
     correlated_break replaces the window with independent noise matching each
     target's marginal mean/std; max_value pins the window to the signal's
     capture-wide maximum. Timestamps and non-target signals are untouched.
     """
-    if not attack.target_signals:
+    if not attack.targets:
         return capture
     present = {s.signal_id for s in capture.signals}
-    missing = [t for t in attack.target_signals if t not in present]
+    missing = [t for t in attack.targets if t not in present]
     if missing:
         raise DataError(f"attack targets not in capture: {missing}")
     span_end = max(float(s.timestamps[-1]) for s in capture.signals)
     if attack.start_s > span_end:
         raise DataError(f"attack window starts after capture ends ({attack.start_s} > {span_end})")
 
-    rng = Xoshiro256StarStar(seed)
-    targets = set(attack.target_signals)
+    rng = Xoshiro256StarStar(attack.seed)
+    targets = set(attack.targets)
     new_signals = []
     for sig in capture.signals:
         if sig.signal_id not in targets:
@@ -281,22 +295,17 @@ def write_wide_csv(capture, path):
 
 def _spec_capture(entry, defaults):
     """(capture, attack kind or "") of one spec entry, attack applied; a spec mistake is a ConfigError."""
-    name = f"capture {entry.get('id')!r}"
-    attack = entry.get("attack")
-    # TypeError/ValueError: an unknown, missing, mistyped or out-of-range field; DataError: an
+    # TypeError/ValueError: an unknown, missing, mistyped or out-of-range field or attack key; DataError: an
     # attack that does not fit the generated capture (unknown target, late window)
     try:
-        fields = {**defaults, **{k: v for k, v in entry.items() if k not in ("id", "attack")}}
-        cap = generate(SynthSpec(**fields), capture_id=entry.get("id"))
-        if attack:
-            aspec = AttackSpec(kind=attack["kind"], target_signals=attack["targets"],
-                               start_s=attack["start_s"], end_s=attack["end_s"])
-            cap = inject(cap, aspec, seed=attack.get("seed", 0))
-    except KeyError as exc:  # attack[...] is the only key lookup
-        raise ConfigError(f"{name}: attack has no {exc} key") from None
+        if (capture_id := entry.get("id")) is not None and not is_name(capture_id):  # it names a file in out
+            raise ValueError("id must be a name of letters, digits, '_', '-' and '.'")
+        spec = SynthSpec(**{**defaults, **{k: v for k, v in entry.items() if k not in ("id", "attack")}})
+        attack = AttackSpec(**entry["attack"]) if entry.get("attack") else None
+        cap = generate(spec, capture_id=capture_id)
+        return (inject(cap, attack), attack.kind) if attack else (cap, "")
     except (TypeError, ValueError, DataError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-    return cap, attack["kind"] if attack else ""
+        raise ConfigError(f"capture {entry.get('id')!r}: {exc}") from None
 
 
 def write_spec_corpus(spec_path, out):
@@ -304,8 +313,9 @@ def write_spec_corpus(spec_path, out):
     file, id and role; the number written.
 
     A spec is an object with a 'captures' list and optional 'defaults': each entry holds an 'id',
-    SynthSpec fields and optionally an 'attack' block (kind, targets, start_s, end_s, seed). A file that
-    is not such a document is a DataError; a mistake in an entry is a ConfigError naming it.
+    SynthSpec fields and optionally an 'attack' block of AttackSpec's keys (kind, targets, start_s, end_s,
+    seed). A file that is not such a document is a DataError; a mistake in an entry, such as an id that is
+    not a name (see errors.is_name), is a ConfigError naming it, and an id two entries share one naming both.
     """
     try:
         with open(spec_path, encoding="utf-8") as fh:
@@ -317,10 +327,13 @@ def write_spec_corpus(spec_path, out):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = []
+    entries = {}  # capture id -> the index of its entry
     for k, entry in enumerate(doc["captures"]):
         if not isinstance(entry, dict):
             raise ConfigError(f"captures[{k}] must be a JSON object, got {entry!r}")
         cap, kind = _spec_capture(entry, doc.get("defaults", {}))
+        if (first := entries.setdefault(cap.capture_id, k)) != k:
+            raise ConfigError(f"captures[{first}] and captures[{k}] have the same id {cap.capture_id!r}")
         filename = f"{cap.capture_id}.csv"
         write_wide_csv(cap, out / filename)
         manifest.append({"path": filename, "capture_id": cap.capture_id,

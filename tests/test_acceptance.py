@@ -46,7 +46,7 @@ def attack_captures(base, kind, targets, window):
     caps = []
     for i in range(3):
         cap = generate(SynthSpec(seed=base + 100 + i, **BASE_SPEC))
-        caps.append(inject(cap, AttackSpec(kind, targets, *window), seed=base + 200 + i))
+        caps.append(inject(cap, AttackSpec(kind, targets, *window, seed=base + 200 + i)))
     return tuple(caps)
 
 

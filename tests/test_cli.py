@@ -154,6 +154,51 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "config error" in err and "capture 'attack_0'" in err and message in err
 
+    @pytest.mark.parametrize("key, raw, message", [
+        ("seed", "1e400", "attack seed must be an integer, got inf"),
+        ("seed", "1.5", "attack seed must be an integer, got 1.5"),
+        ("seed", '"7"', "attack seed must be an integer, got '7'"),
+        ("seed", "true", "attack seed must be an integer, got True"),
+        ("sed", "5", "got an unexpected keyword argument 'sed'"),
+        ("start_s", '"1"', "start_s must be a number, got '1'"),
+    ], ids=["seed_overflow", "seed_fraction", "seed_string", "seed_bool", "misspelt_key", "start_string"])
+    def test_attack_block_mistake(self, tmp_path, capsys, key, raw, message):
+        # an attack block is AttackSpec's keys, checked as every other spec field is
+        doc = synth_spec_doc(n_benign=1)
+        doc["captures"][1]["attack"][key] = "@"
+        p = tmp_path / "attack.json"
+        p.write_text(json.dumps(doc).replace('"@"', raw))
+        assert main(["synth", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: capture 'attack_0': ") and err.endswith(f"{message}\n")
+
+    @pytest.mark.parametrize("cap_id", ["../esc/evil", "a/b", "", "x y", 5])
+    def test_id_that_is_not_a_name(self, tmp_path, capsys, cap_id):
+        # an id names its capture's file, so it is a name that keeps the file in --out
+        doc = synth_spec_doc(n_benign=1, attack=False)
+        doc["captures"][0]["id"] = cap_id
+        p = tmp_path / "id.json"
+        p.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"config error: capture {cap_id!r}: "
+                                           "id must be a name of letters, digits, '_', '-' and '.'\n")
+        assert sorted(os.listdir(tmp_path)) == ["id.json", "o"] and os.listdir(tmp_path / "o") == []
+
+    @pytest.mark.parametrize("named", [True, False])
+    def test_id_two_entries_share(self, tmp_path, capsys, named):
+        # named or left to its seed's default, an id written twice is a config error naming both entries
+        doc = synth_spec_doc(n_benign=3, attack=False)
+        if named:
+            doc["captures"][0]["id"] = doc["captures"][2]["id"] = cap_id = "dup"
+        else:
+            del doc["captures"][0]["id"], doc["captures"][2]["id"]
+            doc["captures"][2]["seed"], cap_id = 100, "synth_0000000000000064"
+        p = tmp_path / "dup.json"
+        p.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: captures[0] and captures[2] have the same id {cap_id!r}\n"
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     @pytest.mark.parametrize("entry", [1, "benign_0", ["seed", 1], None])
     def test_capture_entry_not_an_object(self, tmp_path, capsys, entry):
         doc = synth_spec_doc(n_benign=1, attack=False)
@@ -615,6 +660,10 @@ def test_extreme_span_fields(tmp_path, capsys, field):
         for value in (2.5, "3", True):
             assert main(argv(value)) == 2
             assert capsys.readouterr().err.endswith(f": {field} must be an integer, got {value!r}\n")
+    else:  # a string, a bool or null is a config error naming the field
+        for value in ("3", True, None):
+            assert main(argv(value)) == 2
+            assert capsys.readouterr().err.endswith(f": {field} must be a number, got {value!r}\n")
 
 
 def same_capture(a, b):

@@ -233,6 +233,12 @@ class TestStructure:
             with pytest.raises(DataError, match="not square and exactly symmetric"):
                 agglomerate(DissimilarityMatrix(("a", "b"), np.zeros(shape)), "single")
 
+    def test_rejects_ids_that_do_not_match_the_matrix(self):
+        d = np.array([[0.0, 0.5], [0.5, 0.0]])
+        for ids in (("a", "b", "c"), ("a",)):
+            with pytest.raises(DataError, match=f"^{len(ids)} signal ids for a dissimilarity matrix of 2 signals$"):
+                agglomerate(DissimilarityMatrix(ids, d), "average")
+
     def test_rejects_overflowing_update(self):
         d = np.full((3, 3), 1e308)
         np.fill_diagonal(d, 0.0)

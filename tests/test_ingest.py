@@ -650,7 +650,7 @@ class TestWholeFileRead:
 
     @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
     def test_lone_cr_line_ends(self, tmp_path, monkeypatch, layout):
-        # after a header ended by a lone '\r' the text position is no byte offset: the file is read in blocks
+        # a lone '\r' ends a line in numpy's read of the path as in the header's: the whole-file read takes it
         rnd = random.Random(layout)
         lines = dense_lines(rnd, 300) if layout == "wide_csv" else capture_lines(rnd, layout, 300)
         expected = outcome(block_parser, write(tmp_path, "\n".join(lines) + "\n", "plain.csv"), layout)
@@ -659,13 +659,13 @@ class TestWholeFileRead:
         for prefix in ("", "# exported\r\r", "# exported\n\r\n"):
             path.write_bytes((prefix + "\r".join(lines) + "\r").encode())
             reads.clear()
-            assert outcome(block_parser, path, layout) == expected and reads == [], prefix
-        # no data line: numpy, which would warn, is not called
+            assert outcome(block_parser, path, layout) == expected and reads == [str(path)], prefix
+        # no data line: numpy warns, which refuses the whole-file read, and the block route finds no signals
         for tail in ("", "\r", "\r\r\n\r"):
             path.write_bytes((lines[0] + "\r" + tail).encode())
             reads.clear()
             assert outcome(block_parser, path, layout) == (DataError, f"{path}: capture contains no signals", None)
-            assert reads == [], tail
+            assert reads == [str(path)], tail
 
     @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
@@ -674,7 +674,7 @@ class TestWholeFileRead:
         # or not, as a refusal, so none escapes, and the block route finds no signals
         header = "time,signal,value" if layout == "long_csv" else "time,a,b"
         path = tmp_path / "cap.csv"
-        path.write_bytes((header + eol * 2).encode())  # more CRLF empty lines leave fh.tell() no byte offset
+        path.write_bytes((header + eol * 2).encode())
         reads = spy_read_file(monkeypatch)
         for action in ("error", "always"):
             reads.clear()
@@ -919,6 +919,14 @@ class TestResample:
             r1 = m1.data[m1.signal_ids.index(sid)]
             r2 = m2.data[m2.signal_ids.index(sid)]
             assert np.array_equal(r1, r2)
+
+    @pytest.mark.parametrize("sid", ["a", ""])
+    def test_duplicate_signal_id(self, sid):
+        # only an in-memory capture can repeat an id: resample, which orders the signals, names it
+        ts = np.arange(20) / 10.0
+        cap = make_capture([RawSignal(sid, ts, np.sin(ts)), RawSignal("b", ts, np.cos(ts)), RawSignal(sid, ts, ts)])
+        with pytest.raises(DataError, match=f"^c: duplicate signal id '{sid}'$"):
+            resample(cap, 10.0)
 
     def test_signals_in_id_order_whatever_their_order(self):
         # rows, signal_ids and dropped_constant come out in id order, the same bits for any order of the signals

@@ -36,10 +36,10 @@ def make_attacks(kind, k, base_seed=900):
         # shapes and the attack sample is not a point mass (rotation alone
         # gives mirror-image trees, whose scores differ only by float noise)
         targets = tuple(signal_id(i % SPEC.n_groups, j) for j in range(3 - i % 2))
-        atk = AttackSpec(kind, targets, *window)
+        atk = AttackSpec(kind, targets, *window, seed=base_seed + 50 + i)
         cap = generate(SynthSpec(**{**SPEC._asdict(), "seed": base_seed + i}),
                        capture_id=f"attack_{kind}_{i}")
-        caps.append(inject(cap, atk, seed=base_seed + 50 + i))
+        caps.append(inject(cap, atk))
     return tuple(caps)
 
 
@@ -237,6 +237,13 @@ class TestConfigValidation:
         with pytest.raises(DataError) as info:
             run(RunConfig(), tuple(parse_capture(p) for p in paths))
         assert str(info.value) == f"duplicate capture_id 'x' ({paths[0]} and {paths[1]})"
+
+    def test_duplicate_signal_ids(self):
+        # each capture given a second ID_100_sig_0: the first capture's is named, as resample finds it
+        caps = [generate(SynthSpec(2, 2, 6.0, 10.0, seed=i)) for i in range(3)]
+        caps = [c._replace(signals=(*c.signals, c.signals[1]._replace(signal_id=signal_id(0, 0)))) for c in caps]
+        with pytest.raises(DataError, match=r"^synth_0000000000000000: duplicate signal id 'ID_100_sig_0'$"):
+            run(RunConfig(), caps[:2], {"max_value": caps[2:]})
 
     def test_differing_element_sets_name_both_captures(self):
         # in-memory captures are "inline" here as in the duplicate-id error

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,10 +71,10 @@ class TestStreamDigests:
                        "fc2abf2480a94812eccb5e6d9c3621d9ce17cbef6741c23ada15627ecce7d458"),
         "correlated_break": (lambda: inject(generate(SynthSpec(seed=100, **BASE_SPEC)),
                                             AttackSpec("correlated_break", tuple(signal_id(0, j) for j in range(4)),
-                                                       10.0, 50.0), seed=200),
+                                                       10.0, 50.0, seed=200)),
                              "ba9248134d791665c5ba3270b499a1ef487a503ee7d4abd27fa034363ac57e9e"),
         "max_value": (lambda: inject(generate(SynthSpec(seed=101, **BASE_SPEC)),
-                                     AttackSpec("max_value", (signal_id(0, 0),), 6.0, 54.0), seed=201),
+                                     AttackSpec("max_value", (signal_id(0, 0),), 6.0, 54.0, seed=201)),
                       "2f12b3794c86cd62512a39b4a07242806a1eac3a69e784f2335bd30079b7868f"),
     }
 
@@ -157,6 +158,11 @@ class TestGenerate:
                              ("seed", math.inf), ("seed", math.nan), ("seed", 1 - 2 ** -53), ("seed", "7")):
             with pytest.raises(ValueError, match=f"^{field} must be"):
                 small_spec(**{field: value})
+        for field in ("duration_s", "rate_hz", "intra_group_rho", "noise_sigma"):  # a number, but not a bool
+            for value in (True, "3", None):
+                with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
+                    small_spec(**{field: value})
+        assert type(small_spec(duration_s=30).duration_s) is float
 
     @pytest.mark.parametrize("field", ["duration_s", "rate_hz"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, 1e12])
@@ -196,8 +202,8 @@ class TestInject:
 
     def test_timestamps_and_nontargets_untouched(self):
         cap = self.make()
-        atk = AttackSpec("correlated_break", ("ID_100_sig_0",), 5.0, 20.0)
-        out = inject(cap, atk, seed=3)
+        atk = AttackSpec("correlated_break", ("ID_100_sig_0",), 5.0, 20.0, seed=3)
+        out = inject(cap, atk)
         for orig, new in zip(cap.signals, out.signals):
             assert np.array_equal(orig.timestamps, new.timestamps)
             if orig.signal_id != "ID_100_sig_0":
@@ -205,8 +211,8 @@ class TestInject:
 
     def test_locality(self):
         cap = self.make()
-        atk = AttackSpec("correlated_break", ("ID_100_sig_0",), 5.0, 20.0)
-        out = inject(cap, atk, seed=3)
+        atk = AttackSpec("correlated_break", ("ID_100_sig_0",), 5.0, 20.0, seed=3)
+        out = inject(cap, atk)
         orig = cap.signals[0]
         new = out.signals[0]
         outside = (orig.timestamps < 5.0) | (orig.timestamps > 20.0)
@@ -215,17 +221,17 @@ class TestInject:
 
     def test_inject_deterministic(self):
         cap = self.make()
-        atk = AttackSpec("correlated_break", ("ID_100_sig_0",), 0.0, 30.0)
-        v1 = inject(cap, atk, seed=9).signals[0].values
-        v2 = inject(cap, atk, seed=9).signals[0].values
+        atk = AttackSpec("correlated_break", ("ID_100_sig_0",), 0.0, 30.0, seed=9)
+        v1 = inject(cap, atk).signals[0].values
+        v2 = inject(cap, atk).signals[0].values
         assert np.array_equal(v1, v2)
-        v3 = inject(cap, atk, seed=10).signals[0].values
+        v3 = inject(cap, atk._replace(seed=10)).signals[0].values
         assert not np.array_equal(v1, v3)
 
     def test_correlated_break_matches_marginal(self):
         cap = generate(small_spec(duration_s=400.0, seed=8))
-        atk = AttackSpec("correlated_break", ("ID_100_sig_0",), 0.0, 400.0)
-        out = inject(cap, atk, seed=2)
+        atk = AttackSpec("correlated_break", ("ID_100_sig_0",), 0.0, 400.0, seed=2)
+        out = inject(cap, atk)
         orig, new = cap.signals[0].values, out.signals[0].values
         assert abs(new.mean() - orig.mean()) < 0.15 * max(1.0, abs(orig.mean()))
         assert abs(new.std() - orig.std()) < 0.1 * orig.std()
@@ -255,6 +261,24 @@ class TestInject:
             AttackSpec("teleport", ("x",), 0.0, 1.0)
         with pytest.raises(ValueError):
             AttackSpec("max_value", ("x",), 5.0, 5.0)
+
+    def test_attack_numbers_and_seed(self):
+        # the window takes SynthSpec's number rule, the seed its integer rule, named as the attack's
+        for field, value in (("start_s", "1"), ("start_s", None), ("end_s", True)):
+            with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
+                AttackSpec("max_value", ("x",), **{"start_s": 0.0, "end_s": 1.0, field: value})
+        for seed in (math.inf, math.nan, 1.5, "7", True, None):
+            with pytest.raises(ValueError, match=re.escape(f"attack seed must be an integer, got {seed!r}")):
+                AttackSpec("max_value", ("x",), 0.0, 1.0, seed=seed)
+
+    def test_fields_are_the_keys_of_a_spec_attack_block(self):
+        # a block maps onto the record key for key, its numbers under the rules of every spec field
+        block = {"kind": "correlated_break", "targets": ["ID_100_sig_0"], "start_s": 5, "end_s": 20.0, "seed": 3.0}
+        atk = AttackSpec(**block)
+        assert atk._fields == tuple(block)
+        assert atk == AttackSpec("correlated_break", ("ID_100_sig_0",), 5.0, 20.0, seed=3)
+        assert (type(atk.start_s), type(atk.seed)) == (float, int)
+        assert AttackSpec("max_value", (), 0.0, 1.0).seed == 0
 
 
 def test_write_wide_csv_round_trip(tmp_path):
