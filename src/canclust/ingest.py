@@ -171,7 +171,8 @@ class _Wide:
         """(signal id, times, values) of each column with samples, sorted by time.
 
         Tables of blocks without an empty cell are joined, their rows stably
-        sorted by time once, and cut per column. Any other block sends every
+        sorted by time once, and cut per column; every signal's times are then
+        one read-only copy of the time column. Any other block sends every
         block through the per-sample cut, whose 24 bytes per sample, unlike
         a table's 8 per cell, do not grow with a sparse file's empty cells.
         """
@@ -185,9 +186,10 @@ class _Wide:
         blocks.clear()
         if not np.all(table[1:, 0] >= table[:-1, 0]):  # rows out of time order, or a nan time
             table = table[np.argsort(table[:, 0], kind="stable")]
-        times = table[:, 0]
+        times = table[:, 0].copy()
+        times.flags.writeable = False
         for col, signal_id in enumerate(self.signal_ids, start=1):
-            yield signal_id, times.copy(), table[:, col].copy()
+            yield signal_id, times, table[:, col].copy()
 
 
 class _Long(dict):
@@ -286,14 +288,17 @@ def _raw_signals(samples, path):
     """One RawSignal per (signal id, times, values) with samples; a repeated time is an error.
 
     Times are sorted, nan last, so a repeated finite time is a difference of 0, checked before
-    RawSignal's checks. A repeated inf or a nan gives a nan difference, not a repeat: RawSignal
-    names it a non-finite time. Finite times far apart may give an inf difference.
+    RawSignal's checks, once per times array: signals sharing one are named by the first. A repeated
+    inf or a nan gives a nan difference, not a repeat: RawSignal names it a non-finite time. Finite
+    times far apart may give an inf difference.
     """
     signals = []
+    clean = None  # the last times array found free of repeats
     with np.errstate(invalid="ignore", over="ignore"):
         for signal_id, ts, vs in samples:
-            if (ts[1:] - ts[:-1] <= 0).any():
+            if ts is not clean and (ts[1:] - ts[:-1] <= 0).any():
                 raise ParseError(f"duplicate timestamp in signal {signal_id!r}", path=path)
+            clean = ts
             try:
                 signals.append(RawSignal(signal_id, ts, vs))
             except DataError as exc:
@@ -344,7 +349,8 @@ def parse_capture(path, format="wide_csv"):
 
     format is "wide_csv" (header ``time,<sig1>,...``) or "long_csv"
     (header ``time,signal,value``). Signals with no samples at all are
-    dropped; a file yielding zero signals is an error.
+    dropped; a file yielding zero signals is an error. The signals of a
+    wide file without an empty cell share one read-only timestamps array.
     """
     if format not in _LAYOUTS:
         raise ValueError(f"unknown format {format!r}")

@@ -150,6 +150,8 @@ class AttackSpec(NamedTuple):
     def _check(self):
         if self.kind not in ("correlated_break", "max_value"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
+        if not (isinstance(self.targets, (list, tuple)) and all(isinstance(t, str) for t in self.targets)):
+            raise ValueError(f"targets must be a list of signal ids, got {self.targets!r}")
         start_s, end_s = _number("start_s", self.start_s), _number("end_s", self.end_s)
         if not (0.0 <= start_s < end_s):
             raise ValueError("attack window must satisfy 0 <= start < end")
@@ -205,6 +207,7 @@ def generate(spec, capture_id=None):
     rng = Xoshiro256StarStar(spec.seed)
     t_count = int(round(spec.duration_s * spec.rate_hz))
     ts = np.arange(t_count) / spec.rate_hz
+    ts.flags.writeable = False  # every signal holds this one array
 
     if spec.noise_sigma == 0 or spec.intra_group_rho == 1.0:
         gain = 1.0
@@ -312,7 +315,7 @@ def write_spec_corpus(spec_path, out):
     """Write the captures of a JSON spec file to the directory out, with a manifest.json of each one's
     file, id and role; the number written.
 
-    A spec is an object with a 'captures' list and optional 'defaults': each entry holds an 'id',
+    A spec is an object with a 'captures' list and optional 'defaults' object: each entry holds an 'id',
     SynthSpec fields and optionally an 'attack' block of AttackSpec's keys (kind, targets, start_s, end_s,
     seed). A file that is not such a document is a DataError; a mistake in an entry, such as an id that is
     not a name (see errors.is_name), is a ConfigError naming it, and an id two entries share one naming both.
@@ -322,8 +325,9 @@ def write_spec_corpus(spec_path, out):
             doc = json.load(fh)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise DataError(f"{spec_path}: not a JSON document ({exc})") from None
-    if not (isinstance(doc, dict) and isinstance(doc.get("captures"), list)):
-        raise DataError(f"{spec_path}: a spec is a JSON object with a 'captures' list")
+    if not (isinstance(doc, dict) and isinstance(doc.get("captures"), list)
+            and isinstance(doc.get("defaults", {}), dict)):
+        raise DataError(f"{spec_path}: a spec is a JSON object with a 'captures' list and optional 'defaults' object")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = []

@@ -105,6 +105,17 @@ class TestSynth:
         p.write_text("{}")
         assert main(["synth", "--spec", str(p), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("defaults", [[], "x", None, 5], ids=["list", "string", "null", "number"])
+    def test_defaults_that_is_not_an_object(self, tmp_path, capsys, defaults):
+        # defaults are part of the document's shape, as the captures list is: no capture is blamed
+        doc = synth_spec_doc(n_benign=1, attack=False)
+        doc["defaults"] = defaults
+        p = tmp_path / "defaults.json"
+        p.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(p), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.endswith(
+            f"{p}: a spec is a JSON object with a 'captures' list and optional 'defaults' object\n")
+
     def test_bad_field_value(self, tmp_path):
         doc = synth_spec_doc(n_benign=1, attack=False)
         doc["defaults"]["intra_group_rho"] = 2.0
@@ -161,7 +172,10 @@ class TestSynth:
         ("seed", "true", "attack seed must be an integer, got True"),
         ("sed", "5", "got an unexpected keyword argument 'sed'"),
         ("start_s", '"1"', "start_s must be a number, got '1'"),
-    ], ids=["seed_overflow", "seed_fraction", "seed_string", "seed_bool", "misspelt_key", "start_string"])
+        ("targets", '"ID_100_sig_0"', "targets must be a list of signal ids, got 'ID_100_sig_0'"),
+        ("targets", "null", "targets must be a list of signal ids, got None"),
+    ], ids=["seed_overflow", "seed_fraction", "seed_string", "seed_bool", "misspelt_key", "start_string",
+            "targets_string", "targets_null"])
     def test_attack_block_mistake(self, tmp_path, capsys, key, raw, message):
         # an attack block is AttackSpec's keys, checked as every other spec field is
         doc = synth_spec_doc(n_benign=1)

@@ -56,9 +56,11 @@ class TestParseWide:
         assert exc.value.line == 3
 
     def test_duplicate_timestamp_names_signal(self, tmp_path):
-        p = write(tmp_path, "time,a\n0.0,1.0\n0.0,2.0\n")
-        with pytest.raises(ParseError, match="'a'"):
-            parse_capture(p)
+        # the columns of a dense file share one time array, checked once and named by the first column's signal
+        for text in ("time,a\n0.0,1.0\n0.0,2.0\n", "time,a,b,c\n0.0,1,2,3\n0.1,2,3,4\n0.1,5,6,7\n"):
+            p = write(tmp_path, text)
+            with pytest.raises(ParseError, match="duplicate timestamp in signal 'a'$"):
+                parse_capture(p)
 
     def test_comments_ignored(self, tmp_path):
         p = write(tmp_path, "# a comment\ntime,a\n0.0,1.0\n# another\n0.1,2.0\n")
@@ -89,6 +91,10 @@ class TestParseWide:
         peak, output = parse_peak(p)
         assert output == 16 * n * k
         assert peak < 2.5 * output
+        # the signals hold one copy of the time column between them, and one of each value column
+        cap = parse_capture(p)
+        distinct = {id(a): a.nbytes for s in cap.signals for a in (s.timestamps, s.values)}
+        assert sum(distinct.values()) == 8 * n * (k + 1)
 
     @pytest.mark.parametrize("blank", ["", " ", "\u3000"], ids=["empty", "space", "ideographic_space"])
     def test_memory_bounded_sparse(self, tmp_path, blank):
@@ -647,6 +653,23 @@ class TestWholeFileRead:
                 assert calls == ["loadtxt"] and reads == [str(path)], name
             else:  # one refused C read of the path, then the block route
                 assert calls[:2] == ["loadtxt", "_blocks"] and reads == [str(path)], name
+
+    @pytest.mark.parametrize("note", [False, True], ids=["whole_file", "block_route"])
+    def test_dense_signals_share_one_read_only_time_array(self, tmp_path, monkeypatch, note):
+        # one copy of a dense file's time column serves every signal, read-only so that a write through one
+        # signal moves no other's times; a comment line after the header sends the file to the block route
+        lines = dense_lines(random.Random(3), 600, n_signals=128)
+        if note:
+            lines = lines[:1] + ["# first row"] + lines[1:]
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        blocks = spy_blocks(monkeypatch)
+        cap = parse_capture(path)
+        assert (len(blocks) > 1) == note
+        times = cap.signals[0].timestamps
+        assert len(cap.signals) == 128 and all(s.timestamps is times for s in cap.signals)
+        assert not times.flags.writeable
+        assert times.tolist() == [float(line.split(",")[0]) for line in lines[1:] if not line.startswith("#")]
+        assert len({id(s.values) for s in cap.signals}) == 128
 
     @pytest.mark.parametrize("layout", ["long_csv", "wide_csv"])
     def test_lone_cr_line_ends(self, tmp_path, monkeypatch, layout):

@@ -261,6 +261,9 @@ class TestInject:
             AttackSpec("teleport", ("x",), 0.0, 1.0)
         with pytest.raises(ValueError):
             AttackSpec("max_value", ("x",), 5.0, 5.0)
+        for targets in ("ID_100_sig_0", None, ("ID_100_sig_0", 5), {"ID_100_sig_0"}):
+            with pytest.raises(ValueError, match=re.escape(f"targets must be a list of signal ids, got {targets!r}")):
+                AttackSpec("max_value", targets, 0.0, 1.0)
 
     def test_attack_numbers_and_seed(self):
         # the window takes SynthSpec's number rule, the seed its integer rule, named as the attack's
@@ -291,6 +294,21 @@ def test_write_wide_csv_round_trip(tmp_path):
     for orig, new in zip(cap.signals, back.signals):
         assert np.array_equal(orig.timestamps, new.timestamps)
         assert np.array_equal(orig.values, new.values)
+
+
+def test_signals_share_one_read_only_time_array(tmp_path):
+    # a generated capture, the same after an attack, and its dense wide file parsed back each give every
+    # signal one timestamps array, read-only so that a write through one signal moves no other's times
+    cap = generate(small_spec(duration_s=3.0))
+    attacked = inject(cap, AttackSpec("max_value", ("ID_100_sig_1",), 0.0, 1.0))
+    write_wide_csv(cap, tmp_path / "cap.csv")
+    for capture in (cap, attacked, parse_capture(tmp_path / "cap.csv")):
+        times = capture.signals[0].timestamps
+        assert all(s.timestamps is times for s in capture.signals)
+        assert not times.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            times[0] = 1.0
+    assert attacked.signals[0].timestamps is cap.signals[0].timestamps
 
 
 def test_write_wide_csv_needs_a_shared_grid(tmp_path):
